@@ -6,12 +6,12 @@ all three solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError, InvariantViolation, TdFormatError
-from .graph import Dag, DistSpec, SubgraphRef, classify_subgraph_vertices
+from .graph import Dag, DistSpec
 
 
 @dataclass(frozen=True)
@@ -173,38 +173,46 @@ class TdReport:
     message: str = "ok"
 
 
+def _occurrences(td: TreeDecomposition, n: int) -> list[list[int]]:
+    """Occurrence lists: ``occ[v]`` holds the indices of the bags containing
+    ``v`` in ascending order.  O(sum of bag sizes)."""
+    occ: list[list[int]] = [[] for _ in range(n)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if not (0 <= v < n):
+                raise InputError(f"bag vertex {v} outside graph")
+            occ[v].append(i)
+    return occ
+
+
 def validate_td(g: Dag, td: TreeDecomposition) -> TdReport:
     """Check the three decomposition conditions against the underlying
-    undirected graph of ``g``; report the first violation with a witness."""
+    undirected graph of ``g``; report the first violation with a witness.
+
+    Runs in O(sum of bag sizes + sum over edges of the shorter endpoint
+    occurrence list), using each vertex's occurrence list.
+    """
     if not td.is_tree():
         return TdReport(False, "tree", None, "bag graph is not a connected tree")
     for bag in td.bags:
         for v in bag:
             if not (0 <= v < g.n):
                 return TdReport(False, "vertices", v, f"bag vertex {v} outside graph")
-    covered = frozenset().union(*td.bags) if td.bags else frozenset()
-    missing = frozenset(range(g.n)) - covered
-    if missing:
-        v = min(missing)
-        return TdReport(False, "condition1", v, f"vertex {v} in no bag")
-    for u, v, _ in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
-            return TdReport(False, "condition2", (u, v), f"edge ({u},{v}) uncovered")
-    # condition 3: occurrences of each vertex form a subtree
+    occ = _occurrences(td, g.n)
     for v in range(g.n):
-        occ = [i for i, bag in enumerate(td.bags) if v in bag]
-        if not occ:
-            continue
-        occ_set = set(occ)
-        seen = {occ[0]}
-        stack = [occ[0]]
-        while stack:
-            i = stack.pop()
-            for j in td.adjacency[i]:
-                if j in occ_set and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(occ):
+        if not occ[v]:
+            return TdReport(False, "condition1", v, f"vertex {v} in no bag")
+    bags = td.bags
+    for u, v, _ in g.edges:
+        a, b = (u, v) if len(occ[u]) <= len(occ[v]) else (v, u)
+        if not any(b in bags[i] for i in occ[a]):
+            return TdReport(False, "condition2", (u, v), f"edge ({u},{v}) uncovered")
+    # condition 3: the bags holding v form a subtree iff exactly one of them
+    # has a parent that does not hold v
+    parent, _, _ = td.rooted()
+    for v in range(g.n):
+        tops = sum(1 for i in occ[v] if parent[i] is None or v not in bags[parent[i]])
+        if tops != 1:
             return TdReport(False, "condition3", v, f"occurrence set of vertex {v} disconnected")
     return TdReport(True)
 
@@ -299,17 +307,15 @@ def separate(g: Dag, td: TreeDecomposition) -> tuple[Dag, TreeDecomposition, dic
     strictly deeper bags.  Bags are tripled in place, so the width grows from
     w to 3w+2 and the longest path distribution is unchanged for x >= 0.
     """
-    parent, children, depth = td.rooted()
-    topmost: dict[int, int] = {}
-    for v in range(g.n):
-        occ = [i for i, bag in enumerate(td.bags) if v in bag]
+    _, _, depth = td.rooted()
+    topmost: list[int] = []
+    for v, occ in enumerate(_occurrences(td, g.n)):
         if not occ:
             raise InputError(f"vertex {v} missing from every bag; validate the decomposition first")
-        best = min(occ, key=lambda i: depth[i])
-        ties = [i for i in occ if depth[i] == depth[best]]
-        if len(ties) != 1:
+        best = min(occ, key=depth.__getitem__)
+        if sum(1 for i in occ if depth[i] == depth[best]) != 1:
             raise InputError(f"occurrence set of vertex {v} is disconnected")
-        topmost[v] = best
+        topmost.append(best)
 
     def triple(v: int) -> VertexTriple:
         return VertexTriple(3 * v, 3 * v + 1, 3 * v + 2)
@@ -336,8 +342,44 @@ def separate(g: Dag, td: TreeDecomposition) -> tuple[Dag, TreeDecomposition, dic
     return g_star, td_star, vmap
 
 
-def _classify(g: Dag, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
-    return classify_subgraph_vertices(g, SubgraphRef(frozenset(vertices), frozenset(edges)))
+def _roles(
+    g: Dag, vertices: Iterable[int], n_out: Mapping[int, int], n_in: Mapping[int, int]
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """(sources, terminals, internals) among ``vertices`` of a subgraph that
+    holds ``n_out[v]`` out-edges and ``n_in[v]`` in-edges of each ``v``.
+
+    The rule of ``classify_subgraph_vertices``, read off the counts: a source
+    has an out-edge in the subgraph and misses an in-edge of ``g`` (or has
+    none in ``g``); terminals are symmetric; a vertex with no edge in the
+    subgraph has no role.
+    """
+    sources, terminals, internals = [], [], []
+    for v in vertices:
+        o, n = n_out[v], n_in[v]
+        if not o and not n:
+            continue
+        g_in, g_out = len(g.predecessors[v]), len(g.successors[v])
+        is_src = o > 0 and (n < g_in or not g_in)
+        is_term = n > 0 and (o < g_out or not g_out)
+        if is_src:
+            sources.append(v)
+        if is_term:
+            terminals.append(v)
+        if not is_src and not is_term:
+            internals.append(v)
+    return frozenset(sources), frozenset(terminals), frozenset(internals)
+
+
+def _lift(base: frozenset[int], bag: frozenset[int], local: frozenset[int]) -> frozenset[int]:
+    """``(base - bag) | local`` for ``local`` inside ``bag``, copying ``base``
+    only where it changes: along a path of bags the subtree sets carry every
+    global source and terminal forgotten below, and most bags change none."""
+    gone, new = (base & bag) - local, local - base
+    if gone:
+        base = base - gone
+    if new:
+        base = base | new
+    return base
 
 
 @dataclass(frozen=True)
@@ -358,14 +400,13 @@ class DecompositionContext:
     I: tuple[frozenset[int], ...]
     S_U: tuple[frozenset[int], ...]
     T_U: tuple[frozenset[int], ...]
-    V_U: tuple[frozenset[int], ...]
     S_D: tuple[frozenset[int], ...]
     T_D: tuple[frozenset[int], ...]
-    I_D: tuple[frozenset[int], ...]
     S_prime: tuple[frozenset[int], ...]
     T_prime: tuple[frozenset[int], ...]
     J: tuple[frozenset[int], ...]
-    subtree_vertices: tuple[int, ...]
+    subtree_vertices: tuple[int, ...]  # |V(D_i)|
+    subtree_edges: tuple[int, ...]  # |E(D_i)|
 
     @property
     def b(self) -> int:
@@ -378,20 +419,43 @@ class DecompositionContext:
             return frozenset()
         return (self.S_D[i] | self.T_D[i]) & self.td.bags[h]
 
-    def frozen_sources(self, i: int) -> frozenset[int]:
-        h = self.parent[i]
-        bag_h = self.td.bags[h] if h is not None else frozenset()
-        return self.S_D[i] - bag_h
-
-    def frozen_terminals(self, i: int) -> frozenset[int]:
-        h = self.parent[i]
-        bag_h = self.td.bags[h] if h is not None else frozenset()
-        return self.T_D[i] - bag_h
-
 
 def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionContext:
     """Derive bag-subgraphs by the ancestor-first rule plus all per-bag sets,
-    then verify every structural invariant (raises InvariantViolation)."""
+    then verify every structural invariant (raises InvariantViolation).
+
+    Notation: G_i is bag i with the edges it owns, D_i the union of G_j over
+    the subtree rooted at i, and U_i the union of D_c over the children c of
+    i.  Vertex roles in each (sources S, terminals T, internals I) follow
+    ``graph.classify_subgraph_vertices``.
+
+    Ownership.  Edge uv belongs to the topmost bag holding both endpoints.
+    With top(v) the topmost bag of v's occurrence subtree, that bag is the
+    deeper of top(u) and top(v): any bag holding both lies below both tops,
+    so the tops are comparable, and the deeper one lies on the tree path
+    between the shallower one and a common bag, hence holds both endpoints.
+
+    Bottom-up sets.  A role depends only on the vertex's (out, in) counts of
+    subgraph edges against its degrees in ``g_star``.  A vertex v outside B_i
+    occurs in one child subtree only (condition 3), and every edge of v is
+    owned by a bag holding v, so all of its edges lie in that child's D_c:
+    v keeps its D_c role in both D_i and U_i.  Only the vertices of B_i are
+    reclassified, in post-order, from their own counts plus the children's
+    D_c counts on B_c & B_i.  Likewise |V(D_i)| = |B_i| + sum over children
+    of (|V(D_c)| - |B_c & B_i|).  As in a nice tree decomposition (Kloks,
+    Treewidth, LNCS 842, 1994), a vertex is handled only in the bags that
+    hold it, so the cost is O(sum of bag sizes times degree) plus the size
+    of the S_D/T_D/S_U/T_U sets themselves, which carry the global sources
+    and terminals forgotten deeper down.
+
+    Separation.  No edge may join u in B_h - B_i to v in B_j - B_i, for h
+    the parent of i and j a strict descendant of i.  Under conditions 2-3
+    this reduces to "each edge's owning bag holds both endpoints", which the
+    verifier checks per edge: u's bags form a subtree holding h but not i,
+    so none lies in the subtree of i; v's bags form a subtree holding j but
+    not i, so all lie strictly below i.  No bag then holds both u and v, so
+    an edge uv would have no owner.
+    """
     report = validate_td(g_star, td_star)
     if not report.valid:
         raise InputError(f"invalid decomposition: {report.message}")
@@ -400,17 +464,12 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
         raise InputError("decomposition must be binarized first")
 
     b = td_star.b
-    # ancestor-first rule: each edge belongs to the unique topmost bag holding
-    # both endpoints
+    bags = td_star.bags
+    top = [min(occ, key=depth.__getitem__) for occ in _occurrences(td_star, g_star.n)]
     bag_edges: list[set[tuple[int, int]]] = [set() for _ in range(b)]
     for u, v, _ in g_star.edges:
-        occ = [i for i in range(b) if u in td_star.bags[i] and v in td_star.bags[i]]
-        if not occ:
-            raise InvariantViolation(f"edge ({u},{v}) covered by no bag")
-        best = min(occ, key=lambda i: depth[i])
-        if sum(1 for i in occ if depth[i] == depth[best]) != 1:
-            raise InvariantViolation(f"edge ({u},{v}) has no unique topmost bag")
-        bag_edges[best].add((u, v))
+        tu, tv = top[u], top[v]
+        bag_edges[tu if depth[tu] >= depth[tv] else tv].add((u, v))
 
     # post-order over the rooted tree (children before parents)
     post: list[int] = []
@@ -425,41 +484,62 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
                 stack.append((c, False))
     post_order = tuple(post)
 
-    sub_bags: list[set[int]] = [set() for _ in range(b)]  # bag indices in Sub(i)
-    for i in post_order:
-        sub_bags[i] = {i}
-        for c in children[i]:
-            sub_bags[i] |= sub_bags[c]
-
-    S: list[frozenset[int]] = [frozenset()] * b
-    T: list[frozenset[int]] = [frozenset()] * b
-    I: list[frozenset[int]] = [frozenset()] * b
-    S_U: list[frozenset[int]] = [frozenset()] * b
-    T_U: list[frozenset[int]] = [frozenset()] * b
-    V_U: list[frozenset[int]] = [frozenset()] * b
-    S_D: list[frozenset[int]] = [frozenset()] * b
-    T_D: list[frozenset[int]] = [frozenset()] * b
-    I_D: list[frozenset[int]] = [frozenset()] * b
-    S_p: list[frozenset[int]] = [frozenset()] * b
-    T_p: list[frozenset[int]] = [frozenset()] * b
-    J: list[frozenset[int]] = [frozenset()] * b
+    empty: frozenset[int] = frozenset()
+    S: list[frozenset[int]] = [empty] * b
+    T: list[frozenset[int]] = [empty] * b
+    I: list[frozenset[int]] = [empty] * b
+    S_U: list[frozenset[int]] = [empty] * b
+    T_U: list[frozenset[int]] = [empty] * b
+    S_D: list[frozenset[int]] = [empty] * b
+    T_D: list[frozenset[int]] = [empty] * b
+    S_p: list[frozenset[int]] = [empty] * b
+    T_p: list[frozenset[int]] = [empty] * b
+    J: list[frozenset[int]] = [empty] * b
     subtree_vertices: list[int] = [0] * b
+    subtree_edges: list[int] = [0] * b
+    # internals of D_i and of U_i among the vertices of B_i, for the verifier
+    internal_D: list[frozenset[int]] = [empty] * b
+    internal_U: list[frozenset[int]] = [empty] * b
+    # (out, in) edge counts in D_i of the vertices of B_i
+    d_out: list[dict[int, int]] = [{}] * b
+    d_in: list[dict[int, int]] = [{}] * b
 
-    for i in range(b):
-        S[i], T[i], I[i] = _classify(g_star, td_star.bags[i], bag_edges[i])
+    for i in post_order:
+        bag = bags[i]
+        u_out = dict.fromkeys(bag, 0)
+        u_in = dict.fromkeys(bag, 0)
+        kids = children[i]
+        n_vertices, n_edges = len(bag), len(bag_edges[i])
+        for c in kids:
+            shared = bags[c] & bag
+            for v in shared:
+                u_out[v] += d_out[c][v]
+                u_in[v] += d_in[c][v]
+            n_vertices += subtree_vertices[c] - len(shared)
+            n_edges += subtree_edges[c]
+        own_out = dict.fromkeys(bag, 0)
+        own_in = dict.fromkeys(bag, 0)
+        for u, v in bag_edges[i]:
+            own_out[u] += 1
+            own_in[v] += 1
+        d_out[i] = {v: u_out[v] + own_out[v] for v in bag}
+        d_in[i] = {v: u_in[v] + own_in[v] for v in bag}
 
-    for i in range(b):
-        sub = sub_bags[i]
-        d_vertices = frozenset().union(*(td_star.bags[j] for j in sub))
-        d_edges = frozenset().union(*(bag_edges[j] for j in sub))
-        S_D[i], T_D[i], I_D[i] = _classify(g_star, d_vertices, d_edges)
-        subtree_vertices[i] = len(d_vertices)
-        u_bags = sub - {i}
-        if u_bags:
-            V_U[i] = frozenset().union(*(td_star.bags[j] for j in u_bags))
-            u_edges = frozenset().union(*(bag_edges[j] for j in u_bags))
-            S_U[i], T_U[i], _ = _classify(g_star, V_U[i], u_edges)
-        bag_h = td_star.bags[parent[i]] if parent[i] is not None else frozenset()
+        S[i], T[i], I[i] = _roles(g_star, bag, own_out, own_in)
+        s_d, t_d, internal_D[i] = _roles(g_star, bag, d_out[i], d_in[i])
+        s_u, t_u, internal_U[i] = _roles(g_star, bag, u_out, u_in)
+        # vertices outside B_i keep their child-subtree roles
+        if len(kids) == 1:
+            base_S, base_T = S_D[kids[0]], T_D[kids[0]]
+        else:
+            base_S = frozenset().union(*(S_D[c] for c in kids))
+            base_T = frozenset().union(*(T_D[c] for c in kids))
+        S_D[i], T_D[i] = _lift(base_S, bag, s_d), _lift(base_T, bag, t_d)
+        S_U[i], T_U[i] = _lift(base_S, bag, s_u), _lift(base_T, bag, t_u)
+        subtree_vertices[i] = n_vertices
+        subtree_edges[i] = n_edges
+
+        bag_h = bags[parent[i]] if parent[i] is not None else empty
         S_p[i] = (S[i] & T_U[i]) - bag_h
         T_p[i] = (T[i] & S_U[i]) - bag_h
         J[i] = S_p[i] | T_p[i]
@@ -477,36 +557,61 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
         I=tuple(I),
         S_U=tuple(S_U),
         T_U=tuple(T_U),
-        V_U=tuple(V_U),
         S_D=tuple(S_D),
         T_D=tuple(T_D),
-        I_D=tuple(I_D),
         S_prime=tuple(S_p),
         T_prime=tuple(T_p),
         J=tuple(J),
         subtree_vertices=tuple(subtree_vertices),
+        subtree_edges=tuple(subtree_edges),
     )
-    _verify_context(ctx)
+    _verify_context(ctx, internal_D, internal_U)
     return ctx
 
 
-def _verify_context(ctx: DecompositionContext) -> None:
+def _verify_context(
+    ctx: DecompositionContext,
+    internal_D: list[frozenset[int]],
+    internal_U: list[frozenset[int]],
+) -> None:
+    """Check the structural invariants of a context, bag by bag.
+
+    ``internal_D[i]`` and ``internal_U[i]`` are the internals of D_i and U_i
+    among the vertices of B_i.  Each check reads only B_i, its parent and
+    children bags and their owned edges: a vertex outside B_i has the role
+    it had in the one child subtree holding it, where it was checked.
+    Separation is checked per edge; ``build_context`` says why that
+    suffices.
+    """
     g, td = ctx.dag, ctx.td
-    b = td.b
+    bags = td.bags
 
     # edge partition
     counted = sum(len(e) for e in ctx.bag_edges)
-    union = frozenset().union(*ctx.bag_edges) if b else frozenset()
+    union = frozenset().union(*ctx.bag_edges)
     if counted != g.m or len(union) != g.m:
         raise InvariantViolation("bag-subgraph edges do not partition E")
 
-    for i in range(b):
+    for i in range(td.b):
+        bag = bags[i]
+        h = ctx.parent[i]
+        bag_h = bags[h] if h is not None else None
+        # separation, and ownership by the topmost common bag
+        for u, v in ctx.bag_edges[i]:
+            if u not in bag or v not in bag:
+                raise InvariantViolation(
+                    f"separation fails: edge ({u},{v}) owned by bag {i} that misses an endpoint"
+                )
+            if bag_h is not None and u in bag_h and v in bag_h:
+                raise InvariantViolation(f"edge ({u},{v}) not owned by its topmost common bag")
         if ctx.S[i] & ctx.T[i]:
             raise InvariantViolation(f"bag {i}: S and T intersect (not separated)")
-        if ctx.S_D[i] & ctx.T_D[i]:
+        if any(v in ctx.T_D[i] for v in ctx.S_D[i] & bag):
             raise InvariantViolation(f"bag {i}: subtree S and T intersect")
-        # successor condition of the separated decomposition
-        outside = td.bags[i] - ctx.V_U[i]
+        # successor condition of the separated decomposition; "outside" is
+        # B_i minus V(U_i), and V(U_i) meets B_i in the child bags
+        kids = ctx.children[i]
+        outside = bag.difference(*(bags[c] for c in kids))
         for u in ctx.T_prime[i]:
             if any(w in outside for w in g.successors[u]):
                 raise InvariantViolation(f"bag {i}: T' successor condition fails at {u}")
@@ -516,7 +621,6 @@ def _verify_context(ctx: DecompositionContext) -> None:
         # role in the subtree-subgraph
         shared_s = ctx.S[i] & ctx.S_U[i]
         shared_t = ctx.T[i] & ctx.T_U[i]
-        bag_h = td.bags[ctx.parent[i]] if ctx.parent[i] is not None else None
         if not shared_s <= ctx.S_D[i] or not shared_t <= ctx.T_D[i]:
             raise InvariantViolation(f"bag {i}: shared role changes in the subtree-subgraph")
         if bag_h is not None and (not shared_s <= bag_h or not shared_t <= bag_h):
@@ -525,62 +629,17 @@ def _verify_context(ctx: DecompositionContext) -> None:
         if (ctx.S[i] & ctx.T_U[i]) - ctx.J[i] or (ctx.T[i] & ctx.S_U[i]) - ctx.J[i]:
             raise InvariantViolation(f"bag {i}: glue variable escapes the merge")
         # the glue set must coincide with the vertices that become internal
-        # exactly at this merge
-        if ctx.J[i] != ctx.I_D[i] - (ctx.I[i] | _union_I_children(ctx, i)):
+        # exactly at this merge; such a vertex lies in B_i, because outside
+        # B_i a vertex has the same edges in D_i as in U_i
+        if ctx.J[i] != internal_D[i] - (ctx.I[i] | internal_U[i]):
             raise InvariantViolation(f"bag {i}: J differs from the new-internal-vertex set")
-        # child subtrees may not trade sources for terminals
-        kids = ctx.children[i]
+        # child subtrees may not trade sources for terminals; V(D_l) and
+        # V(D_r) meet only in B_l & B_r
         if len(kids) == 2:
             l, r = kids
-            if ctx.S_D[l] & ctx.T_D[r] or ctx.T_D[l] & ctx.S_D[r]:
-                raise InvariantViolation(f"bag {i}: child subtree roles collide")
-
-    # separation: no edge may connect the parent-bag remainder B_h \ B_i to a
-    # strict-descendant remainder B_j \ B_i
-    desc: list[set[int]] = [set() for _ in range(b)]
-    for i in ctx.post_order:
-        for c in ctx.children[i]:
-            desc[i] |= desc[c] | {c}
-    for i in range(b):
-        h = ctx.parent[i]
-        if h is None:
-            continue
-        upper = td.bags[h] - td.bags[i]
-        if not upper:
-            continue
-        for j in desc[i]:
-            lower = td.bags[j] - td.bags[i]
-            for u in upper:
-                for v in lower:
-                    if (u, v) in g.edge_pairs or (v, u) in g.edge_pairs:
-                        raise InvariantViolation(
-                            f"separation fails: edge between {u} (above bag {i}) and {v} (below)"
-                        )
-
-
-def _union_I_children(ctx: DecompositionContext, i: int) -> frozenset[int]:
-    kids = ctx.children[i]
-    if not kids:
-        return frozenset()
-    # internal vertices of U_i: classify the union of the child subtrees
-    sub_edges = frozenset().union(
-        *(ctx.bag_edges[j] for j in _subtree_indices(ctx, i) if j != i)
-    )
-    if not sub_edges and not ctx.V_U[i]:
-        return frozenset()
-    _, _, internal = _classify(ctx.dag, ctx.V_U[i], sub_edges)
-    return internal
-
-
-def _subtree_indices(ctx: DecompositionContext, i: int) -> frozenset[int]:
-    out = {i}
-    stack = [i]
-    while stack:
-        node = stack.pop()
-        for c in ctx.children[node]:
-            out.add(c)
-            stack.append(c)
-    return frozenset(out)
+            for v in bags[l] & bags[r]:
+                if (v in ctx.S_D[l] and v in ctx.T_D[r]) or (v in ctx.T_D[l] and v in ctx.S_D[r]):
+                    raise InvariantViolation(f"bag {i}: child subtree roles collide")
 
 
 def prepare_context(g: Dag, td: TreeDecomposition | None) -> tuple[DecompositionContext, dict[int, VertexTriple], TreeDecomposition]:

@@ -58,7 +58,7 @@ def _check_exponent_bounds(ctx: DecompositionContext, i: int, s: SymbolicSum) ->
     degree per variable at most |V(D_i)|, exponential degree at most |E(D_i)|
     in absolute value."""
     n_d = ctx.subtree_vertices[i]
-    m_d = sum(len(ctx.bag_edges[j]) for j in _subtree(ctx, i))
+    m_d = ctx.subtree_edges[i]
     for terms in s.regions.values():
         for powers, exps, _ in terms:
             for v, a in powers:
@@ -67,16 +67,6 @@ def _check_exponent_bounds(ctx: DecompositionContext, i: int, s: SymbolicSum) ->
             for v, b in exps:
                 if abs(b) > m_d:
                     raise InvariantViolation(f"bag {i}: exp degree {b} of z{v} exceeds |E(D_i)|={m_d}")
-
-
-def _subtree(ctx: DecompositionContext, i: int) -> list[int]:
-    out = [i]
-    stack = [i]
-    while stack:
-        for c in ctx.children[stack.pop()]:
-            out.append(c)
-            stack.append(c)
-    return out
 
 
 @dataclass

@@ -327,7 +327,7 @@ def classify_subgraph_vertices(
     for u, v in sub.edges:
         if (u, v) not in g.edge_pairs:
             raise InputError(f"subgraph edge ({u},{v}) not in host graph")
-    if not sub.vertices <= frozenset(range(g.n)):
+    if any(not (0 <= v < g.n) for v in sub.vertices):
         raise InputError("subgraph vertex outside host graph")
 
     out_in: dict[int, list[int]] = {v: [0, 0] for v in sub.vertices}

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from stochlp import (
+    Dag,
     DistKind,
+    DistSpec,
     InputError,
     TdFormatError,
     TreeDecomposition,
@@ -79,6 +81,65 @@ class TestValidate:
         td = parse_td("s td 1 2 3\nb 1 1 2\n").relabel(mp)
         rep = validate_td(g, td)
         assert not rep.valid and rep.condition == "condition1"
+
+
+def _dag(n, pairs):
+    return Dag(n=n, edges=tuple((u, v, DistSpec.uniform(1)) for u, v in sorted(pairs)))
+
+
+def _td(bags, tree):
+    return TreeDecomposition(tuple(frozenset(b) for b in bags), tuple(tree))
+
+
+class TestValidateFirstViolation:
+    """Each input breaks several conditions; the report names the first one
+    in the order tree, vertices, condition1, condition2, condition3, with
+    the first witness in bag, vertex or edge order."""
+
+    @pytest.mark.parametrize(
+        "n,pairs,bags,tree,expected",
+        [
+            # 3 bags, 1 tree edge; also a vertex out of range and one missing
+            (4, [(0, 1), (1, 2), (2, 3)], [{0, 1}, {5}, {2}], [(0, 1)],
+             ("tree", None, "bag graph is not a connected tree")),
+            # vertices 7 (bag 1) and 9 (bag 2) out of range; vertex 3 missing
+            (4, [(0, 1), (1, 2)], [{0, 1, 2}, {1, 7}, {9}], [(0, 1), (1, 2)],
+             ("vertices", 7, "bag vertex 7 outside graph")),
+            # vertices 2 and 3 in no bag; edges (1,2), (2,3) uncovered
+            (4, [(0, 1), (1, 2), (2, 3)], [{0, 1}, {1}], [(0, 1)],
+             ("condition1", 2, "vertex 2 in no bag")),
+            # edges (0,2) and (0,4) uncovered; vertex 3 disconnected
+            (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3)],
+             [{0, 1, 3}, {1, 2, 4}, {2, 3}], [(0, 1), (1, 2)],
+             ("condition2", (0, 2), "edge (0,2) uncovered")),
+            # vertices 0 and 2 both skip the middle bag
+            (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+             [{0, 1, 2}, {1, 3}, {0, 2, 3}], [(0, 1), (1, 2)],
+             ("condition3", 0, "occurrence set of vertex 0 disconnected")),
+        ],
+        ids=["tree", "vertices", "condition1", "condition2", "condition3"],
+    )
+    def test_first_violation(self, n, pairs, bags, tree, expected):
+        rep = validate_td(_dag(n, pairs), _td(bags, tree))
+        assert not rep.valid
+        assert (rep.condition, rep.witness, rep.message) == expected
+
+    @pytest.mark.parametrize(
+        "n,pairs,bags,tree,message",
+        [
+            # vertex 0 sits in two sibling bags, not in their parent
+            (3, [(0, 1), (0, 2)], [{1, 2}, {0, 1}, {0, 2}], [(0, 1), (0, 2)],
+             "occurrence set of vertex 0 is disconnected"),
+            (3, [(0, 1)], [{0, 1}], [],
+             "vertex 2 missing from every bag; validate the decomposition first"),
+            (2, [(0, 1)], [{0, 1, 5}], [], "bag vertex 5 outside graph"),
+        ],
+        ids=["disconnected", "missing", "out-of-range"],
+    )
+    def test_separate_rejects(self, n, pairs, bags, tree, message):
+        with pytest.raises(InputError) as err:
+            separate(_dag(n, pairs), _td(bags, tree))
+        assert str(err.value) == message
 
 
 class TestHeuristic:
