@@ -52,7 +52,7 @@ from .staircase import (
 
 __version__ = "0.1.0"
 
-from .exactexp import ExactExpReport, bag_density_exp, exact_exp, merge_density
+from .exactexp import ExactExpReport, bag_density_exp, exact_exp
 from .taylor import (
     BUILTIN_ORACLES,
     DistributionOracle,
@@ -60,7 +60,6 @@ from .taylor import (
     approx_taylor,
     bag_taylor,
     choose_tau,
-    merge_taylor,
     resolve_oracle,
 )
 from .oracles import (

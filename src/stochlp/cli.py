@@ -1,9 +1,10 @@
 """Unified command-line front end.
 
 JSON goes to stdout, human-readable logging to stderr.  Exit codes: 0 on
-success, 1 on input errors, 2 on budget aborts.  Output is byte-identical
-across runs for fixed inputs; wall-clock timings only appear under
-``--timings``.
+success, 1 on input errors, 2 on budget aborts, 3 on internal errors (a
+failed invariant check or a divergent integral, i.e. a bug).  Output is
+byte-identical across runs for fixed inputs; wall-clock timings only appear
+under ``--timings``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .decomposition import TreeDecomposition, parse_td, validate_td
-from .errors import Budget, BudgetExceeded, InputError, StochLPError
+from .errors import (Budget, BudgetExceeded, DivergentIntegral, InputError,
+                     InvariantViolation, StochLPError)
 from .exactexp import exact_exp
 from .generate import generate, graph_text, td_text
 from .graph import Dag, parse_graph
@@ -328,6 +330,10 @@ def dispatch(argv: list[str]) -> int:
         sys.stderr.write(f"stochlp: budget exceeded: {e}\n")
         sys.stdout.write(render_json({"error": str(e), "kind": "budget"}) + "\n")
         return 2
+    except (InvariantViolation, DivergentIntegral) as e:
+        sys.stderr.write(f"stochlp: internal error: {e}\n")
+        sys.stdout.write(render_json({"error": str(e), "kind": "internal"}) + "\n")
+        return 3
     except (InputError, StochLPError) as e:
         sys.stderr.write(f"stochlp: error: {e}\n")
         sys.stdout.write(render_json({"error": str(e), "kind": "input"}) + "\n")

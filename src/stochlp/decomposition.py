@@ -6,9 +6,10 @@ all three solvers.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InputError, InvariantViolation, TdFormatError
 from .graph import Dag, DistSpec
@@ -418,6 +419,31 @@ class DecompositionContext:
         if h is None:
             return frozenset()
         return (self.S_D[i] | self.T_D[i]) & self.td.bags[h]
+
+
+R = TypeVar("R")
+
+
+def sweep(
+    ctx: DecompositionContext,
+    solve_bag: Callable[[int, Sequence[R]], R],
+    describe: Callable[[int, R], dict],
+) -> tuple[R, list[dict]]:
+    """Solve every bag from the leaves to the root.
+
+    ``solve_bag(i, kids)`` receives the results of bag i's children in
+    ``ctx.children[i]`` order; a child's result is released once its parent
+    has it.  Returns the root's result and one record per bag, in post-order:
+    ``{"bag": i, **describe(i, result), "elapsed_ms": ...}``.
+    """
+    results: dict[int, R] = {}
+    per_bag: list[dict] = []
+    for i in ctx.post_order:
+        t0 = time.perf_counter()
+        out = results[i] = solve_bag(i, [results.pop(c) for c in ctx.children[i]])
+        per_bag.append({"bag": i, **describe(i, out),
+                        "elapsed_ms": (time.perf_counter() - t0) * 1000.0})
+    return results[ctx.td.root], per_bag
 
 
 def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionContext:

@@ -164,6 +164,12 @@ def build_bag_density(
     return BagDensity(i, tuple(sorted(branches.items(), key=lambda kv: sorted(kv[0]))))
 
 
+def describe_sum(i: int, s: SymbolicSum) -> dict:
+    """Per-bag record of a merged subtree density: its guard regions and
+    terms."""
+    return {"regions": len(s.regions), "terms": s.term_count()}
+
+
 def merge_bag(
     ctx: DecompositionContext,
     i: int,
@@ -173,7 +179,6 @@ def merge_bag(
     budget: Budget,
     fresh: Callable[[], int],
     taylor_tau: int | None = None,
-    kept_override: frozenset[int] | None = None,
     order_rng: random.Random | None = None,
 ) -> SymbolicSum:
     """Combine a bag density with its child subtree densities.
@@ -184,7 +189,7 @@ def merge_bag(
     integrated up to x.
     """
     taylor = taylor_tau is not None
-    kept = ctx.kept(i) if kept_override is None else kept_override
+    kept = ctx.kept(i)
     frozen_src = ctx.S_D[i] - kept
     frozen_term = ctx.T_D[i] - kept
     J = ctx.J[i]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class StochLPError(Exception):
@@ -41,7 +41,8 @@ class PathLimitExceeded(StochLPError):
 
 class InvariantViolation(StochLPError):
     """A structural invariant that should hold by construction failed.
-    Signals either a bug or an invalid input decomposition."""
+    Every invalid input decomposition is rejected with InputError before any
+    solver runs, so this signals a bug.  Maps to CLI exit code 3."""
 
 
 class BudgetExceeded(StochLPError):
@@ -49,7 +50,8 @@ class BudgetExceeded(StochLPError):
 
 
 class DivergentIntegral(StochLPError):
-    """A symbolic integral has a non-vanishing tail at an infinite bound."""
+    """A symbolic integral has a non-vanishing tail at an infinite bound.
+    Signals a bug.  Maps to CLI exit code 3."""
 
 
 _DEFAULT_MAX_CELLS = 10**9
@@ -88,7 +90,6 @@ class Budget:
     regions_peak: int = 0
     terms_peak: int = 0
     work_used: int = 0
-    monomials_peak: int = field(default=0)
 
     @classmethod
     def default(cls, max_cells: int | None = None) -> "Budget":
@@ -122,8 +123,6 @@ class Budget:
     def note_terms(self, count: int) -> None:
         if count > self.terms_peak:
             self.terms_peak = count
-        if count > self.monomials_peak:
-            self.monomials_peak = count
         if count > self.max_terms:
             raise BudgetExceeded(
                 f"term budget exceeded: {count} > {self.max_terms} symbolic terms"

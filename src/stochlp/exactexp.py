@@ -4,14 +4,14 @@ binarized tree decomposition."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .decomposition import DecompositionContext, TreeDecomposition, prepare_context
-from .density import BagDensity, build_bag_density, exp_edge_factor, merge_bag
+from .decomposition import DecompositionContext, TreeDecomposition, prepare_context, sweep
+from .density import BagDensity, build_bag_density, describe_sum, exp_edge_factor, merge_bag
 from .errors import Budget, InputError, InvariantViolation
 from .graph import Dag, DistKind
 from .symbolic import SymbolicSum, evaluate
@@ -26,31 +26,6 @@ def bag_density_exp(ctx: DecompositionContext, i: int, budget: Budget | None = N
         if kind not in (DistKind.EXPONENTIAL, DistKind.ZERO):
             raise InputError(f"exact-exponential needs exp edges, bag {i} has {kind.value}")
     return build_bag_density(ctx, i, exp_edge_factor, budget)
-
-
-def merge_density(
-    ctx: DecompositionContext,
-    i: int,
-    bag_den: BagDensity,
-    child_sums: Sequence[SymbolicSum],
-    x: Fraction,
-    budget: Budget | None = None,
-    fresh=None,
-    kept_override: frozenset[int] | None = None,
-    order_rng: random.Random | None = None,
-) -> SymbolicSum:
-    budget = budget or Budget.default()
-    if fresh is None:
-        counter = [ctx.dag.n]
-
-        def fresh() -> int:
-            counter[0] += 1
-            return counter[0]
-
-    return merge_bag(
-        ctx, i, bag_den, child_sums, x, budget, fresh,
-        kept_override=kept_override, order_rng=order_rng,
-    )
 
 
 def _check_exponent_bounds(ctx: DecompositionContext, i: int, s: SymbolicSum) -> None:
@@ -103,30 +78,16 @@ def exact_exp(
     if xq < 0:
         return 0.0, ExactExpReport(0.0, 0.0, "0", 0, 0, 0, 0, 0)
     ctx, _, _ = prepare_context(g, td)
-    counter = [ctx.dag.n]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0]
-
+    fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
-    sums: dict[int, SymbolicSum] = {}
-    per_bag: list[dict] = []
-    root = ctx.td.root
-    for i in ctx.post_order:
-        b0 = time.perf_counter()
-        den = bag_density_exp(ctx, i, budget)
-        kids = [sums.pop(c) for c in ctx.children[i]]
-        out = merge_bag(ctx, i, den, kids, xq, budget, fresh, order_rng=rng)
+
+    def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
+        out = merge_bag(ctx, i, bag_density_exp(ctx, i, budget), kids, xq, budget, fresh,
+                        order_rng=rng)
         _check_exponent_bounds(ctx, i, out)
-        sums[i] = out
-        per_bag.append({
-            "bag": i,
-            "regions": len(out.regions),
-            "terms": out.term_count(),
-            "elapsed_ms": (time.perf_counter() - b0) * 1000.0,
-        })
-    final = sums[root]
+        return out
+
+    final, per_bag = sweep(ctx, solve_bag, describe_sum)
     if final.free_vars():
         raise InvariantViolation("root density still has free variables")
     value, radius = evaluate(final)

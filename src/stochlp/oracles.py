@@ -272,18 +272,6 @@ def _poly_integ(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
 
 
-def _poly_shift_scale(p: Sequence[Fraction], alpha: Fraction, beta: Fraction) -> tuple[Fraction, ...]:
-    """Coefficients of p(alpha + beta*t) as a polynomial in t."""
-    acc: tuple[Fraction, ...] = (Fraction(0),)
-    base: tuple[Fraction, ...] = (Fraction(1),)
-    lin = (alpha, beta)
-    for c in p:
-        if c != 0:
-            acc = _poly_add(acc, tuple(c * q for q in base))
-        base = _poly_mul(base, lin)
-    return _poly_trim(acc)
-
-
 def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     n = max(len(a), len(b))
     return tuple(

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .decomposition import DecompositionContext, TreeDecomposition, prepare_context
+from .decomposition import DecompositionContext, TreeDecomposition, prepare_context, sweep
 from .errors import Budget, InputError, InvariantViolation
 from .graph import Dag, DistKind
 
@@ -81,12 +81,6 @@ class StaircaseTable:
             raise InvariantViolation(f"table shape {self.values.shape} != {expect}")
         if list(self.axes) != sorted(self.axes):
             raise InvariantViolation("table axes must be sorted by vertex")
-
-    def axis_of(self, vertex: int) -> int:
-        for i, (v, _) in enumerate(self.axes):
-            if v == vertex:
-                return i
-        raise KeyError(vertex)
 
     def source_axes(self) -> list[int]:
         return [i for i, (_, role) in enumerate(self.axes) if role == SRC]
@@ -487,29 +481,23 @@ def approx_dag(
     grid = GridSpec(M, float(x))
     budget = Budget.default(max_cells=max_cells)
 
-    tables: dict[int, StaircaseTable] = {}
-    per_bag: list[dict] = []
-    root = ctx.td.root
-    for i in ctx.post_order:
-        b0 = time.perf_counter()
+    def solve_bag(i: int, kids: list[StaircaseTable]) -> StaircaseTable:
         lam_g = finite_difference(bag_staircase(ctx, i, grid, budget))
-        kids = [tables.pop(c) for c in ctx.children[i]]
         kept_override = None
-        if i == root:
+        if i == ctx.td.root:
             # keep the still-active subtree sources for the final accumulation
             alive = set(v for v, _ in lam_g.axes)
             for kid in kids:
                 alive |= {v for v, _ in kid.axes}
             kept_override = ctx.S_D[i] & frozenset(alive)
-        tables[i] = merge_subtree(ctx, i, lam_g, kids, budget, kept_override=kept_override)
-        per_bag.append({
-            "bag": i,
-            "bag_size": len(ctx.td.bags[i]),
-            "edges": len(ctx.bag_edges[i]),
-            "active_vars": len(ctx.S[i] | ctx.T[i]),
-            "elapsed_ms": (time.perf_counter() - b0) * 1000.0,
-        })
-    value = accumulate(tables[root])
+        return merge_subtree(ctx, i, lam_g, kids, budget, kept_override=kept_override)
+
+    def describe(i: int, _) -> dict:
+        return {"bag_size": len(ctx.td.bags[i]), "edges": len(ctx.bag_edges[i]),
+                "active_vars": len(ctx.S[i] | ctx.T[i])}
+
+    table, per_bag = sweep(ctx, solve_bag, describe)
+    value = accumulate(table)
     value = min(max(value, 0.0), 1.0)
     report = ApproxReport(
         value=value,

@@ -4,18 +4,19 @@ fixed total degree after every integration."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import mpmath
 import numpy as np
 
-from .decomposition import DecompositionContext, TreeDecomposition, prepare_context
-from .density import BagDensity, build_bag_density, merge_bag, poly_edge_factor
+from .decomposition import DecompositionContext, TreeDecomposition, prepare_context, sweep
+from .density import BagDensity, build_bag_density, describe_sum, merge_bag, poly_edge_factor
 from .errors import Budget, InputError
 from .graph import Dag, DistKind
 from .symbolic import SymbolicSum, evaluate
@@ -158,32 +159,6 @@ def bag_taylor(
     return BagDensity(i, parts)
 
 
-def merge_taylor(
-    ctx: DecompositionContext,
-    i: int,
-    bag_den: BagDensity,
-    child_sums: Sequence[SymbolicSum],
-    x: Fraction,
-    tau: int,
-    budget: Budget | None = None,
-    fresh=None,
-    kept_override: frozenset[int] | None = None,
-    order_rng: random.Random | None = None,
-) -> SymbolicSum:
-    budget = budget or Budget.default()
-    if fresh is None:
-        counter = [ctx.dag.n]
-
-        def fresh() -> int:
-            counter[0] += 1
-            return counter[0]
-
-    return merge_bag(
-        ctx, i, bag_den, child_sums, x, budget, fresh,
-        taylor_tau=tau, kept_override=kept_override, order_rng=order_rng,
-    )
-
-
 @dataclass
 class TaylorReport:
     value: float
@@ -238,29 +213,14 @@ def approx_taylor(
     for name in sorted(names):
         check_oracle(oracle_of(name), float(xq), tau)
 
-    counter = [ctx.dag.n]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0]
-
+    fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
-    sums: dict[int, SymbolicSum] = {}
-    per_bag: list[dict] = []
-    root = ctx.td.root
-    for i in ctx.post_order:
-        b0 = time.perf_counter()
-        den = bag_taylor(ctx, i, oracle_of, tau, budget)
-        kids = [sums.pop(c) for c in ctx.children[i]]
-        sums[i] = merge_bag(ctx, i, den, kids, xq, budget, fresh,
-                            taylor_tau=tau, order_rng=rng)
-        per_bag.append({
-            "bag": i,
-            "regions": len(sums[i].regions),
-            "terms": sums[i].term_count(),
-            "elapsed_ms": (time.perf_counter() - b0) * 1000.0,
-        })
-    final = sums[root]
+
+    def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
+        return merge_bag(ctx, i, bag_taylor(ctx, i, oracle_of, tau, budget), kids, xq, budget,
+                         fresh, taylor_tau=tau, order_rng=rng)
+
+    final, per_bag = sweep(ctx, solve_bag, describe_sum)
     value, _ = evaluate(final)
     bound = total_error_bound(width, tau, float(xq), ctx.b)
     report = TaylorReport(
@@ -271,7 +231,7 @@ def approx_taylor(
         separated_width=width,
         separated_n=ctx.dag.n,
         bag_count=ctx.b,
-        monomials_peak=budget.monomials_peak,
+        monomials_peak=budget.terms_peak,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         per_bag=per_bag,
     )

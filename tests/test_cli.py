@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from stochlp import DivergentIntegral, InvariantViolation
 from stochlp.cli import dispatch, render_json
 
 
@@ -100,6 +101,17 @@ class TestDispatch:
         p.write_text("2 1\n1 2 oracle expcdf\n")
         rc, _, err = run(["taylor", "--graph", str(p), "--x", "1"])
         assert rc == 1 and "tau" in err
+
+    @pytest.mark.parametrize("error", [InvariantViolation, DivergentIntegral])
+    def test_internal_error_exit_3(self, exp_files, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("bag 0: check failed")
+
+        monkeypatch.setattr("stochlp.cli.exact_exp", broken)
+        g, t = exp_files
+        rc, out, err = run(["exact-exp", "--graph", g, "--td", t, "--x", "1"])
+        assert rc == 3 and "internal error" in err
+        assert json.loads(out) == {"error": "bag 0: check failed", "kind": "internal"}
 
     def test_sp_exact_rational_field(self, chain_files):
         g, _ = chain_files

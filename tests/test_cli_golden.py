@@ -1,0 +1,42 @@
+"""Default CLI stdout, byte for byte, against recorded files.
+
+Inputs and recorded outputs live in ``tests/golden/``.  Each command runs
+with that directory as working directory and relative file names, so the
+paths under ``inputs`` are the bare file names.  The approx horizon is
+dyadic (2.5 at M=8), so every table entry is an exact dyadic and the bytes
+do not depend on the summation order.  To re-record a case after a change
+that is meant to alter output, run its argv from ``tests/golden/`` with
+``PYTHONPATH=../../src python3 -m stochlp.cli ARGV > NAME.out``.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from stochlp.cli import dispatch
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "approx-given": ["approx", "--graph", "ladder-uniform.txt", "--td", "ladder-uniform.td",
+                     "--x", "2.5", "--grid-m", "8"],
+    "approx-heuristic": ["approx", "--graph", "ladder-uniform.txt", "--x", "2.5", "--grid-m", "8"],
+    "exact-exp-given": ["exact-exp", "--graph", "ladder-exp.txt", "--td", "ladder-exp.td",
+                        "--x", "2", "--emit-symbolic"],
+    "exact-exp-heuristic": ["exact-exp", "--graph", "ladder-exp.txt", "--x", "2", "--emit-symbolic"],
+    "taylor-given": ["taylor", "--graph", "diamond-oracle.txt", "--td", "diamond-oracle.td",
+                     "--x", "1", "--tau", "4"],
+    "taylor-heuristic": ["taylor", "--graph", "diamond-oracle.txt", "--x", "1", "--tau", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_recording(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = dispatch(CASES[name])
+    assert rc == 0, err.getvalue()
+    assert out.getvalue() == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

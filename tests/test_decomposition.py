@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -18,7 +19,7 @@ from stochlp import (
     static_longest_path,
     validate_td,
 )
-from stochlp.decomposition import format_td, prepare_context
+from stochlp.decomposition import format_td, prepare_context, sweep
 from stochlp.generate import gen_random_tw, generate
 
 
@@ -283,6 +284,42 @@ class TestContext:
             ctx, _, _ = prepare_context(inst.dag, inst.td)
             for i in range(ctx.b):
                 assert ctx.J[i] == ctx.S_prime[i] | ctx.T_prime[i]
+
+
+class TestSweep:
+    def test_leaves_to_root(self):
+        inst = gen_random_tw(2, 10, seed=4)
+        ctx, _, _ = prepare_context(inst.dag, inst.td)
+        assert any(len(kids) == 2 for kids in ctx.children)
+
+        class Result:
+            def __init__(self, i):
+                self.i = i
+
+        visited, refs = [], {}
+
+        def solve_bag(i, kids):
+            # every result already handed to its parent has been released
+            for j in visited:
+                if ctx.parent[j] in visited:
+                    assert refs[j]() is None
+            assert [k.i for k in kids] == list(ctx.children[i])
+            visited.append(i)
+            out = Result(i)
+            refs[i] = weakref.ref(out)
+            return out
+
+        def describe(i, out):
+            return {"result": out.i, "kids": len(ctx.children[i])}
+
+        root, per_bag = sweep(ctx, solve_bag, describe)
+        assert visited == list(ctx.post_order)
+        assert root.i == ctx.td.root
+        assert len(per_bag) == ctx.b
+        assert [r["bag"] for r in per_bag] == list(ctx.post_order)
+        for r in per_bag:
+            assert list(r) == ["bag", "result", "kids", "elapsed_ms"]
+            assert r["result"] == r["bag"] and r["elapsed_ms"] >= 0
 
 
 class TestGenerators:

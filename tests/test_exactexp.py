@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from stochlp import (
+    Budget,
     Dag,
     DistSpec,
     InputError,
@@ -59,6 +61,14 @@ class TestBagDensity:
 
 
 class TestExactExp:
+    def test_per_bag_records(self):
+        inst = gen_diamond_ladder(2, dist="exp")
+        _, rep = exact_exp(inst.dag, inst.td, 2)
+        assert sorted(r["bag"] for r in rep.per_bag) == list(range(rep.bag_count))
+        for r in rep.per_bag:
+            assert list(r) == ["bag", "regions", "terms", "elapsed_ms"]
+            assert r["regions"] >= 1 and r["terms"] >= r["regions"]
+
     def test_single_edge(self):
         g = parse_graph("2 1\n1 2 exp\n")
         v, rep = exact_exp(g, None, 1, emit_symbolic=True)
@@ -134,7 +144,7 @@ class TestPublicMergeOps:
         from fractions import Fraction as F
         from stochlp import parse_td
         from stochlp.decomposition import prepare_context
-        from stochlp.exactexp import merge_density
+        from stochlp.density import merge_bag
         from stochlp import symbolic as sy
 
         g = parse_graph("3 2\n1 2 exp\n2 3 exp\n")
@@ -142,11 +152,12 @@ class TestPublicMergeOps:
             {label: i for i, label in enumerate(g.labels)}
         )
         ctx, _, _ = prepare_context(g, td)
+        fresh = itertools.count(ctx.dag.n + 1).__next__
         sums = {}
         for i in ctx.post_order:
             den = bag_density_exp(ctx, i)
             kids = [sums.pop(c) for c in ctx.children[i]]
-            sums[i] = merge_density(ctx, i, den, kids, F(2))
+            sums[i] = merge_bag(ctx, i, den, kids, F(2), Budget.default(), fresh)
         final = sums[ctx.td.root]
         assert final.free_vars() == frozenset()
         val, _ = sy.evaluate(final)

@@ -1,9 +1,10 @@
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from stochlp import Dag, DistSpec, InputError, parse_graph
+from stochlp import Budget, Dag, DistSpec, InputError, parse_graph
 from stochlp.exactexp import exact_exp
 from stochlp.taylor import (
     BUILTIN_ORACLES,
@@ -100,6 +101,15 @@ class TestBagTaylor:
 
 
 class TestApproxTaylor:
+    def test_per_bag_records(self):
+        g = parse_graph("4 4\n1 2 oracle expcdf\n1 3 oracle expcdf\n"
+                        "2 4 oracle expcdf\n3 4 oracle expcdf\n")
+        _, rep = approx_taylor(g, None, 1, tau=4)
+        assert sorted(r["bag"] for r in rep.per_bag) == list(range(rep.bag_count))
+        for r in rep.per_bag:
+            assert list(r) == ["bag", "regions", "terms", "elapsed_ms"]
+            assert r["regions"] >= 1 and r["terms"] >= r["regions"]
+
     def test_single_edge_accuracy(self):
         g = parse_graph("2 1\n1 2 oracle expcdf\n")
         v, rep = approx_taylor(g, None, 1, tau=10)
@@ -163,7 +173,8 @@ class TestPublicMergeOps:
     def test_merge_taylor_leaf_and_root(self):
         from stochlp import parse_td
         from stochlp.decomposition import prepare_context
-        from stochlp.taylor import merge_taylor, resolve_oracle
+        from stochlp.density import merge_bag
+        from stochlp.taylor import resolve_oracle
         from stochlp import symbolic as sy
 
         g = parse_graph("3 2\n1 2 oracle expcdf\n2 3 oracle expcdf\n")
@@ -172,11 +183,12 @@ class TestPublicMergeOps:
         )
         ctx, _, _ = prepare_context(g, td)
         tau = 8
+        fresh = itertools.count(ctx.dag.n + 1).__next__
         sums = {}
         for i in ctx.post_order:
             den = bag_taylor(ctx, i, resolve_oracle, tau)
             kids = [sums.pop(c) for c in ctx.children[i]]
-            sums[i] = merge_taylor(ctx, i, den, kids, F(1), tau)
+            sums[i] = merge_bag(ctx, i, den, kids, F(1), Budget.default(), fresh, taylor_tau=tau)
         val, _ = sy.evaluate(sums[ctx.td.root])
         assert val == pytest.approx(1 - 2 * math.exp(-1), abs=1e-5)
 
