@@ -45,11 +45,6 @@ class BagDensity:
     bag: int
     parts: tuple[tuple[frozenset[Pending], SymbolicSum], ...]
 
-    def single(self) -> SymbolicSum:
-        if len(self.parts) != 1 or self.parts[0][0]:
-            raise InvariantViolation("bag density still carries point masses")
-        return self.parts[0][1]
-
 
 def exp_edge_factor(u: int, v: int) -> SymbolicSum:
     """H(z_u - z_v) (1 - e^{-(z_u - z_v)}): standard exponential CDF of the

@@ -75,9 +75,11 @@ def exact_exp(
     xq = Fraction(x)
     t0 = time.perf_counter()
     budget = budget or Budget.default()
-    if xq < 0:
-        return 0.0, ExactExpReport(0.0, 0.0, "0", 0, 0, 0, 0, 0)
     ctx, _, _ = prepare_context(g, td)
+    if xq < 0:
+        return 0.0, ExactExpReport(0.0, 0.0, "0", ctx.td.width, ctx.dag.n, ctx.b,
+                                   budget.regions_peak, budget.terms_peak,
+                                   (time.perf_counter() - t0) * 1000.0)
     fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
 

@@ -34,6 +34,10 @@ Axis = tuple[int, str]  # (vertex, role)
 CUMULATIVE = "cumulative"
 DIFFERENCE = "difference"
 
+# largest compressed threshold histogram (cells) the dominance count builds;
+# beyond it each bag table is summed up one threshold row at a time
+DENSE_HISTOGRAM_CELLS = 20_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -47,9 +51,6 @@ class GridSpec:
             raise InputError(f"grid resolution must be >= 1, got {self.m_res}")
         if not (self.x >= 0.0 and math.isfinite(self.x)):
             raise InputError(f"horizon must be finite and >= 0, got {self.x}")
-
-    def value(self, g: int) -> float:
-        return g * self.x / self.m_res
 
     def snap(self, vertex_role: str, z: float) -> int:
         """Grid rounding: ceil for source shifts, floor for terminal shifts,
@@ -225,7 +226,7 @@ def _assemble_bag_table(
     hist_size = 1
     for u in uniq:
         hist_size *= len(u)
-    if hist_size <= 20_000_000:
+    if hist_size <= DENSE_HISTOGRAM_CELLS:
         hist = np.zeros([len(u) for u in uniq], dtype=np.int64)
         coords = tuple(np.searchsorted(uniq[p], rows[:, p]) for p in range(len(pairs)))
         np.add.at(hist, coords, counts)
@@ -341,18 +342,22 @@ def merge_subtree(
     lam_g: StaircaseTable,
     child_tables: Sequence[StaircaseTable],
     budget: Budget | None = None,
-    kept_override: frozenset[int] | None = None,
 ) -> StaircaseTable:
     """Combine the bag table with the child subtree tables at bag i.
 
     Glue variables are contracted by pairing the mass increments of the side
     that is a density in the variable with the other side's value at each
     mass interval's lower end; sources/terminals leaving scope are frozen at
-    x / 0.  Returns the difference table over the surviving variables.
+    x / 0.  At the root, the subtree sources still on an operand's axes stay
+    unfrozen for the final accumulation.  Returns the difference table over
+    the surviving variables.
     """
     budget = budget or Budget.default()
     grid = lam_g.grid
-    kept = ctx.kept(i) if kept_override is None else kept_override
+    kept = ctx.kept(i)
+    if i == ctx.td.root:
+        alive = {v for t in (lam_g, *child_tables) for v, _ in t.axes}
+        kept = ctx.S_D[i] & frozenset(alive)
     J = ctx.J[i]
     frozen_src = ctx.S_D[i] - kept
     frozen_term = ctx.T_D[i] - kept
@@ -483,14 +488,7 @@ def approx_dag(
 
     def solve_bag(i: int, kids: list[StaircaseTable]) -> StaircaseTable:
         lam_g = finite_difference(bag_staircase(ctx, i, grid, budget))
-        kept_override = None
-        if i == ctx.td.root:
-            # keep the still-active subtree sources for the final accumulation
-            alive = set(v for v, _ in lam_g.axes)
-            for kid in kids:
-                alive |= {v for v, _ in kid.axes}
-            kept_override = ctx.S_D[i] & frozenset(alive)
-        return merge_subtree(ctx, i, lam_g, kids, budget, kept_override=kept_override)
+        return merge_subtree(ctx, i, lam_g, kids, budget)
 
     def describe(i: int, _) -> dict:
         return {"bag_size": len(ctx.td.bags[i]), "edges": len(ctx.bag_edges[i]),

@@ -63,28 +63,25 @@ def _key_pow(powers: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
 
 
 class SymbolicSum:
-    """Immutable canonical sum of guarded polynomial-exponential terms."""
+    """Immutable canonical sum of guarded polynomial-exponential terms.
+
+    Every operation merges its terms into one bucket per guard chain, one
+    ``Fraction`` coefficient per term key, and hands those buckets over; the
+    constructor only filters them: it drops inconsistent chains, zero
+    coefficients and regions left empty, and adds nothing up.
+    """
 
     __slots__ = ("regions",)
 
     def __init__(self, regions: Mapping[Chain, Mapping[TermKey, Fraction]] | None = None,
                  budget: Budget | None = None):
-        canon: dict[Chain, dict[TermKey, Fraction]] = {}
+        self.regions: dict[Chain, dict[TermKey, Fraction]] = {}
         for chain, terms in (regions or {}).items():
             if not _chain_consistent(chain):
                 continue
-            bucket = canon.setdefault(chain, {})
-            for key, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                new = bucket.get(key, Fraction(0)) + coeff
-                if new == 0:
-                    bucket.pop(key, None)
-                else:
-                    bucket[key] = new
-        self.regions: dict[Chain, dict[TermKey, Fraction]] = {
-            ch: terms for ch, terms in canon.items() if terms
-        }
+            kept = {key: coeff for key, coeff in terms.items() if coeff}
+            if kept:
+                self.regions[chain] = kept
         if budget is not None:
             budget.note_regions(len(self.regions))
             budget.note_terms(self.term_count())
@@ -97,10 +94,7 @@ class SymbolicSum:
 
     @classmethod
     def const(cls, value) -> "SymbolicSum":
-        q = Fraction(value)
-        if q == 0:
-            return cls.zero()
-        return cls({(): {((), (), Fraction(0)): q}})
+        return cls({(): {((), (), Fraction(0)): Fraction(value)}})
 
     @classmethod
     def one(cls) -> "SymbolicSum":
@@ -181,8 +175,6 @@ class SymbolicSum:
 
     def scale(self, c) -> "SymbolicSum":
         q = Fraction(c)
-        if q == 0:
-            return SymbolicSum.zero()
         return SymbolicSum({
             chain: {key: coeff * q for key, coeff in terms.items()}
             for chain, terms in self.regions.items()
@@ -281,6 +273,22 @@ def differentiate(s: SymbolicSum, v: int) -> SymbolicSum:
     return SymbolicSum(out)
 
 
+def _at_atom(powers: dict[int, int], exps: dict[int, int], e_const: Fraction, coeff: Fraction,
+             alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Fraction]:
+    """Key and coefficient of the term coeff * e^e_const * powers * exps
+    times z^alpha * e^(beta*z), with z put at ``atom``.  ``powers`` and
+    ``exps`` map the other variables to their degrees and are not modified."""
+    if atom[0] == "c":
+        value = Fraction(atom[1])
+        return (_key_pow(powers), _key_pow(exps), e_const + beta * value), coeff * value**alpha
+    w = atom[1]
+    if alpha:
+        powers = {**powers, w: powers.get(w, 0) + alpha}
+    if beta:
+        exps = {**exps, w: exps.get(w, 0) + beta}
+    return (_key_pow(powers), _key_pow(exps), e_const), coeff
+
+
 def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
                budget: Budget | None = None) -> SymbolicSum:
     """Replace variable v by a rational value or another atom.
@@ -313,18 +321,7 @@ def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
             ed = dict(exps)
             alpha = pd.pop(v, 0)
             beta = ed.pop(v, 0)
-            q = e_const
-            c = coeff
-            if target[0] == "c":
-                c = c * (Fraction(target[1]) ** alpha)
-                q = q + beta * Fraction(target[1])
-            else:
-                w = target[1]
-                if alpha:
-                    pd[w] = pd.get(w, 0) + alpha
-                if beta:
-                    ed[w] = ed.get(w, 0) + beta
-            key = (_key_pow(pd), _key_pow(ed), q)
+            key, c = _at_atom(pd, ed, e_const, coeff, alpha, beta, target)
             bucket[key] = bucket.get(key, Fraction(0)) + c
     return SymbolicSum(out, budget=budget)
 
@@ -363,16 +360,11 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
         hi: Atom | None = chain[idx + 1] if idx + 1 < len(chain) else None
         rest = chain[:idx] + chain[idx + 1:]
         bucket = out.setdefault(rest, {})
-
-        def emit(key: TermKey, coeff: Fraction) -> None:
-            bucket[key] = bucket.get(key, Fraction(0)) + coeff
-
         for (powers, exps, e_const), coeff in terms.items():
             pd = dict(powers)
             ed = dict(exps)
             alpha = pd.pop(v, 0)
             beta = ed.pop(v, 0)
-            base_key = (_key_pow(pd), _key_pow(ed), e_const)
             anti = _antiderivative(alpha, beta)
             for bound, sign in ((hi, 1), (lo, -1)):
                 if bound is None:
@@ -383,20 +375,8 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                         )
                     continue  # vanishing exponential tail contributes 0
                 for c_a, a_pow, b_exp in anti:
-                    pd2 = dict(pd)
-                    ed2 = dict(ed)
-                    q2 = e_const
-                    c2 = coeff * c_a * sign
-                    if bound[0] == "c":
-                        c2 *= Fraction(bound[1]) ** a_pow
-                        q2 = q2 + b_exp * Fraction(bound[1])
-                    else:
-                        w = bound[1]
-                        if a_pow:
-                            pd2[w] = pd2.get(w, 0) + a_pow
-                        if b_exp:
-                            ed2[w] = ed2.get(w, 0) + b_exp
-                    emit((_key_pow(pd2), _key_pow(ed2), q2), c2)
+                    key, c = _at_atom(pd, ed, e_const, coeff * c_a * sign, a_pow, b_exp, bound)
+                    bucket[key] = bucket.get(key, Fraction(0)) + c
     return SymbolicSum(out, budget=budget)
 
 
@@ -427,8 +407,7 @@ def truncate_total_degree(s: SymbolicSum, tau: int) -> SymbolicSum:
                 raise InputError("truncation needs a polynomial payload (no exponentials)")
             if sum(n for _, n in powers) <= tau:
                 bucket[key] = coeff
-        if bucket:
-            out[chain] = bucket
+        out[chain] = bucket
     return SymbolicSum(out)
 
 

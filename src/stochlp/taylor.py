@@ -189,8 +189,6 @@ def approx_taylor(
     if eps_additive is None and tau is None:
         raise InputError("need either an additive error target or an explicit truncation order")
     xq = Fraction(x)
-    if xq < 0:
-        return 0.0, TaylorReport(0.0, tau or 0, 0.0, eps_additive, 0, 0, 0, 0)
     t0 = time.perf_counter()
     budget = budget or Budget.default()
 
@@ -199,6 +197,11 @@ def approx_taylor(
 
     ctx, _, _ = prepare_context(g, td)
     width = ctx.td.width
+    names = sorted({d.name for _, _, d in g.edges if d.kind is DistKind.ORACLE})
+    oracles = [oracle_of(name) for name in names]
+    if xq < 0:
+        return 0.0, TaylorReport(0.0, tau or 0, 0.0, eps_additive, width, ctx.dag.n, ctx.b,
+                                 budget.terms_peak, (time.perf_counter() - t0) * 1000.0)
     if tau is None:
         # formula order; instantiated with the original treewidth per the
         # (3k+3) factor, so pass the pre-separation width
@@ -209,9 +212,8 @@ def approx_taylor(
             raise InputError(
                 f"formula tau={tau} is infeasible (about {est} monomials); supply --tau"
             )
-    names = {d.name for _, _, d in g.edges if d.kind is DistKind.ORACLE}
-    for name in sorted(names):
-        check_oracle(oracle_of(name), float(xq), tau)
+    for orc in oracles:
+        check_oracle(orc, float(xq), tau)
 
     fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None

@@ -7,9 +7,11 @@ import pytest
 
 from stochlp import (
     Budget,
+    BudgetExceeded,
     Dag,
     DistSpec,
     InputError,
+    TreeDecomposition,
     heuristic_td,
     monte_carlo,
     parse_graph,
@@ -95,6 +97,28 @@ class TestExactExp:
 
     def test_negative_x(self, diamond_exp):
         assert exact_exp(diamond_exp, None, -1)[0] == 0.0
+
+    def test_negative_x_still_validates_decomposition(self):
+        g = parse_graph("3 2\n1 2 exp\n2 3 exp\n")
+        td = TreeDecomposition((frozenset({0, 1}),), ())  # vertex 2 in no bag
+        with pytest.raises(InputError, match="condition1"):
+            exact_exp(g, td, -1)
+        v, rep = exact_exp(g, None, -1)
+        assert v == 0.0 and rep.separated_n >= g.n and rep.bag_count >= 1
+
+    def test_budget_counters(self):
+        # terms_peak, regions_peak and work_used as recorded before the
+        # symbolic constructor stopped re-accumulating its buckets
+        inst = gen_diamond_ladder(2, dist="exp")
+        b = Budget()
+        exact_exp(inst.dag, inst.td, 2, budget=b)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (1800, 80, 2020)
+
+    @pytest.mark.parametrize("limit", [{"max_terms": 100}, {"max_work": 100}])
+    def test_budget_abort(self, limit):
+        inst = gen_diamond_ladder(2, dist="exp")
+        with pytest.raises(BudgetExceeded):
+            exact_exp(inst.dag, inst.td, 2, budget=Budget(**limit))
 
     def test_decomposition_independence(self):
         for seed in (0, 2, 5):

@@ -156,7 +156,7 @@ class TestMergeAndAccumulate:
         ctx = one_edge_ctx()
         grid = GridSpec(24, 0.5)
         lam = finite_difference(bag_staircase(ctx, 0, grid))
-        out = merge_subtree(ctx, 0, lam, [], kept_override=ctx.S_D[0])
+        out = merge_subtree(ctx, 0, lam, [])
         v = accumulate(out)
         assert v == pytest.approx(13 / 24)
 
@@ -317,3 +317,23 @@ class TestDegenerateShapes:
         g_plain = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         v_plain, _ = approx_dag(g_plain, None, 1.0, m_override=16)
         assert v == pytest.approx(v_plain, abs=1e-12)
+
+
+class TestDominanceCountFallback:
+    @pytest.mark.parametrize("m_res", [6, 12])
+    def test_row_loop_matches_histogram(self, monkeypatch, m_res):
+        # lowering the histogram limit forces the row-by-row count
+        from stochlp import staircase
+        from stochlp.decomposition import prepare_context
+
+        grid = GridSpec(m_res, 1.7)
+        for inst in (gen_random_tw(2, 6, seed=4, dist="uniform-mixed", max_edges=8),
+                     gen_diamond_ladder(2, dist="uniform-mixed")):
+            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            dense = [bag_staircase(ctx, i, grid) for i in ctx.post_order]
+            monkeypatch.setattr(staircase, "DENSE_HISTOGRAM_CELLS", 0)
+            looped = [bag_staircase(ctx, i, grid) for i in ctx.post_order]
+            monkeypatch.undo()
+            for a, b in zip(dense, looped):
+                assert a.axes == b.axes
+                assert np.array_equal(a.values, b.values)

@@ -47,6 +47,25 @@ class TestMultiply:
         assert (s + t).is_zero()
 
 
+class TestConstructor:
+    def test_drops_zero_coefficients(self):
+        key = ((), (), F(0))
+        s = sy.SymbolicSum({(ZERO, v(1)): {key: F(0), (((1, 1),), (), F(0)): F(2)}})
+        assert s.regions == {(ZERO, v(1)): {(((1, 1),), (), F(0)): F(2)}}
+
+    def test_drops_regions_left_empty(self):
+        s = sy.SymbolicSum({(ZERO, v(1)): {((), (), F(0)): F(0)}, (): {((), (), F(0)): F(3)}})
+        assert list(s.regions) == [()]
+        assert sy.SymbolicSum.const(0).is_zero()
+        assert sy.SymbolicSum.term(2, powers={1: 1}).scale(0).is_zero()
+
+    def test_drops_inconsistent_chains(self):
+        assert sy.SymbolicSum.term(1, chain=(sy.const_atom(2), sy.const_atom(1))).is_zero()
+        assert sy.SymbolicSum.term(1, chain=(v(1), v(1))).is_zero()
+        kept = sy.SymbolicSum.term(1, chain=(sy.const_atom(1), v(1), sy.const_atom(2)))
+        assert list(kept.regions) == [(sy.const_atom(1), v(1), sy.const_atom(2))]
+
+
 class TestDifferentiate:
     def test_product_rule(self):
         s = sy.SymbolicSum.term(1, powers={3: 2}, exps={3: 1})

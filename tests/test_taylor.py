@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stochlp import Budget, Dag, DistSpec, InputError, parse_graph
+from stochlp import Budget, Dag, DistSpec, InputError, TreeDecomposition, parse_graph
 from stochlp.exactexp import exact_exp
 from stochlp.taylor import (
     BUILTIN_ORACLES,
@@ -162,6 +162,26 @@ class TestApproxTaylor:
         for seed in (1, 5):
             v, _ = approx_taylor(inst.dag, inst.td, 1, tau=6, _shuffle_seed=seed)
             assert v == pytest.approx(base, abs=1e-12)
+
+    def test_negative_x_still_validates_inputs(self):
+        g = parse_graph("3 2\n1 2 oracle expcdf\n2 3 oracle expcdf\n")
+        td = TreeDecomposition((frozenset({0, 1}),), ())  # vertex 2 in no bag
+        with pytest.raises(InputError, match="condition1"):
+            approx_taylor(g, td, -1, tau=4)
+        with pytest.raises(InputError, match="unknown oracle"):
+            approx_taylor(g, None, -1, tau=4, oracle="bogus")
+        v, rep = approx_taylor(g, None, -1, eps_additive=0.1)
+        assert v == 0.0 and rep.separated_n >= g.n and rep.bag_count >= 1
+
+    def test_budget_counters(self):
+        # terms_peak, regions_peak and work_used as recorded before the
+        # symbolic constructor stopped re-accumulating its buckets
+        g = parse_graph("4 4\n1 2 oracle expcdf\n1 3 oracle expcdf\n"
+                        "2 4 oracle expcdf\n3 4 oracle expcdf\n")
+        b = Budget()
+        _, rep = approx_taylor(g, None, 1, tau=4, budget=b)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (3600, 40, 10688)
+        assert rep.monomials_peak == b.terms_peak
 
     def test_rejects_exp_edges(self):
         g = parse_graph("2 1\n1 2 exp\n")
