@@ -27,6 +27,7 @@ from .graph import (
 )
 from .decomposition import (
     DecompositionContext,
+    SolveReport,
     TreeDecomposition,
     binarize_td,
     build_context,

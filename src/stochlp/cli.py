@@ -97,10 +97,18 @@ def _load_td(path: str | None, g: Dag) -> TreeDecomposition | None:
 
 
 def _parse_x(raw: str) -> Fraction:
+    # argparse hands "--x=--" over as a list
     try:
         return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, TypeError):
         raise InputError(f"cannot parse horizon {raw!r}")
+
+
+def _float_x(raw: str) -> float:
+    try:
+        return float(_parse_x(raw))
+    except OverflowError:
+        raise InputError(f"horizon {raw!r} is outside the floating-point range") from None
 
 
 def _strip_timings(obj):
@@ -179,8 +187,8 @@ def _run(args) -> dict:
         td = _load_td(args.td, g)
         if args.epsilon is None and args.grid_m is None:
             raise InputError("approx needs --epsilon or --grid-m")
-        x = _parse_x(args.x)
-        value, rep = approx_dag(g, td, float(x), epsilon=args.epsilon,
+        x = _float_x(args.x)
+        value, rep = approx_dag(g, td, x, epsilon=args.epsilon,
                                 m_override=args.grid_m, max_cells=args.max_cells)
         guarantee = ({"kind": "multiplicative", "epsilon": float(args.epsilon)}
                      if args.grid_m is None else {"kind": "staircase-sandwich"})
@@ -245,8 +253,8 @@ def _run(args) -> dict:
         }
     if args.command == "mc":
         g = _load_graph(args.graph)
-        x = _parse_x(args.x)
-        est, stderr = monte_carlo(g, float(x), args.samples, args.seed)
+        x = _float_x(args.x)
+        est, stderr = monte_carlo(g, x, args.samples, args.seed)
         return {
             "command": "mc",
             "inputs": {"graph": args.graph, "x": args.x, "samples": args.samples,
@@ -258,9 +266,9 @@ def _run(args) -> dict:
         }
     if args.command == "bracket":
         g = _load_graph(args.graph)
-        x = _parse_x(args.x)
+        x = _float_x(args.x)
         budget = Budget.default(max_cells=args.max_cells)
-        br = riemann_bracket(g, float(x), args.resolution, budget)
+        br = riemann_bracket(g, x, args.resolution, budget)
         return {
             "command": "bracket",
             "inputs": {"graph": args.graph, "x": args.x, "resolution": args.resolution},

@@ -7,7 +7,7 @@ all three solvers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -444,6 +444,28 @@ def sweep(
         per_bag.append({"bag": i, **describe(i, out),
                         "elapsed_ms": (time.perf_counter() - t0) * 1000.0})
     return results[ctx.td.root], per_bag
+
+
+@dataclass(kw_only=True)
+class SolveReport:
+    """What every solver run reports: its value, the size of the separated
+    decomposition it ran on, the ``sweep`` record of each bag (none when the
+    answer needed no sweep) and the wall time of the whole run.  Solvers add
+    their own fields in subclasses; a report holds no context or table."""
+
+    value: float
+    separated_width: int
+    separated_n: int
+    bag_count: int
+    per_bag: list[dict] = field(default_factory=list)
+    elapsed_ms: float
+
+    @classmethod
+    def of(cls, ctx: DecompositionContext, t0: float, **fields) -> "SolveReport":
+        """Report of a run on ``ctx`` that started at ``time.perf_counter()``
+        reading ``t0``; ``fields`` are the value and the subclass fields."""
+        return cls(separated_width=ctx.td.width, separated_n=ctx.dag.n, bag_count=ctx.b,
+                   elapsed_ms=(time.perf_counter() - t0) * 1000.0, **fields)
 
 
 def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionContext:

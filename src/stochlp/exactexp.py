@@ -7,10 +7,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import DecompositionContext, TreeDecomposition, prepare_context, sweep
+from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
+                            prepare_context, sweep)
 from .density import BagDensity, build_bag_density, describe_sum, exp_edge_factor, merge_bag
 from .errors import Budget, InputError, InvariantViolation
 from .graph import Dag, DistKind
@@ -44,18 +45,12 @@ def _check_exponent_bounds(ctx: DecompositionContext, i: int, s: SymbolicSum) ->
                     raise InvariantViolation(f"bag {i}: exp degree {b} of z{v} exceeds |E(D_i)|={m_d}")
 
 
-@dataclass
-class ExactExpReport:
-    value: float
+@dataclass(kw_only=True)
+class ExactExpReport(SolveReport):
     error_radius: float
     symbolic: str
-    separated_width: int
-    separated_n: int
-    bag_count: int
     regions_peak: int
     terms_peak: int
-    elapsed_ms: float = 0.0
-    per_bag: list[dict] = field(default_factory=list)
 
 
 def exact_exp(
@@ -77,9 +72,9 @@ def exact_exp(
     budget = budget or Budget.default()
     ctx, _, _ = prepare_context(g, td)
     if xq < 0:
-        return 0.0, ExactExpReport(0.0, 0.0, "0", ctx.td.width, ctx.dag.n, ctx.b,
-                                   budget.regions_peak, budget.terms_peak,
-                                   (time.perf_counter() - t0) * 1000.0)
+        return 0.0, ExactExpReport.of(ctx, t0, value=0.0, error_radius=0.0, symbolic="0",
+                                      regions_peak=budget.regions_peak,
+                                      terms_peak=budget.terms_peak)
     fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
 
@@ -94,16 +89,7 @@ def exact_exp(
         raise InvariantViolation("root density still has free variables")
     value, radius = evaluate(final)
     value = min(max(value, 0.0), 1.0)
-    report = ExactExpReport(
-        value=value,
-        error_radius=radius,
-        symbolic=final.canonical_text() if emit_symbolic else "",
-        separated_width=ctx.td.width,
-        separated_n=ctx.dag.n,
-        bag_count=ctx.b,
-        regions_peak=budget.regions_peak,
-        terms_peak=budget.terms_peak,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        per_bag=per_bag,
-    )
-    return value, report
+    symbolic = final.canonical_text() if emit_symbolic else ""
+    return value, ExactExpReport.of(ctx, t0, value=value, error_radius=radius, symbolic=symbolic,
+                                    regions_peak=budget.regions_peak,
+                                    terms_peak=budget.terms_peak, per_bag=per_bag)

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .decomposition import DecompositionContext, TreeDecomposition, prepare_context, sweep
+from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
+                            prepare_context, sweep)
 from .errors import Budget, InputError, InvariantViolation
 from .graph import Dag, DistKind
 
@@ -371,14 +372,15 @@ def merge_subtree(
         for t in child_tables:
             if t.grid != grid:
                 raise InputError("child tables use a different grid")
-        u_vals, u_names = _product_table(ctx, i, child_tables)
-        for v in u_names:
+        u_table = _product_table(child_tables)
+        for v, role in u_table.axes:
             expected = SRC if v in ctx.S_U[i] else TERM if v in ctx.T_U[i] else None
-            if expected is None:
-                raise InvariantViolation(f"child variable {v} not classified in the uncapped subtree")
-        u_arr = StaircaseTable(grid, tuple((v, SRC if v in ctx.S_U[i] else TERM) for v in sorted(u_names)), CUMULATIVE, u_vals)
+            if role != expected:
+                raise InvariantViolation(
+                    f"child variable {v} has role {role!r} in its table, "
+                    f"{expected!r} in the uncapped subtree")
         u_vals, u_names = _transform_operand(
-            u_arr, density_vars=ctx.T_prime[i], kept=kept,
+            u_table, density_vars=ctx.T_prime[i], kept=kept,
             frozen_src=frozen_src, frozen_term=frozen_term, contract=J,
         )
     else:
@@ -413,11 +415,9 @@ def merge_subtree(
     return cum.to_difference()
 
 
-def _product_table(
-    ctx: DecompositionContext, i: int, child_tables: Sequence[StaircaseTable]
-) -> tuple[np.ndarray, list[int]]:
-    """Pointwise product of the child cumulative tables over the union of
-    their axes (shared axes must agree on role)."""
+def _product_table(child_tables: Sequence[StaircaseTable]) -> StaircaseTable:
+    """Cumulative pointwise product of the child tables over the union of
+    their axes, which keep the children's roles (shared axes must agree)."""
     roles: dict[int, str] = {}
     for t in child_tables:
         for v, r in t.axes:
@@ -435,7 +435,7 @@ def _product_table(
         for v, _ in cum.axes:
             shape[label[v]] = size
         full = full * cum.values.reshape(shape)
-    return full, union
+    return StaircaseTable(child_tables[0].grid, tuple(sorted(roles.items())), CUMULATIVE, full)
 
 
 def accumulate(table: StaircaseTable) -> float:
@@ -447,17 +447,11 @@ def accumulate(table: StaircaseTable) -> float:
     return float(cum.values[idx]) if cum.axes else float(cum.values)
 
 
-@dataclass
-class ApproxReport:
-    value: float
+@dataclass(kw_only=True)
+class ApproxReport(SolveReport):
     m_res: int
     epsilon: float | None
-    separated_width: int
-    separated_n: int
-    bag_count: int
     cells_used: int
-    per_bag: list[dict] = field(default_factory=list)
-    elapsed_ms: float = 0.0
 
 
 def approx_dag(
@@ -481,8 +475,7 @@ def approx_dag(
     if x < 0:
         raise InputError("horizon x must be >= 0")
     ctx, _, td_bin = prepare_context(g, td)
-    k = (td_bin.width if td is None else td.width)
-    M = m_override if m_override is not None else choose_M(k, g.n, g.m, float(epsilon))
+    M = m_override if m_override is not None else choose_M(td_bin.width, g.n, g.m, float(epsilon))
     grid = GridSpec(M, float(x))
     budget = Budget.default(max_cells=max_cells)
 
@@ -497,15 +490,5 @@ def approx_dag(
     table, per_bag = sweep(ctx, solve_bag, describe)
     value = accumulate(table)
     value = min(max(value, 0.0), 1.0)
-    report = ApproxReport(
-        value=value,
-        m_res=M,
-        epsilon=epsilon,
-        separated_width=ctx.td.width,
-        separated_n=ctx.dag.n,
-        bag_count=ctx.b,
-        cells_used=budget.cells_used,
-        per_bag=per_bag,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
-    return value, report
+    return value, ApproxReport.of(ctx, t0, value=value, m_res=M, epsilon=epsilon,
+                                  cells_used=budget.cells_used, per_bag=per_bag)

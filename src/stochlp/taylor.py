@@ -8,14 +8,15 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import mpmath
 import numpy as np
 
-from .decomposition import DecompositionContext, TreeDecomposition, prepare_context, sweep
+from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
+                            prepare_context, sweep)
 from .density import BagDensity, build_bag_density, describe_sum, merge_bag, poly_edge_factor
 from .errors import Budget, InputError
 from .graph import Dag, DistKind
@@ -159,18 +160,12 @@ def bag_taylor(
     return BagDensity(i, parts)
 
 
-@dataclass
-class TaylorReport:
-    value: float
+@dataclass(kw_only=True)
+class TaylorReport(SolveReport):
     tau: int
     theoretical_bound: float
     eps_additive: float | None
-    separated_width: int
-    separated_n: int
-    bag_count: int
     monomials_peak: int
-    elapsed_ms: float = 0.0
-    per_bag: list[dict] = field(default_factory=list)
 
 
 def approx_taylor(
@@ -195,25 +190,29 @@ def approx_taylor(
     def oracle_of(name: str) -> DistributionOracle:
         return resolve_oracle(oracle if oracle is not None else name)
 
-    ctx, _, _ = prepare_context(g, td)
+    ctx, _, td_bin = prepare_context(g, td)
     width = ctx.td.width
     names = sorted({d.name for _, _, d in g.edges if d.kind is DistKind.ORACLE})
     oracles = [oracle_of(name) for name in names]
     if xq < 0:
-        return 0.0, TaylorReport(0.0, tau or 0, 0.0, eps_additive, width, ctx.dag.n, ctx.b,
-                                 budget.terms_peak, (time.perf_counter() - t0) * 1000.0)
+        return 0.0, TaylorReport.of(ctx, t0, value=0.0, tau=tau or 0, theoretical_bound=0.0,
+                                    eps_additive=eps_additive,
+                                    monomials_peak=budget.terms_peak)
+    try:
+        xf = float(xq)
+    except OverflowError:
+        raise InputError("horizon x is outside the floating-point range") from None
     if tau is None:
         # formula order; instantiated with the original treewidth per the
         # (3k+3) factor, so pass the pre-separation width
-        k_orig = (width - 2) // 3
-        tau = choose_tau(k_orig, float(xq), ctx.b, float(eps_additive))
+        tau = choose_tau(td_bin.width, xf, ctx.b, float(eps_additive))
         est = math.comb(tau + width + 1, width + 1)
         if est > budget.max_terms:
             raise InputError(
                 f"formula tau={tau} is infeasible (about {est} monomials); supply --tau"
             )
     for orc in oracles:
-        check_oracle(orc, float(xq), tau)
+        check_oracle(orc, xf, tau)
 
     fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
@@ -224,17 +223,7 @@ def approx_taylor(
 
     final, per_bag = sweep(ctx, solve_bag, describe_sum)
     value, _ = evaluate(final)
-    bound = total_error_bound(width, tau, float(xq), ctx.b)
-    report = TaylorReport(
-        value=value,
-        tau=tau,
-        theoretical_bound=bound,
-        eps_additive=eps_additive,
-        separated_width=width,
-        separated_n=ctx.dag.n,
-        bag_count=ctx.b,
-        monomials_peak=budget.terms_peak,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        per_bag=per_bag,
-    )
-    return value, report
+    bound = total_error_bound(width, tau, xf, ctx.b)
+    return value, TaylorReport.of(ctx, t0, value=value, tau=tau, theoretical_bound=bound,
+                                  eps_additive=eps_additive, monomials_peak=budget.terms_peak,
+                                  per_bag=per_bag)

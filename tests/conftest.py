@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from stochlp import Dag, DistSpec, TreeDecomposition, build_context, parse_graph
+from stochlp import Dag, DistSpec, SolveReport, TreeDecomposition, build_context, parse_graph
 from stochlp.decomposition import prepare_context
 
 
@@ -31,6 +32,17 @@ def single_bag_context(g: Dag):
     graph; usable whenever the construction invariants hold directly."""
     td = TreeDecomposition((frozenset(range(g.n)),), ())
     return build_context(g, td)
+
+
+def assert_shared_report(rep, g: Dag, td) -> None:
+    """A solver report is a SolveReport sized like the context that
+    ``prepare_context`` builds for the same input, holding plain values only
+    (no context or table stays alive through it)."""
+    ctx, _, _ = prepare_context(g, td)
+    assert isinstance(rep, SolveReport)
+    assert (rep.separated_width, rep.separated_n, rep.bag_count) == (ctx.td.width, ctx.dag.n, ctx.b)
+    for f in dataclasses.fields(rep):
+        assert isinstance(getattr(rep, f.name), (int, float, str, list, type(None))), f.name
 
 
 def definition4_classify(g: Dag, sub_vertices, sub_edges):

@@ -113,6 +113,27 @@ class TestDispatch:
         assert rc == 3 and "internal error" in err
         assert json.loads(out) == {"error": "bag 0: check failed", "kind": "internal"}
 
+    @pytest.mark.parametrize("command, dist, extra, x, want", [
+        ("approx", "uniform", ["--grid-m", "4"], "1e400", "input"),
+        ("taylor", "oracle:expcdf", ["--tau", "3"], "1e400", "input"),
+        ("mc", "uniform", ["--samples", "10"], "1e400", "input"),
+        ("bracket", "uniform", ["--resolution", "2"], "1e400", "input"),
+        ("approx", "uniform", ["--grid-m", "4"], "--", "input"),
+        ("exact-exp", "exp", [], "1e400", 1),
+        ("sp-exact", "exp", [], "1e400", 1),
+    ])
+    def test_horizon_outside_float_range(self, tmp_path, command, dist, extra, x, want):
+        g = str(tmp_path / "g.txt")
+        rc, _, _ = run(["gen", "--shape", "chain", "--n", "3", "--dist", dist,
+                        "--out-graph", g, "--out-td", str(tmp_path / "t.td")])
+        assert rc == 0
+        rc, out, _ = run([command, "--graph", g, f"--x={x}", *extra])
+        doc = json.loads(out)
+        if want == "input":
+            assert rc == 1 and doc["kind"] == "input"
+        else:
+            assert rc == 0 and doc["value"] == want
+
     def test_sp_exact_rational_field(self, chain_files):
         g, _ = chain_files
         rc, out, _ = run(["sp-exact", "--graph", g, "--x", "1"])

@@ -20,7 +20,7 @@ from stochlp import (
 from stochlp.exactexp import bag_density_exp, exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
 from stochlp import symbolic as sy
-from conftest import single_bag_context
+from conftest import assert_shared_report, single_bag_context
 
 
 class TestBagDensity:
@@ -66,6 +66,7 @@ class TestExactExp:
     def test_per_bag_records(self):
         inst = gen_diamond_ladder(2, dist="exp")
         _, rep = exact_exp(inst.dag, inst.td, 2)
+        assert_shared_report(rep, inst.dag, inst.td)
         assert sorted(r["bag"] for r in rep.per_bag) == list(range(rep.bag_count))
         for r in rep.per_bag:
             assert list(r) == ["bag", "regions", "terms", "elapsed_ms"]
@@ -105,6 +106,8 @@ class TestExactExp:
             exact_exp(g, td, -1)
         v, rep = exact_exp(g, None, -1)
         assert v == 0.0 and rep.separated_n >= g.n and rep.bag_count >= 1
+        assert_shared_report(rep, g, None)
+        assert rep.per_bag == []
 
     def test_budget_counters(self):
         # terms_peak, regions_peak and work_used as recorded before the

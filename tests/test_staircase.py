@@ -10,6 +10,8 @@ from stochlp import (
     DistSpec,
     GridSpec,
     InputError,
+    InvariantViolation,
+    StaircaseTable,
     TreeDecomposition,
     accumulate,
     approx_dag,
@@ -24,7 +26,7 @@ from stochlp import (
 )
 from stochlp.errors import Budget, BudgetExceeded
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
-from conftest import single_bag_context
+from conftest import assert_shared_report, single_bag_context
 
 
 def one_edge_ctx(scale: int = 1):
@@ -192,6 +194,25 @@ class TestMergeAndAccumulate:
                 ) / M**2
                 assert v >= direct - 1e-12
 
+    def test_child_role_must_match_uncapped_subtree(self):
+        # a child table whose axis role disagrees with S_U/T_U of the parent
+        # bag is a bug upstream; the merge must not cumulate along it anyway
+        g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
+        from stochlp.decomposition import prepare_context
+
+        ctx, _, _ = prepare_context(g, parse_td_chain())
+        grid = GridSpec(4, 1.0)
+        leaf = next(i for i in ctx.post_order if not ctx.children[i])
+        child = merge_subtree(ctx, leaf, finite_difference(bag_staircase(ctx, leaf, grid)), [])
+        (v, role), *rest = child.axes
+        flipped = StaircaseTable(grid, ((v, "t" if role == "s" else "s"), *rest),
+                                 child.kind, child.values)
+        parent = ctx.parent[leaf]
+        lam = finite_difference(bag_staircase(ctx, parent, grid))
+        merge_subtree(ctx, parent, lam, [child])
+        with pytest.raises(InvariantViolation, match=f"child variable {v} has role"):
+            merge_subtree(ctx, parent, lam, [flipped])
+
     def test_x_beyond_support_is_one(self):
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         v, _ = approx_dag(g, None, 2.0, m_override=8)
@@ -213,6 +234,14 @@ def parse_td_chain():
 
 
 class TestApproxDag:
+    def test_per_bag_records(self):
+        inst = gen_diamond_ladder(2, dist="uniform")
+        _, rep = approx_dag(inst.dag, inst.td, 2.0, m_override=4)
+        assert_shared_report(rep, inst.dag, inst.td)
+        assert sorted(r["bag"] for r in rep.per_bag) == list(range(rep.bag_count))
+        for r in rep.per_bag:
+            assert list(r) == ["bag", "bag_size", "edges", "active_vars", "elapsed_ms"]
+
     def test_formula_m_single_edge(self):
         g = parse_graph("2 1\n1 2 uniform 1\n")
         v, rep = approx_dag(g, None, 0.5, epsilon=1.0)

@@ -16,7 +16,7 @@ from stochlp.taylor import (
     total_error_bound,
 )
 from stochlp import symbolic as sy
-from conftest import single_bag_context
+from conftest import assert_shared_report, single_bag_context
 
 
 class TestChooseTau:
@@ -105,6 +105,7 @@ class TestApproxTaylor:
         g = parse_graph("4 4\n1 2 oracle expcdf\n1 3 oracle expcdf\n"
                         "2 4 oracle expcdf\n3 4 oracle expcdf\n")
         _, rep = approx_taylor(g, None, 1, tau=4)
+        assert_shared_report(rep, g, None)
         assert sorted(r["bag"] for r in rep.per_bag) == list(range(rep.bag_count))
         for r in rep.per_bag:
             assert list(r) == ["bag", "regions", "terms", "elapsed_ms"]
@@ -172,6 +173,8 @@ class TestApproxTaylor:
             approx_taylor(g, None, -1, tau=4, oracle="bogus")
         v, rep = approx_taylor(g, None, -1, eps_additive=0.1)
         assert v == 0.0 and rep.separated_n >= g.n and rep.bag_count >= 1
+        assert_shared_report(rep, g, None)
+        assert rep.per_bag == []
 
     def test_budget_counters(self):
         # terms_peak, regions_peak and work_used as recorded before the
