@@ -371,18 +371,6 @@ def _roles(
     return frozenset(sources), frozenset(terminals), frozenset(internals)
 
 
-def _lift(base: frozenset[int], bag: frozenset[int], local: frozenset[int]) -> frozenset[int]:
-    """``(base - bag) | local`` for ``local`` inside ``bag``, copying ``base``
-    only where it changes: along a path of bags the subtree sets carry every
-    global source and terminal forgotten below, and most bags change none."""
-    gone, new = (base & bag) - local, local - base
-    if gone:
-        base = base - gone
-    if new:
-        base = base | new
-    return base
-
-
 @dataclass(frozen=True)
 class DecompositionContext:
     """Binarized, separated decomposition with every per-bag derived set the
@@ -393,12 +381,12 @@ class DecompositionContext:
     td: TreeDecomposition
     parent: tuple[int | None, ...]
     children: tuple[tuple[int, ...], ...]
-    depth: tuple[int, ...]
     post_order: tuple[int, ...]
     bag_edges: tuple[frozenset[tuple[int, int]], ...]  # E(G_i)
     S: tuple[frozenset[int], ...]
     T: tuple[frozenset[int], ...]
     I: tuple[frozenset[int], ...]
+    # sources and terminals of U_i and D_i among the vertices of B_i
     S_U: tuple[frozenset[int], ...]
     T_U: tuple[frozenset[int], ...]
     S_D: tuple[frozenset[int], ...]
@@ -490,11 +478,12 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
     v keeps its D_c role in both D_i and U_i.  Only the vertices of B_i are
     reclassified, in post-order, from their own counts plus the children's
     D_c counts on B_c & B_i.  Likewise |V(D_i)| = |B_i| + sum over children
-    of (|V(D_c)| - |B_c & B_i|).  As in a nice tree decomposition (Kloks,
-    Treewidth, LNCS 842, 1994), a vertex is handled only in the bags that
-    hold it, so the cost is O(sum of bag sizes times degree) plus the size
-    of the S_D/T_D/S_U/T_U sets themselves, which carry the global sources
-    and terminals forgotten deeper down.
+    of (|V(D_c)| - |B_c & B_i|).  The role sets S_D/T_D/S_U/T_U are
+    bag-local: they hold the roles of the vertices of B_i only, since every
+    merge at bag i reads variables of B_i only.  As in a nice tree
+    decomposition (Kloks, Treewidth, LNCS 842, 1994), a vertex is handled
+    only in the bags that hold it, so the cost is O(sum of bag sizes times
+    degree).
 
     Separation.  No edge may join u in B_h - B_i to v in B_j - B_i, for h
     the parent of i and j a strict descendant of i.  Under conditions 2-3
@@ -574,16 +563,8 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
         d_in[i] = {v: u_in[v] + own_in[v] for v in bag}
 
         S[i], T[i], I[i] = _roles(g_star, bag, own_out, own_in)
-        s_d, t_d, internal_D[i] = _roles(g_star, bag, d_out[i], d_in[i])
-        s_u, t_u, internal_U[i] = _roles(g_star, bag, u_out, u_in)
-        # vertices outside B_i keep their child-subtree roles
-        if len(kids) == 1:
-            base_S, base_T = S_D[kids[0]], T_D[kids[0]]
-        else:
-            base_S = frozenset().union(*(S_D[c] for c in kids))
-            base_T = frozenset().union(*(T_D[c] for c in kids))
-        S_D[i], T_D[i] = _lift(base_S, bag, s_d), _lift(base_T, bag, t_d)
-        S_U[i], T_U[i] = _lift(base_S, bag, s_u), _lift(base_T, bag, t_u)
+        S_D[i], T_D[i], internal_D[i] = _roles(g_star, bag, d_out[i], d_in[i])
+        S_U[i], T_U[i], internal_U[i] = _roles(g_star, bag, u_out, u_in)
         subtree_vertices[i] = n_vertices
         subtree_edges[i] = n_edges
 
@@ -597,7 +578,6 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
         td=td_star,
         parent=parent,
         children=children,
-        depth=depth,
         post_order=post_order,
         bag_edges=tuple(frozenset(e) for e in bag_edges),
         S=tuple(S),
@@ -642,19 +622,20 @@ def _verify_context(
 
     for i in range(td.b):
         bag = bags[i]
+        # the root's parent bag counts as empty
         h = ctx.parent[i]
-        bag_h = bags[h] if h is not None else None
+        bag_h = bags[h] if h is not None else frozenset()
         # separation, and ownership by the topmost common bag
         for u, v in ctx.bag_edges[i]:
             if u not in bag or v not in bag:
                 raise InvariantViolation(
                     f"separation fails: edge ({u},{v}) owned by bag {i} that misses an endpoint"
                 )
-            if bag_h is not None and u in bag_h and v in bag_h:
+            if u in bag_h and v in bag_h:
                 raise InvariantViolation(f"edge ({u},{v}) not owned by its topmost common bag")
         if ctx.S[i] & ctx.T[i]:
             raise InvariantViolation(f"bag {i}: S and T intersect (not separated)")
-        if any(v in ctx.T_D[i] for v in ctx.S_D[i] & bag):
+        if ctx.S_D[i] & ctx.T_D[i]:
             raise InvariantViolation(f"bag {i}: subtree S and T intersect")
         # successor condition of the separated decomposition; "outside" is
         # B_i minus V(U_i), and V(U_i) meets B_i in the child bags
@@ -666,12 +647,14 @@ def _verify_context(
         # role sharing between the bag and its uncapped subtree: a vertex can
         # be a source (or terminal) of both, but only as a conditioning
         # variable that stays alive into the parent bag and keeps the same
-        # role in the subtree-subgraph
+        # role in the subtree-subgraph.  At the root there is none: of a
+        # triple in the root bag only v- has in-edges below the root and only
+        # v+ out-edges, yet the root owns v-'s one out-edge and none of v+'s
         shared_s = ctx.S[i] & ctx.S_U[i]
         shared_t = ctx.T[i] & ctx.T_U[i]
         if not shared_s <= ctx.S_D[i] or not shared_t <= ctx.T_D[i]:
             raise InvariantViolation(f"bag {i}: shared role changes in the subtree-subgraph")
-        if bag_h is not None and (not shared_s <= bag_h or not shared_t <= bag_h):
+        if not shared_s <= bag_h or not shared_t <= bag_h:
             raise InvariantViolation(f"bag {i}: shared role variable leaves scope at the merge")
         # glue containment: every opposed shared role is consumed here
         if (ctx.S[i] & ctx.T_U[i]) - ctx.J[i] or (ctx.T[i] & ctx.S_U[i]) - ctx.J[i]:
@@ -682,12 +665,11 @@ def _verify_context(
         if ctx.J[i] != internal_D[i] - (ctx.I[i] | internal_U[i]):
             raise InvariantViolation(f"bag {i}: J differs from the new-internal-vertex set")
         # child subtrees may not trade sources for terminals; V(D_l) and
-        # V(D_r) meet only in B_l & B_r
+        # V(D_r) meet only in B_l & B_r, where the bag-local role sets hold
         if len(kids) == 2:
             l, r = kids
-            for v in bags[l] & bags[r]:
-                if (v in ctx.S_D[l] and v in ctx.T_D[r]) or (v in ctx.T_D[l] and v in ctx.S_D[r]):
-                    raise InvariantViolation(f"bag {i}: child subtree roles collide")
+            if ctx.S_D[l] & ctx.T_D[r] or ctx.T_D[l] & ctx.S_D[r]:
+                raise InvariantViolation(f"bag {i}: child subtree roles collide")
 
 
 def prepare_context(g: Dag, td: TreeDecomposition | None) -> tuple[DecompositionContext, dict[int, VertexTriple], TreeDecomposition]:

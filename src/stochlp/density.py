@@ -195,7 +195,8 @@ def merge_bag(
 
     # sources shared between the bag and the uncapped subtree: both operands
     # are densities in them, so switch to distribution functions first and
-    # differentiate the product once at the end
+    # differentiate the product once at the end; the context verifier keeps
+    # them in the parent bag, so they are all kept
     shared = sorted(ctx.S[i] & ctx.S_U[i])
     if shared and phi_u is not None:
         for s in shared:
@@ -235,7 +236,7 @@ def merge_bag(
             cur = integrate_out(cur, v, budget=budget)
             if taylor:
                 cur = truncate_total_degree(cur, taylor_tau)
-        for s in maybe_shuffled(sorted((frozen_src - consumed - set(shared)) & cur.free_vars())):
+        for s in maybe_shuffled(sorted((frozen_src - consumed) & cur.free_vars())):
             if taylor:
                 cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(s)), budget=budget)
             cur = integrate_out(cur, s, upper=x_atom, budget=budget)
@@ -244,10 +245,7 @@ def merge_bag(
         result = result + cur
 
     for s in shared:
-        if s in kept:
-            result = differentiate(result, s)
-        elif s in result.free_vars():
-            result = substitute(result, s, Fraction(x), budget=budget)
+        result = differentiate(result, s)
     stray = result.free_vars() - kept
     if stray:
         raise InvariantViolation(f"bag {i}: variables {sorted(stray)} survived the merge")

@@ -69,7 +69,7 @@ def gen_diamond_ladder(diamonds: int, dist: str = "uniform", seed: int = 0) -> I
 
 
 def gen_random_tw(k: int, n: int, seed: int = 0, dist: str = "uniform",
-                  edge_keep: float = 1.0, max_edges: int | None = None) -> Instance:
+                  max_edges: int | None = None) -> Instance:
     """Random partial k-tree on n vertices, edges oriented low to high.
 
     The emitted decomposition comes from the k-tree construction, so its
@@ -97,8 +97,6 @@ def gen_random_tw(k: int, n: int, seed: int = 0, dist: str = "uniform",
         tree.append((parent, len(bags) - 1))
         bag_of_clique[new_clique] = len(bags) - 1
     ordered = sorted(pairs)
-    if edge_keep < 1.0:
-        ordered = [e for e in ordered if rng.random() < edge_keep]
     if max_edges is not None and len(ordered) > max_edges:
         ordered = rng.sample(ordered, max_edges)
         ordered.sort()
@@ -114,13 +112,13 @@ def gen_random_tw(k: int, n: int, seed: int = 0, dist: str = "uniform",
 
 
 def generate(shape: str, n: int, seed: int = 0, dist: str = "uniform", k: int = 2,
-             edge_keep: float = 1.0, max_edges: int | None = None) -> Instance:
+             max_edges: int | None = None) -> Instance:
     if shape == "chain":
         return gen_chain(n, dist, seed)
     if shape == "diamond-ladder":
         return gen_diamond_ladder(n, dist, seed)
     if shape == "random-tw":
-        return gen_random_tw(k, n, seed, dist, edge_keep, max_edges)
+        return gen_random_tw(k, n, seed, dist, max_edges)
     raise InputError(f"unsupported shape {shape!r}")
 
 

@@ -196,6 +196,7 @@ def parse_graph(text: str) -> Dag:
         raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
 
     raw_edges: list[tuple[int, int, DistSpec]] = []
+    seen: set[tuple[int, int]] = set()
     for row in rows[1:]:
         if len(row) < 3:
             raise GraphFormatError(f"malformed edge line: {' '.join(row)!r}")
@@ -228,8 +229,9 @@ def parse_graph(text: str) -> Dag:
             dist = DistSpec.oracle(row[3])
         else:
             raise GraphFormatError(f"unknown distribution tag: {tag!r}")
-        if any(e[0] == u and e[1] == v for e in raw_edges):
+        if (u, v) in seen:
             raise GraphFormatError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
         raw_edges.append((u, v, dist))
 
     order = _topological_order(n, [(u, v) for u, v, _ in raw_edges])

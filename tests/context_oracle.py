@@ -14,10 +14,12 @@ from stochlp.graph import Dag
 
 # the fields the solvers read, compared field by field
 SOLVER_FIELDS = (
-    "parent", "children", "depth", "post_order", "bag_edges", "S", "T", "I",
+    "parent", "children", "post_order", "bag_edges", "S", "T", "I",
     "S_U", "T_U", "S_D", "T_D", "S_prime", "T_prime", "J",
     "subtree_vertices", "subtree_edges",
 )
+# the role sets the context keeps of the vertices of each bag only
+ROLE_FIELDS = ("S_U", "T_U", "S_D", "T_D")
 
 
 def _classify(g: Dag, vertices, edges):

@@ -1,5 +1,6 @@
 """The bottom-up decomposition context against the from-scratch reference in
-``context_oracle``: every field a solver reads must be equal, the
+``context_oracle``: every field a solver reads must be equal (the role sets
+restricted to their bag, which is all the context keeps of them), the
 whole-subtree invariant battery must pass on it, and the bag-local battery
 must still catch a corrupted context."""
 
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from context_oracle import SOLVER_FIELDS, reference_context, reference_internals, reference_verify
+from context_oracle import ROLE_FIELDS, SOLVER_FIELDS, reference_context, reference_internals, reference_verify
 from stochlp import InvariantViolation, TreeDecomposition, parse_graph
 from stochlp.decomposition import _verify_context, prepare_context
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
@@ -65,17 +66,26 @@ def test_fields_match_reference(g, td):
     ctx, _, _ = prepare_context(g, td)
     ref = reference_context(ctx.dag, ctx.td)
     for name in SOLVER_FIELDS:
-        assert getattr(ctx, name) == ref[name], name
+        want = ref[name]
+        if name in ROLE_FIELDS:
+            want = tuple(r & bag for r, bag in zip(want, ctx.td.bags))
+        assert getattr(ctx, name) == want, name
     reference_verify(ctx.dag, ctx.td, ref)
 
 
-def test_forgotten_global_sources_stay_in_subtree_sets():
-    g, td = _many_source_sink(5)
+@pytest.mark.parametrize("case", ["chain-800-heuristic", "many-source-sink-200"])
+def test_role_sets_are_bag_local(case):
+    # global sources and terminals forgotten deep below a bag must not ride
+    # along in its role sets, or their total size grows quadratically
+    g, td = (gen_chain(800).dag, None) if case.startswith("chain") else _many_source_sink(200)
     ctx, _, _ = prepare_context(g, td)
-    root = ctx.td.root
-    assert ctx.S_D[root] == ctx.dag.sources
-    assert ctx.T_D[root] == ctx.dag.terminals
-    assert len(ctx.S_D[root] - ctx.td.bags[root]) >= 6
+    bags = ctx.td.bags
+    total = 0
+    for name in ROLE_FIELDS:
+        sets = getattr(ctx, name)
+        assert all(r <= bag for r, bag in zip(sets, bags)), name
+        total += sum(map(len, sets))
+    assert total <= 4 * sum(map(len, bags)), f"{total} role-set entries"
 
 
 def _corrupt_cases(ctx):
@@ -110,6 +120,13 @@ def _corrupt_cases(ctx):
     T_D = list(ctx.T_D)
     T_D[i] = T_D[i] | (ctx.S_D[i] & ctx.td.bags[i])
     yield "subtree roles", dataclasses.replace(ctx, T_D=tuple(T_D))
+
+    # a source shared by the root bag and its uncapped subtree: it has no
+    # parent bag to stay alive in
+    root = ctx.td.root
+    S_U = list(ctx.S_U)
+    S_U[root] = S_U[root] | {min(ctx.S[root] & ctx.S_D[root])}
+    yield "root shared source", dataclasses.replace(ctx, S_U=tuple(S_U))
 
 
 def test_bag_local_battery_rejects_corrupted_context():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -60,6 +61,26 @@ class TestParse:
     def test_malformed(self, text):
         with pytest.raises(GraphFormatError):
             parse_graph(text)
+
+    def test_duplicate_edge_named(self):
+        with pytest.raises(GraphFormatError, match=r"duplicate edge \(2,3\)"):
+            parse_graph("3 3\n1 2 exp\n2 3 exp\n2 3 exp\n")
+
+    def test_parse_scales_linearly(self):
+        # a linear parse gives about 4 per quadrupling of the edge count, a
+        # scan of the earlier edges per edge about 16; the sizes alternate so
+        # that a slow phase of the machine hits both, and CPU time leaves out
+        # the time other processes hold the core
+        texts = {m: f"{m + 1} {m}\n" + "".join(f"{v} {v + 1} uniform 1\n" for v in range(1, m + 1))
+                 for m in (2000, 8000)}
+        best = dict.fromkeys(texts, float("inf"))
+        for _ in range(5):
+            for m, text in texts.items():
+                t0 = time.process_time()
+                parse_graph(text)
+                best[m] = min(best[m], time.process_time() - t0)
+        ratio = best[8000] / best[2000]
+        assert ratio < 8, f"parse_graph m=8000 over m=2000 took {ratio:.1f}x"
 
 
 class TestStaticLongestPath:
