@@ -6,6 +6,7 @@ all three solvers.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -220,16 +221,25 @@ def validate_td(g: Dag, td: TreeDecomposition) -> TdReport:
 
 def heuristic_td(g: Dag) -> TreeDecomposition:
     """Min-degree elimination-ordering decomposition of the underlying
-    undirected graph.  Always valid; width not guaranteed minimal."""
+    undirected graph.  Always valid; width not guaranteed minimal.
+
+    Ties go to the smaller vertex.  A lazy heap keyed by (degree, vertex)
+    finds each next vertex in O(log n): a vertex whose degree changes is
+    pushed again, and a popped entry whose vertex is gone or whose degree is
+    out of date is skipped, so the elimination order is that of a full scan.
+    """
     adj: dict[int, set[int]] = {v: set() for v in range(g.n)}
     for u, v, _ in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    remaining = set(range(g.n))
+    heap = [(len(adj[v]), v) for v in range(g.n)]
+    heapq.heapify(heap)
     elim_bags: list[tuple[int, frozenset[int]]] = []  # (eliminated vertex, bag)
     elim_pos: dict[int, int] = {}
-    while remaining:
-        v = min(remaining, key=lambda w: (len(adj[w]), w))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v in elim_pos or degree != len(adj[v]):
+            continue
         nbrs = frozenset(adj[v])
         elim_pos[v] = len(elim_bags)
         elim_bags.append((v, frozenset({v}) | nbrs))
@@ -240,7 +250,8 @@ def heuristic_td(g: Dag) -> TreeDecomposition:
                 if a < b:
                     adj[a].add(b)
                     adj[b].add(a)
-        remaining.discard(v)
+        for a in nbrs:
+            heapq.heappush(heap, (len(adj[a]), a))
     b = len(elim_bags)
     edges: list[tuple[int, int]] = []
     for i, (v, bag) in enumerate(elim_bags):

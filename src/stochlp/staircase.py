@@ -10,6 +10,13 @@ Difference tables use backward differences with the mass at the grid origin
 stored in slot 0, so cumulative and difference forms are exact inverses
 (``cumsum`` vs ``diff(prepend=0)``) and a single-bag run reproduces the plain
 cell count bit for bit.
+
+Memory is what limits M, so no step makes a full-size temporary it can avoid.
+A conversion copies its input table once and then works on that copy in
+place: cumulating with ``cumsum(out=...)``, differencing with a backward pass
+through a scratch buffer of at most ``DIFF_CHUNK_CELLS`` cells.  It never
+mutates its input, and it does the same float operations as ``np.cumsum`` and
+``np.diff(prepend=0)``, so every value is unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ DIFFERENCE = "difference"
 # largest compressed threshold histogram (cells) the dominance count builds;
 # beyond it each bag table is summed up one threshold row at a time
 DENSE_HISTOGRAM_CELLS = 20_000_000
+# scratch buffer of the in-place backward difference (float64 cells, 1 MB)
+DIFF_CHUNK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,8 @@ class StaircaseTable:
     ``cumulative`` tables hold staircase values of the shifted distribution
     function; ``difference`` tables hold iterated backward differences along
     every source axis, with slot 0 carrying the value at the axis origin.
+    ``to_cumulative`` and ``to_difference`` copy the values once, convert the
+    float64 copy in place and leave this table unchanged.
     """
 
     grid: GridSpec
@@ -90,32 +101,61 @@ class StaircaseTable:
     def to_cumulative(self) -> "StaircaseTable":
         if self.kind == CUMULATIVE:
             return self
-        vals = self.values
+        vals = np.array(self.values, dtype=np.float64, order="C")
         for ax in self.source_axes():
-            vals = np.cumsum(vals, axis=ax)
+            np.cumsum(vals, axis=ax, out=vals)
         return StaircaseTable(self.grid, self.axes, CUMULATIVE, vals)
 
     def to_difference(self) -> "StaircaseTable":
         if self.kind == DIFFERENCE:
             return self
-        vals = self.values
+        vals = np.array(self.values, dtype=np.float64, order="C")
         for ax in self.source_axes():
-            vals = np.diff(vals, axis=ax, prepend=0.0)
+            _difference_in_place(vals, ax)
         return StaircaseTable(self.grid, self.axes, DIFFERENCE, vals)
+
+
+def _difference_in_place(vals: np.ndarray, ax: int) -> None:
+    """``vals = np.diff(vals, axis=ax, prepend=0.0)`` without the full-size
+    result: ``vals[k] -= vals[k-1]`` for k from high to low, one block of at
+    most ``DIFF_CHUNK_CELLS`` cells at a time.
+
+    ``vals`` must be C-contiguous.  Each block copies the lower slabs it
+    reads before subtracting them from the slabs one step up, and blocks go
+    from high k to low, so no read sees a slab already differenced.
+    """
+    if not vals.flags.c_contiguous:
+        raise InvariantViolation("in-place difference needs a C-contiguous array")
+    n = vals.shape[ax]
+    pre = math.prod(vals.shape[:ax])
+    post = math.prod(vals.shape[ax + 1:])
+    v = vals.reshape(pre, n, post)
+    width = min(post, DIFF_CHUNK_CELLS)
+    steps = max(1, min(n - 1, DIFF_CHUNK_CELLS // width))
+    rows = max(1, min(pre, DIFF_CHUNK_CELLS // (steps * width)))
+    for p in range(0, pre, rows):
+        for w in range(0, post, width):
+            for hi in range(n - 1, 0, -steps):
+                lo = max(hi - steps, 0)
+                v[p:p + rows, lo + 1:hi + 1, w:w + width] -= v[p:p + rows, lo:hi, w:w + width].copy()
 
 
 def finite_difference(table: StaircaseTable, roles: Sequence[int] | None = None) -> StaircaseTable:
     """Iterated backward differences along the given source vertices
-    (default: all of them); inverse of cumulative summation."""
+    (default: all of them); inverse of cumulative summation.  Converts one
+    float64 copy in place and leaves ``table`` unchanged."""
     if table.kind != CUMULATIVE:
         raise InputError("finite_difference expects a cumulative table")
-    vals = table.values
     targets = set(roles) if roles is not None else {v for v, r in table.axes if r == SRC}
+    axes = []
     for i, (v, role) in enumerate(table.axes):
         if v in targets:
             if role != SRC:
                 raise InputError(f"vertex {v} is not a source axis")
-            vals = np.diff(vals, axis=i, prepend=0.0)
+            axes.append(i)
+    vals = np.array(table.values, dtype=np.float64, order="C")
+    for ax in axes:
+        _difference_in_place(vals, ax)
     return StaircaseTable(table.grid, table.axes, DIFFERENCE, vals)
 
 
@@ -218,11 +258,13 @@ def _assemble_bag_table(
         grids.append(np.arange(M + 1, dtype=np.int64).reshape(sh))
 
     if not pairs:
-        return StaircaseTable(grid, axes, CUMULATIVE, np.ones(shape) * (counts.sum() / total))
+        return StaircaseTable(grid, axes, CUMULATIVE, np.full(shape, counts.sum() / total))
 
     # dominance count: a grid point admits the corners whose threshold row it
     # dominates, so histogram the rows on compressed coordinates, prefix-sum,
-    # and gather at each grid point's difference vector
+    # and gather at each grid point's difference vector.  The output table is
+    # the only full-size array: the small histogram is divided before the
+    # gather, and cells outside the region are zeroed in place.
     uniq = [np.unique(rows[:, p]) for p in range(len(pairs))]
     hist_size = 1
     for u in uniq:
@@ -233,23 +275,26 @@ def _assemble_bag_table(
         np.add.at(hist, coords, counts)
         for ax in range(len(pairs)):
             np.cumsum(hist, axis=ax, out=hist)
-        gather = []
-        inside = np.ones(shape, dtype=bool)
+        gather, outside = [], []
         for p, (s, t) in enumerate(pairs):
             d = grids[axis_pos[s]] - grids[axis_pos[t]]
             pos = np.searchsorted(uniq[p], d, side="right") - 1
-            inside &= pos >= 0
-            gather.append(np.maximum(pos, 0))
-        values = np.where(inside, hist[tuple(np.broadcast_arrays(*gather))], 0) / total
+            outside.append(pos < 0)
+            gather.append(np.broadcast_to(np.maximum(pos, 0), shape))
+        values = (hist / total)[tuple(gather)]
+        for mask in outside:
+            np.copyto(values, 0.0, where=mask)
     else:
-        acc = np.zeros(shape, dtype=np.int64)
+        # integer counts below 2**53 add up exactly in float64, so dividing
+        # the sum in place gives the bits of the int64 sum divided
+        values = np.zeros(shape)
         for row, cnt in zip(rows, counts):
             mask = np.ones(shape, dtype=bool)
             for (s, t), q in zip(pairs, row):
                 mask &= (grids[axis_pos[s]] - grids[axis_pos[t]]) >= q
-            acc += int(cnt) * mask
-        values = acc / total
-    return StaircaseTable(grid, axes, CUMULATIVE, values.astype(np.float64))
+            np.add(values, float(cnt), out=values, where=mask)
+        values /= total
+    return StaircaseTable(grid, axes, CUMULATIVE, values)
 
 
 def bag_cell_count(
@@ -305,6 +350,7 @@ def _transform_operand(
     """
     M = table.grid.m_res
     vals = table.to_cumulative().values
+    owned = vals is not table.values  # safe to difference in place
     names: list[int] = [v for v, _ in table.axes]
     roles = {v: r for v, r in table.axes}
     for v in sorted(set(names), reverse=True):
@@ -314,12 +360,12 @@ def _transform_operand(
         if v in frozen_src:
             if roles[v] != SRC:
                 raise InvariantViolation(f"frozen source {v} has terminal role in operand")
-            vals = _axis_take(vals, ax, M)
+            vals, owned = _axis_take(vals, ax, M), True
             names.pop(ax)
         elif v in frozen_term:
             if roles[v] != TERM:
                 raise InvariantViolation(f"frozen terminal {v} has source role in operand")
-            vals = _axis_take(vals, ax, 0)
+            vals, owned = _axis_take(vals, ax, 0), True
             names.pop(ax)
         else:
             raise InvariantViolation(f"variable {v} has no role at this merge")
@@ -328,12 +374,14 @@ def _transform_operand(
         if v not in contract:
             continue
         if v in density_vars:
-            vals = np.diff(vals, axis=ax, prepend=0.0)
+            if not owned:
+                vals, owned = np.array(vals, dtype=np.float64, order="C"), True
+            _difference_in_place(vals, ax)
         else:
             # glue mass of interval ((g-1)h, gh] on the other side meets the
             # value at (g-1)h; the origin atom (slot 0) sits exactly at 0
             idx = np.concatenate(([0], np.arange(0, M)))
-            vals = np.take(vals, idx, axis=ax)
+            vals, owned = np.take(vals, idx, axis=ax), True
     return vals, names
 
 
@@ -434,7 +482,7 @@ def _product_table(child_tables: Sequence[StaircaseTable]) -> StaircaseTable:
         shape = [1] * len(union)
         for v, _ in cum.axes:
             shape[label[v]] = size
-        full = full * cum.values.reshape(shape)
+        full *= cum.values.reshape(shape)
     return StaircaseTable(child_tables[0].grid, tuple(sorted(roles.items())), CUMULATIVE, full)
 
 

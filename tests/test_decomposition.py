@@ -1,4 +1,5 @@
 import random
+import time
 import weakref
 
 import pytest
@@ -20,7 +21,7 @@ from stochlp import (
     validate_td,
 )
 from stochlp.decomposition import format_td, prepare_context, sweep
-from stochlp.generate import gen_random_tw, generate
+from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
 
 
 class TestParseTd:
@@ -143,6 +144,42 @@ class TestValidateFirstViolation:
         assert str(err.value) == message
 
 
+def _scan_heuristic_td(g):
+    """Reference min-degree elimination: a full scan of the remaining
+    vertices picks each next one (quadratic); tree built as heuristic_td."""
+    adj = {v: set() for v in range(g.n)}
+    for u, v, _ in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = set(range(g.n))
+    elim_bags, elim_pos = [], {}
+    while remaining:
+        v = min(remaining, key=lambda w: (len(adj[w]), w))
+        nbrs = frozenset(adj[v])
+        elim_pos[v] = len(elim_bags)
+        elim_bags.append((v, frozenset({v}) | nbrs))
+        for a in nbrs:
+            adj[a].discard(v)
+        for a in nbrs:
+            for b in nbrs:
+                if a < b:
+                    adj[a].add(b)
+                    adj[b].add(a)
+        remaining.discard(v)
+    b = len(elim_bags)
+    edges = []
+    for i, (v, bag) in enumerate(elim_bags):
+        later = bag - {v}
+        if later:
+            edges.append((i, min(elim_pos[w] for w in later)))
+        elif i != b - 1:
+            edges.append((i, b - 1))
+    order = [b - 1] + list(range(b - 1))
+    newpos = {old: new for new, old in enumerate(order)}
+    return TreeDecomposition(tuple(elim_bags[old][1] for old in order),
+                             tuple((newpos[i], newpos[j]) for i, j in edges))
+
+
 class TestHeuristic:
     def test_chain_of_five_width_one(self):
         g = parse_graph("5 4\n" + "".join(f"{i} {i+1} uniform 1\n" for i in range(1, 5)))
@@ -168,6 +205,35 @@ class TestHeuristic:
             g = random_small_dag(rng, max_n=8)
             td = heuristic_td(g)
             assert validate_td(g, td).valid
+
+    def test_heap_order_matches_full_scan(self):
+        rng = random.Random(11)
+        from conftest import random_small_dag
+
+        graphs = [gen_random_tw(k, n, seed=seed).dag
+                  for k in (1, 2, 3) for n in (k + 2, 9, 16) for seed in range(4)]
+        graphs += [gen_chain(n).dag for n in (2, 3, 17, 64)]
+        graphs += [gen_diamond_ladder(d).dag for d in (1, 2, 5)]
+        graphs += [random_small_dag(rng, max_n=8) for _ in range(30)]
+        for g in graphs:
+            td, ref = heuristic_td(g), _scan_heuristic_td(g)
+            assert td.bags == ref.bags
+            assert td.tree_edges == ref.tree_edges
+
+    def test_scales_nearly_linearly(self):
+        # a heap gives a little over 4 per quadrupling of the chain length,
+        # a scan of every remaining vertex per elimination about 16; the
+        # sizes alternate so that a slow phase of the machine hits both, and
+        # CPU time leaves out the time other processes hold the core
+        dags = {n: gen_chain(n).dag for n in (1000, 4000)}
+        best = dict.fromkeys(dags, float("inf"))
+        for _ in range(5):
+            for n, g in dags.items():
+                t0 = time.process_time()
+                heuristic_td(g)
+                best[n] = min(best[n], time.process_time() - t0)
+        ratio = best[4000] / best[1000]
+        assert ratio < 8, f"heuristic_td n=4000 over n=1000 took {ratio:.1f}x"
 
 
 class TestBinarize:

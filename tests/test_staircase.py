@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from stochlp import (
     Dag,
+    DistKind,
     DistSpec,
     GridSpec,
     InputError,
@@ -25,7 +27,7 @@ from stochlp import (
     riemann_bracket,
 )
 from stochlp.errors import Budget, BudgetExceeded
-from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
+from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
 from conftest import assert_shared_report, single_bag_context
 
 
@@ -366,3 +368,175 @@ class TestDominanceCountFallback:
             for a, b in zip(dense, looped):
                 assert a.axes == b.axes
                 assert np.array_equal(a.values, b.values)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _reference_bag_values(ctx, i, grid):
+    """The bag table as an int64 count of admitted corners per grid point,
+    divided once: the row-by-row count with no in-place step."""
+    from stochlp.staircase import _bag_threshold_rows
+
+    pairs, rows, counts = _bag_threshold_rows(ctx, i, grid, Budget.default())
+    active = sorted(ctx.S[i] | ctx.T[i])
+    shape = (grid.m_res + 1,) * len(active)
+    pts = np.indices(shape)
+    at = {v: pts[k] for k, v in enumerate(active)}
+    acc = np.zeros(shape, dtype=np.int64)
+    for row, cnt in zip(rows, counts):
+        mask = np.ones(shape, dtype=bool)
+        for (s, t), q in zip(pairs, row):
+            mask &= at[s] - at[t] >= q
+        acc += int(cnt) * mask
+    total = float(grid.m_res ** sum(1 for e in ctx.bag_edges[i]
+                                    if ctx.dag.dist_of[e].kind is DistKind.UNIFORM))
+    return acc / total
+
+
+class TestInPlaceConversions:
+    """Conversions copy once and work in place: the bits of np.diff and
+    np.cumsum, and the input table untouched."""
+
+    ROLES = ("s", "t", "s", "s", "t")
+
+    def _table(self, m_res, roles, kind, seed=0):
+        rng = np.random.default_rng(seed)
+        vals = rng.random((m_res + 1,) * len(roles))
+        axes = tuple((v, r) for v, r in enumerate(roles))
+        return StaircaseTable(GridSpec(m_res, 1.0), axes, kind, vals)
+
+    @staticmethod
+    def _np_difference(values, axes):
+        for ax in axes:
+            values = np.diff(values, axis=ax, prepend=0.0)
+        return values
+
+    @staticmethod
+    def _np_cumulative(values, axes):
+        for ax in axes:
+            values = np.cumsum(values, axis=ax)
+        return values
+
+    def test_one_axis(self):
+        from stochlp.staircase import CUMULATIVE, DIFFERENCE
+
+        cum = self._table(24, ("s",), CUMULATIVE)
+        diff = self._table(24, ("s",), DIFFERENCE, seed=1)
+        assert np.array_equal(_bits(finite_difference(cum).values),
+                              _bits(np.diff(cum.values, prepend=0.0)))
+        assert np.array_equal(_bits(diff.to_cumulative().values), _bits(np.cumsum(diff.values)))
+        assert np.array_equal(_bits(cum.to_difference().values),
+                              _bits(np.diff(cum.values, prepend=0.0)))
+
+    @pytest.mark.parametrize("m_res, chunk", [(4, 1), (6, 50), (6, 7**4 - 1), (6, None)])
+    def test_five_axes_any_chunk(self, monkeypatch, m_res, chunk):
+        # chunks below one slab ((M+1)**4 cells) split each slab of the pass
+        from stochlp import staircase
+        from stochlp.staircase import CUMULATIVE, DIFFERENCE
+
+        if chunk is not None:
+            monkeypatch.setattr(staircase, "DIFF_CHUNK_CELLS", chunk)
+        src = [ax for ax, r in enumerate(self.ROLES) if r == "s"]
+        cum = self._table(m_res, self.ROLES, CUMULATIVE)
+        diff = self._table(m_res, self.ROLES, DIFFERENCE, seed=1)
+        expect = _bits(self._np_difference(cum.values, src))
+        assert np.array_equal(_bits(finite_difference(cum).values), expect)
+        assert np.array_equal(_bits(cum.to_difference().values), expect)
+        assert np.array_equal(_bits(diff.to_cumulative().values),
+                              _bits(self._np_cumulative(diff.values, src)))
+
+    def test_roles_subset(self):
+        from stochlp.staircase import CUMULATIVE
+
+        cum = self._table(6, self.ROLES, CUMULATIVE)
+        for roles in ([0], [3], [2, 0], [0, 2, 3]):
+            got = finite_difference(cum, roles=roles).values
+            assert np.array_equal(_bits(got), _bits(self._np_difference(cum.values, sorted(roles))))
+
+    def test_non_contiguous_input(self):
+        from stochlp.staircase import CUMULATIVE
+
+        vals = np.random.default_rng(2).random((9, 9)).T
+        cum = StaircaseTable(GridSpec(8, 1.0), ((0, "s"), (1, "s")), CUMULATIVE, vals)
+        assert np.array_equal(_bits(finite_difference(cum).values),
+                              _bits(self._np_difference(vals, [0, 1])))
+
+    def test_input_unchanged(self):
+        from stochlp.staircase import CUMULATIVE, DIFFERENCE
+
+        cum = self._table(6, self.ROLES, CUMULATIVE)
+        diff = self._table(6, self.ROLES, DIFFERENCE, seed=1)
+        before_cum, before_diff = cum.values.copy(), diff.values.copy()
+        finite_difference(cum)
+        finite_difference(cum, roles=[2])
+        cum.to_difference()
+        diff.to_cumulative()
+        assert np.array_equal(_bits(cum.values), _bits(before_cum))
+        assert np.array_equal(_bits(diff.values), _bits(before_diff))
+
+    def test_merge_leaves_operands_unchanged(self):
+        from stochlp.decomposition import prepare_context
+
+        inst = gen_diamond_ladder(2, dist="uniform-mixed")
+        ctx, _, _ = prepare_context(inst.dag, inst.td)
+        grid = GridSpec(6, 3.1)
+        done = {}
+        for i in ctx.post_order:
+            lam = finite_difference(bag_staircase(ctx, i, grid))
+            kids = [done.pop(j) for j in ctx.children[i]]
+            before = [t.values.copy() for t in (lam, *kids)]
+            done[i] = merge_subtree(ctx, i, lam, kids)
+            for t, b in zip((lam, *kids), before):
+                assert np.array_equal(_bits(t.values), _bits(b))
+
+    def test_cumulative_operand_differenced_on_a_copy(self):
+        # a cumulative operand is the one case where the merge starts from
+        # the caller's own array
+        from stochlp.staircase import CUMULATIVE, _transform_operand
+
+        cum = self._table(6, ("s", "s"), CUMULATIVE)
+        before = cum.values.copy()
+        none = frozenset()
+        vals, names = _transform_operand(cum, density_vars=frozenset({0}), kept=frozenset({1}),
+                                         frozen_src=none, frozen_term=none, contract=frozenset({0}))
+        assert names == [0, 1]
+        assert np.array_equal(_bits(vals), _bits(np.diff(before, axis=0, prepend=0.0)))
+        assert np.array_equal(_bits(cum.values), _bits(before))
+
+    @pytest.mark.parametrize("histogram", [True, False])
+    def test_bag_table_bits(self, monkeypatch, histogram):
+        from stochlp import staircase
+        from stochlp.decomposition import prepare_context
+
+        if not histogram:
+            monkeypatch.setattr(staircase, "DENSE_HISTOGRAM_CELLS", 0)
+        grid = GridSpec(7, 1.9)
+        for inst in (gen_random_tw(2, 6, seed=4, dist="uniform-mixed", max_edges=8),
+                     gen_diamond_ladder(2, dist="uniform-mixed"), gen_chain(4)):
+            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            for i in ctx.post_order:
+                got = bag_staircase(ctx, i, grid).values
+                assert got.dtype == np.float64
+                assert np.array_equal(_bits(got), _bits(_reference_bag_values(ctx, i, grid)))
+
+    def test_build_and_difference_peak_memory(self):
+        # the largest bag of the 2-diamond ladder has 5 active axes: a 25**5
+        # float64 table of 78 MB at M=24; building it and differencing one
+        # copy should need little beyond those two tables
+        from stochlp.decomposition import prepare_context
+
+        inst = generate("diamond-ladder", 2, dist="uniform")
+        ctx, _, _ = prepare_context(inst.dag, inst.td)
+        i = max(ctx.post_order, key=lambda j: len(ctx.S[j] | ctx.T[j]))
+        grid = GridSpec(24, 2.0)
+        tracemalloc.start()
+        try:
+            lam = finite_difference(bag_staircase(ctx, i, grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lam.values.ndim == 5
+        ratio = peak / lam.values.nbytes
+        assert ratio <= 2.2, f"build plus difference peaked at {ratio:.2f}x the table"
