@@ -69,8 +69,9 @@ def poly_edge_factor(u: int, v: int, coeffs: Sequence[Fraction]) -> SymbolicSum:
                 powers[u] = i
             if j - i:
                 powers[v] = j - i
-            k = (tuple(sorted(powers.items())), (), Fraction(0))
-            terms[k] = terms.get(k, Fraction(0)) + coeff
+            k = (tuple(sorted(powers.items())), (), 0)
+            old = terms.get(k)
+            terms[k] = coeff if old is None else old + coeff
             binom = binom * (j - i) // (i + 1)
     payload = SymbolicSum({(): terms})
     return multiply(SymbolicSum.guard(var_atom(v), var_atom(u)), payload)

@@ -4,8 +4,11 @@ A SymbolicSum is a finite sum of region buckets.  Each bucket pairs a guard
 chain (a strict total order over its support of variables and rational
 constants, denoting the product of Heaviside factors of consecutive
 differences) with polynomial-exponential terms c * e^q * prod v^a * prod
-e^(b*v), coefficients kept as exact rationals.  Operations that would create
-incomparable atoms split into all linear extensions, so chains stay total.
+e^(b*v), coefficients kept as exact rationals.  A term's key stores the
+constant exponent q as an ``int`` when it is integral and as a ``Fraction``
+otherwise; the two hash and compare alike, so only the cost of hashing
+differs.  Operations that would create incomparable atoms split into all
+linear extensions, so chains stay total.
 
 Equality is almost-everywhere equality: boundaries between regions carry no
 mass.  Substituting a value that lands exactly on a boundary resolves ties as
@@ -29,8 +32,10 @@ from .errors import Budget, DivergentIntegral, InputError, InvariantViolation
 # atoms: ("c", Fraction) constants, ("v", int) variables
 Atom = tuple[str, object]
 Chain = tuple[Atom, ...]
-# term key: (powers, exps, e_const) with powers/exps sorted tuples of (var, n)
-TermKey = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Fraction]
+# term key: (powers, exps, e_const) with powers/exps sorted tuples of (var, n),
+# n nonzero; e_const an int when integral, else a Fraction (an int hashes
+# cheaply and equals the Fraction of the same value)
+TermKey = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Union[int, Fraction]]
 
 ZERO_ATOM: Atom = ("c", Fraction(0))
 
@@ -62,13 +67,23 @@ def _key_pow(powers: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((v, n) for v, n in powers.items() if n))
 
 
+def _key_const(q) -> Union[int, Fraction]:
+    """The e_const of a term key: an int when q is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+_UNIT_KEY: TermKey = ((), (), 0)
+
+
 class SymbolicSum:
     """Immutable canonical sum of guarded polynomial-exponential terms.
 
-    Every operation merges its terms into one bucket per guard chain, one
-    ``Fraction`` coefficient per term key, and hands those buckets over; the
-    constructor only filters them: it drops inconsistent chains, zero
-    coefficients and regions left empty, and adds nothing up.
+    The public constructor copies the mapping it is given, dropping
+    inconsistent chains, zero coefficients and regions left empty; it adds
+    nothing up.  Every operation merges its terms into one fresh bucket per
+    guard chain, one ``Fraction`` coefficient per term key, and hands those
+    buckets to ``_own``, which keeps them and rebuilds only a bucket holding a
+    zero coefficient.  Buckets are never changed once a sum holds them.
     """
 
     __slots__ = ("regions",)
@@ -86,6 +101,26 @@ class SymbolicSum:
             budget.note_regions(len(self.regions))
             budget.note_terms(self.term_count())
 
+    @classmethod
+    def _own(cls, regions: dict[Chain, dict[TermKey, Fraction]],
+             budget: Budget | None = None) -> "SymbolicSum":
+        """Sum holding ``regions`` itself: consistent chains, buckets no
+        caller keeps.  Drops zero coefficients and empty buckets in place of
+        a copy, so region and term order match the public constructor."""
+        dirty = [chain for chain, terms in regions.items() if not terms or not all(terms.values())]
+        for chain in dirty:
+            kept = {key: coeff for key, coeff in regions[chain].items() if coeff}
+            if kept:
+                regions[chain] = kept
+            else:
+                del regions[chain]
+        s = object.__new__(cls)
+        s.regions = regions
+        if budget is not None:
+            budget.note_regions(len(regions))
+            budget.note_terms(s.term_count())
+        return s
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -94,7 +129,7 @@ class SymbolicSum:
 
     @classmethod
     def const(cls, value) -> "SymbolicSum":
-        return cls({(): {((), (), Fraction(0)): Fraction(value)}})
+        return cls({(): {_UNIT_KEY: Fraction(value)}})
 
     @classmethod
     def one(cls) -> "SymbolicSum":
@@ -105,13 +140,13 @@ class SymbolicSum:
         """Indicator H(high - low) as a single chain low < high."""
         if low == high:
             return cls.one()
-        return cls({(low, high): {((), (), Fraction(0)): Fraction(1)}})
+        return cls({(low, high): {_UNIT_KEY: Fraction(1)}})
 
     @classmethod
     def term(cls, coeff, powers: Mapping[int, int] | None = None,
              exps: Mapping[int, int] | None = None, e_const=0,
              chain: Chain = ()) -> "SymbolicSum":
-        key = (_key_pow(powers or {}), _key_pow(exps or {}), Fraction(e_const))
+        key = (_key_pow(powers or {}), _key_pow(exps or {}), _key_const(Fraction(e_const)))
         return cls({chain: {key: Fraction(coeff)}})
 
     # -- inspection --------------------------------------------------------
@@ -147,7 +182,10 @@ class SymbolicSum:
         for chain in sorted(self.regions, key=lambda ch: (len(ch), [str(a) for a in ch])):
             guard = " < ".join(atom_s(a) for a in chain) if chain else "true"
             parts = []
-            for key in sorted(self.regions[chain], key=str):
+            # the order of the keys' text with e_const a Fraction, whatever
+            # type the key holds: an int e_const prints differently
+            for key in sorted(self.regions[chain],
+                              key=lambda k: str((k[0], k[1], Fraction(k[2])))):
                 powers, exps, e_const = key
                 coeff = self.regions[chain][key]
                 factors = [str(coeff)]
@@ -165,23 +203,32 @@ class SymbolicSum:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "SymbolicSum") -> "SymbolicSum":
-        merged: dict[Chain, dict[TermKey, Fraction]] = {}
-        for src in (self.regions, other.regions):
-            for chain, terms in src.items():
-                bucket = merged.setdefault(chain, {})
-                for key, coeff in terms.items():
-                    bucket[key] = bucket.get(key, Fraction(0)) + coeff
-        return SymbolicSum(merged)
+        merged = {chain: dict(terms) for chain, terms in self.regions.items()}
+        for chain, terms in other.regions.items():
+            bucket = merged.get(chain)
+            if bucket is None:
+                merged[chain] = dict(terms)
+            else:
+                _accumulate(bucket, terms.items())
+        return SymbolicSum._own(merged)
 
     def scale(self, c) -> "SymbolicSum":
         q = Fraction(c)
-        return SymbolicSum({
+        return SymbolicSum._own({
             chain: {key: coeff * q for key, coeff in terms.items()}
             for chain, terms in self.regions.items()
         })
 
     def __sub__(self, other: "SymbolicSum") -> "SymbolicSum":
         return self + other.scale(-1)
+
+
+def _accumulate(bucket: dict[TermKey, Fraction], items: Iterable[tuple[TermKey, Fraction]]) -> None:
+    """Add each (key, coeff) into ``bucket``; a new key stores coeff as is."""
+    get = bucket.get
+    for key, coeff in items:
+        old = get(key)
+        bucket[key] = coeff if old is None else old + coeff
 
 
 def _interleavings(c1: Chain, c2: Chain) -> Iterator[Chain]:
@@ -214,42 +261,74 @@ def _interleavings(c1: Chain, c2: Chain) -> Iterator[Chain]:
             yield chain
 
 
+def _merge_pow(p1: tuple[tuple[int, int], ...], p2: tuple[tuple[int, int], ...]
+               ) -> tuple[tuple[int, int], ...]:
+    if not p1:
+        return p2
+    if not p2:
+        return p1
+    merged = dict(p1)
+    cancelled = False
+    for v, n in p2:
+        m = merged.get(v, 0) + n
+        merged[v] = m
+        cancelled = cancelled or not m
+    if cancelled:
+        return _key_pow(merged)
+    return tuple(sorted(merged.items()))
+
+
 def _term_mul(k1: TermKey, c1: Fraction, k2: TermKey, c2: Fraction) -> tuple[TermKey, Fraction]:
     p1, e1, q1 = k1
     p2, e2, q2 = k2
-    powers = dict(p1)
-    for v, n in p2:
-        powers[v] = powers.get(v, 0) + n
-    exps = dict(e1)
-    for v, n in e2:
-        exps[v] = exps.get(v, 0) + n
-    return (_key_pow(powers), _key_pow(exps), q1 + q2), c1 * c2
+    return (_merge_pow(p1, p2), _merge_pow(e1, e2), _key_const(q1 + q2)), c1 * c2
+
+
+def _is_guard(s: SymbolicSum) -> bool:
+    """Whether s is a single guard chain (possibly empty) times 1."""
+    if len(s.regions) != 1:
+        return False
+    (terms,) = s.regions.values()
+    return len(terms) == 1 and terms.get(_UNIT_KEY) == 1
 
 
 def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> SymbolicSum:
     """Product of two sums; overlapping guard chains split into all linear
-    extensions of their union."""
+    extensions of their union.
+
+    When one factor is a guard chain times 1, the other factor's terms are
+    the products; they are reused instead of multiplied out, with the same
+    work charged."""
     out: dict[Chain, dict[TermKey, Fraction]] = {}
+    unit_a = _is_guard(a)
+    unit_b = not unit_a and _is_guard(b)
     pending_terms = 0
     for ch1, terms1 in a.regions.items():
         for ch2, terms2 in b.regions.items():
             if budget is not None:
                 budget.charge_work(len(terms1) * len(terms2))
-            prods: list[tuple[TermKey, Fraction]] = []
-            for k1, c1 in terms1.items():
-                for k2, c2 in terms2.items():
-                    prods.append(_term_mul(k1, c1, k2, c2))
+            if unit_a or unit_b:
+                prods = terms2 if unit_a else terms1
+            else:
+                prods = {}
+                for k1, c1 in terms1.items():
+                    for k2, c2 in terms2.items():
+                        key, coeff = _term_mul(k1, c1, k2, c2)
+                        old = prods.get(key)
+                        prods[key] = coeff if old is None else old + coeff
             for chain in _interleavings(ch1, ch2):
-                bucket = out.setdefault(chain, {})
-                for key, coeff in prods:
-                    bucket[key] = bucket.get(key, Fraction(0)) + coeff
-                pending_terms += len(prods)
+                bucket = out.get(chain)
+                if bucket is None:
+                    out[chain] = dict(prods)
+                else:
+                    _accumulate(bucket, prods.items())
+                pending_terms += len(terms1) * len(terms2)
             if budget is not None:
                 budget.note_regions(len(out))
                 if pending_terms > 3 * budget.max_terms:
                     # bound transient memory before canonicalization prunes
                     budget.note_terms(pending_terms)
-    return SymbolicSum(out, budget=budget)
+    return SymbolicSum._own(out, budget=budget)
 
 
 def differentiate(s: SymbolicSum, v: int) -> SymbolicSum:
@@ -266,27 +345,41 @@ def differentiate(s: SymbolicSum, v: int) -> SymbolicSum:
                 p2 = dict(pd)
                 p2[v] = alpha - 1
                 key = (_key_pow(p2), exps, e_const)
-                bucket[key] = bucket.get(key, Fraction(0)) + coeff * alpha
+                old = bucket.get(key)
+                bucket[key] = coeff * alpha if old is None else old + coeff * alpha
             if beta:
                 key = (powers, exps, e_const)
-                bucket[key] = bucket.get(key, Fraction(0)) + coeff * beta
-    return SymbolicSum(out)
+                old = bucket.get(key)
+                bucket[key] = coeff * beta if old is None else old + coeff * beta
+    return SymbolicSum._own(out)
 
 
-def _at_atom(powers: dict[int, int], exps: dict[int, int], e_const: Fraction, coeff: Fraction,
-             alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Fraction]:
+def _split(p: tuple[tuple[int, int], ...], v: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A key's powers (or exps) without variable v, and v's degree there."""
+    for i, (w, n) in enumerate(p):
+        if w == v:
+            return p[:i] + p[i + 1:], n
+    return p, 0
+
+
+def _at_atom(powers: tuple[tuple[int, int], ...], exps: tuple[tuple[int, int], ...], e_const,
+             coeff: Fraction, alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Fraction]:
     """Key and coefficient of the term coeff * e^e_const * powers * exps
     times z^alpha * e^(beta*z), with z put at ``atom``.  ``powers`` and
-    ``exps`` map the other variables to their degrees and are not modified."""
+    ``exps`` are key tuples over the other variables."""
     if atom[0] == "c":
-        value = Fraction(atom[1])
-        return (_key_pow(powers), _key_pow(exps), e_const + beta * value), coeff * value**alpha
+        value = atom[1]
+        if beta:
+            e_const = _key_const(e_const + beta * value)
+        if alpha:
+            coeff = coeff * value**alpha
+        return (powers, exps, e_const), coeff
     w = atom[1]
     if alpha:
-        powers = {**powers, w: powers.get(w, 0) + alpha}
+        powers = _merge_pow(powers, ((w, alpha),))
     if beta:
-        exps = {**exps, w: exps.get(w, 0) + beta}
-    return (_key_pow(powers), _key_pow(exps), e_const), coeff
+        exps = _merge_pow(exps, ((w, beta),))
+    return (powers, exps, e_const), coeff
 
 
 def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
@@ -317,13 +410,12 @@ def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
                 continue
         bucket = out.setdefault(new_chain, {})
         for (powers, exps, e_const), coeff in terms.items():
-            pd = dict(powers)
-            ed = dict(exps)
-            alpha = pd.pop(v, 0)
-            beta = ed.pop(v, 0)
-            key, c = _at_atom(pd, ed, e_const, coeff, alpha, beta, target)
-            bucket[key] = bucket.get(key, Fraction(0)) + c
-    return SymbolicSum(out, budget=budget)
+            powers, alpha = _split(powers, v)
+            exps, beta = _split(exps, v)
+            key, c = _at_atom(powers, exps, e_const, coeff, alpha, beta, target)
+            old = bucket.get(key)
+            bucket[key] = c if old is None else old + c
+    return SymbolicSum._own(out, budget=budget)
 
 
 def _antiderivative(alpha: int, beta: int) -> list[tuple[Fraction, int, int]]:
@@ -361,10 +453,8 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
         rest = chain[:idx] + chain[idx + 1:]
         bucket = out.setdefault(rest, {})
         for (powers, exps, e_const), coeff in terms.items():
-            pd = dict(powers)
-            ed = dict(exps)
-            alpha = pd.pop(v, 0)
-            beta = ed.pop(v, 0)
+            powers, alpha = _split(powers, v)
+            exps, beta = _split(exps, v)
             anti = _antiderivative(alpha, beta)
             for bound, sign in ((hi, 1), (lo, -1)):
                 if bound is None:
@@ -375,9 +465,12 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                         )
                     continue  # vanishing exponential tail contributes 0
                 for c_a, a_pow, b_exp in anti:
-                    key, c = _at_atom(pd, ed, e_const, coeff * c_a * sign, a_pow, b_exp, bound)
-                    bucket[key] = bucket.get(key, Fraction(0)) + c
-    return SymbolicSum(out, budget=budget)
+                    c = coeff * c_a
+                    key, c = _at_atom(powers, exps, e_const, c if sign > 0 else -c,
+                                      a_pow, b_exp, bound)
+                    old = bucket.get(key)
+                    bucket[key] = c if old is None else old + c
+    return SymbolicSum._own(out, budget=budget)
 
 
 def cumulate(s: SymbolicSum, v: int, fresh: int, lower: Atom | None = None,
@@ -408,7 +501,7 @@ def truncate_total_degree(s: SymbolicSum, tau: int) -> SymbolicSum:
             if sum(n for _, n in powers) <= tau:
                 bucket[key] = coeff
         out[chain] = bucket
-    return SymbolicSum(out)
+    return SymbolicSum._own(out)
 
 
 def evaluate(s: SymbolicSum, assignment: Mapping[int, Fraction] | None = None
@@ -437,7 +530,8 @@ def evaluate(s: SymbolicSum, assignment: Mapping[int, Fraction] | None = None
             for v, n in exps:
                 q += n * assignment[v]
             if c:
-                groups[q] = groups.get(q, Fraction(0)) + c
+                old = groups.get(q)
+                groups[q] = c if old is None else old + c
 
     with mpmath.workdps(_EVAL_DPS):
         total = mpmath.mpf(0)

@@ -117,6 +117,24 @@ class TestExactExp:
         exact_exp(inst.dag, inst.td, 2, budget=b)
         assert (b.terms_peak, b.regions_peak, b.work_used) == (1800, 80, 2020)
 
+    @pytest.mark.parametrize("x", [4, 10])
+    def test_budget_counters_four_diamonds(self, x):
+        # recorded before the symbolic engine reordered its exact arithmetic
+        # (int e_const keys, guard products reusing their terms): the rewrite
+        # does no more and no less work
+        inst = gen_diamond_ladder(4, dist="exp")
+        b = Budget()
+        exact_exp(inst.dag, inst.td, x, budget=b)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (8400, 80, 9416)
+
+    def test_symbolic_text_mixed_e_const(self):
+        # integral and fractional constant exponents in one sum; its terms
+        # keep the order recorded when every e_const was a Fraction
+        inst = gen_diamond_ladder(3, dist="exp")
+        _, rep = exact_exp(inst.dag, inst.td, F(7, 16), emit_symbolic=True)
+        assert rep.symbolic == ("[0 < 7/16] 9242619913/15728640*e^(-7/16) + "
+                                "-141095542514485/154618822656*e^(-7/8) + 1")
+
     @pytest.mark.parametrize("limit", [{"max_terms": 100}, {"max_work": 100}])
     def test_budget_abort(self, limit):
         inst = gen_diamond_ladder(2, dist="exp")

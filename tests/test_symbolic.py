@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochlp.errors import DivergentIntegral, InputError
+from stochlp.errors import Budget, DivergentIntegral, InputError
 from stochlp import symbolic as sy
 
 
@@ -64,6 +64,25 @@ class TestConstructor:
         assert sy.SymbolicSum.term(1, chain=(v(1), v(1))).is_zero()
         kept = sy.SymbolicSum.term(1, chain=(sy.const_atom(1), v(1), sy.const_atom(2)))
         assert list(kept.regions) == [(sy.const_atom(1), v(1), sy.const_atom(2))]
+
+    def test_copies_input_mapping(self):
+        key = (((1, 1),), (), 0)
+        bucket = {key: F(2)}
+        regions = {(ZERO, v(1)): bucket}
+        s = sy.SymbolicSum(regions)
+        bucket[key] = F(5)
+        bucket[((), (), 0)] = F(1)
+        regions[()] = {((), (), 0): F(7)}
+        assert s.regions == {(ZERO, v(1)): {key: F(2)}}
+
+    def test_integral_e_const_is_an_int(self):
+        ((key,),) = [list(t) for t in sy.SymbolicSum.term(1, e_const=F(4, 2)).regions.values()]
+        assert key == ((), (), 2) and type(key[2]) is int
+        ((key,),) = [list(t) for t in sy.SymbolicSum.term(1, e_const=F(3, 2)).regions.values()]
+        assert type(key[2]) is F
+        half = sy.SymbolicSum.term(1, e_const=F(1, 2))
+        ((key,),) = [list(t) for t in sy.multiply(half, half).regions.values()]
+        assert key == ((), (), 1) and type(key[2]) is int
 
 
 class TestDifferentiate:
@@ -224,6 +243,17 @@ def symbolic_sums(draw):
     return random_sum(random.Random(seed))
 
 
+GUARD_ATOMS = (ZERO, sy.const_atom(1), v(1), v(2), v(3))
+
+
+@st.composite
+def guards(draw):
+    """A single guard chain low < high; low == high gives the unit sum, two
+    constants out of order the zero sum."""
+    return sy.SymbolicSum.guard(draw(st.sampled_from(GUARD_ATOMS)),
+                                draw(st.sampled_from(GUARD_ATOMS)))
+
+
 class TestAlgebraicProperties:
     @settings(max_examples=60, deadline=None)
     @given(symbolic_sums(), symbolic_sums())
@@ -244,6 +274,20 @@ class TestAlgebraicProperties:
         left = sy.multiply(a + b, c)
         right = sy.multiply(a, c) + sy.multiply(b, c)
         assert left.canonical_text() == right.canonical_text()
+
+    @settings(max_examples=80, deadline=None)
+    @given(symbolic_sums(), guards())
+    def test_guard_product_matches_general_product(self, a, g):
+        # a guard times 1 takes the fast path; times 2 it forms every product
+        for fast_args, general_args in (((a, g), (a, g.scale(2))), ((g, a), (g.scale(2), a))):
+            b_fast, b_general = Budget(), Budget()
+            fast = sy.multiply(*fast_args, budget=b_fast)
+            general = sy.multiply(*general_args, budget=b_general).scale(F(1, 2))
+            assert fast.regions == general.regions
+            assert [list(t.items()) for t in fast.regions.values()] == \
+                [list(t.items()) for t in general.regions.values()]
+            assert (b_fast.work_used, b_fast.terms_peak, b_fast.regions_peak) == \
+                (b_general.work_used, b_general.terms_peak, b_general.regions_peak)
 
     def test_fundamental_theorem_roundtrip(self):
         # density-like sums on a bounded region: integrate the derivative
@@ -292,6 +336,14 @@ class TestAlgebraicProperties:
             sy.SymbolicSum.const(1) - sy.SymbolicSum.term(1, exps={1: -1}),
         )
         assert s.canonical_text() == "[0 < z1] -1*e^(-1*z1) + 1"
+
+    def test_canonical_text_mixed_e_const_order(self):
+        # terms sort as the text of their keys with e_const a Fraction, the
+        # order recorded when every e_const was one, integral ones included
+        s = (sy.SymbolicSum.term(1, e_const=F(-1, 2)) + sy.SymbolicSum.term(2)
+             + sy.SymbolicSum.term(3, e_const=10)
+             + sy.SymbolicSum.term(5, e_const=F(3, 2), powers={1: 1}))
+        assert s.canonical_text() == "[true] 5*e^(3/2)*z1^1 + 1*e^(-1/2) + 2 + 3*e^(10)"
 
 
 class TestRegionBudgets:
