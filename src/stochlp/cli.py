@@ -188,8 +188,8 @@ def _run(args) -> dict:
         if args.epsilon is None and args.grid_m is None:
             raise InputError("approx needs --epsilon or --grid-m")
         x = _float_x(args.x)
-        value, rep = approx_dag(g, td, x, epsilon=args.epsilon,
-                                m_override=args.grid_m, max_cells=args.max_cells)
+        value, rep = approx_dag(g, td, x, epsilon=args.epsilon, m_override=args.grid_m,
+                                budget=Budget.default(max_cells=args.max_cells))
         guarantee = ({"kind": "multiplicative", "epsilon": float(args.epsilon)}
                      if args.grid_m is None else {"kind": "staircase-sandwich"})
         return {
@@ -245,7 +245,7 @@ def _run(args) -> dict:
             "guarantee": {"kind": "additive", "bound": rep.theoretical_bound},
             "tau": rep.tau,
             "theoretical_bound": rep.theoretical_bound,
-            "monomials_peak": rep.monomials_peak,
+            "monomials_peak": rep.terms_peak,
             "separated_width": rep.separated_width,
             "bag_count": rep.bag_count,
             "elapsed_ms": rep.elapsed_ms,

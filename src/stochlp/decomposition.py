@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import InputError, InvariantViolation, TdFormatError
+from .errors import Budget, InputError, InvariantViolation, TdFormatError
 from .graph import Dag, DistSpec
 
 
@@ -449,8 +449,10 @@ def sweep(
 class SolveReport:
     """What every solver run reports: its value, the size of the separated
     decomposition it ran on, the ``sweep`` record of each bag (none when the
-    answer needed no sweep) and the wall time of the whole run.  Solvers add
-    their own fields in subclasses; a report holds no context or table."""
+    answer needed no sweep), the wall time of the whole run and the run's
+    ``Budget`` counters (grid cells, peak guard regions, peak symbolic terms,
+    term combinations).  Solvers add their own fields in subclasses; a
+    report holds no context, table or budget."""
 
     value: float
     separated_width: int
@@ -458,13 +460,20 @@ class SolveReport:
     bag_count: int
     per_bag: list[dict] = field(default_factory=list)
     elapsed_ms: float
+    cells_used: int
+    regions_peak: int
+    terms_peak: int
+    work_used: int
 
     @classmethod
-    def of(cls, ctx: DecompositionContext, t0: float, **fields) -> "SolveReport":
+    def of(cls, ctx: DecompositionContext, t0: float, budget: Budget, **fields) -> "SolveReport":
         """Report of a run on ``ctx`` that started at ``time.perf_counter()``
-        reading ``t0``; ``fields`` are the value and the subclass fields."""
+        reading ``t0`` and charged ``budget``; ``fields`` are the value and
+        the subclass fields."""
         return cls(separated_width=ctx.td.width, separated_n=ctx.dag.n, bag_count=ctx.b,
-                   elapsed_ms=(time.perf_counter() - t0) * 1000.0, **fields)
+                   elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+                   cells_used=budget.cells_used, regions_peak=budget.regions_peak,
+                   terms_peak=budget.terms_peak, work_used=budget.work_used, **fields)
 
 
 def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionContext:
@@ -684,16 +693,18 @@ def _verify_context(
 
 
 def prepare_context(g: Dag, td: TreeDecomposition | None) -> tuple[DecompositionContext, dict[int, VertexTriple], TreeDecomposition]:
-    """Shared solver front end: validate (or synthesize) a decomposition,
-    binarize, separate, and build the merge context.
+    """Shared solver front end: validate a given decomposition (or
+    synthesize one, which ``heuristic_td`` validates itself), binarize,
+    separate, and build the merge context.
 
     Returns (context, vertex triple map, binarized pre-separation td).
     """
     if td is None:
         td = heuristic_td(g)
-    report = validate_td(g, td)
-    if not report.valid:
-        raise InputError(f"invalid tree decomposition: {report.message} (condition={report.condition})")
+    else:
+        report = validate_td(g, td)
+        if not report.valid:
+            raise InputError(f"invalid tree decomposition: {report.message} (condition={report.condition})")
     td_bin = binarize_td(td)
     g_star, td_star, vmap = separate(g, td_bin)
     ctx = build_context(g_star, td_star)

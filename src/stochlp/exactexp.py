@@ -49,8 +49,6 @@ def _check_exponent_bounds(ctx: DecompositionContext, i: int, s: SymbolicSum) ->
 class ExactExpReport(SolveReport):
     error_radius: float
     symbolic: str
-    regions_peak: int
-    terms_peak: int
 
 
 def exact_exp(
@@ -72,9 +70,8 @@ def exact_exp(
     budget = budget or Budget.default()
     ctx, _, _ = prepare_context(g, td)
     if xq < 0:
-        return 0.0, ExactExpReport.of(ctx, t0, value=0.0, error_radius=0.0, symbolic="0",
-                                      regions_peak=budget.regions_peak,
-                                      terms_peak=budget.terms_peak)
+        return 0.0, ExactExpReport.of(ctx, t0, budget, value=0.0, error_radius=0.0,
+                                      symbolic="0" if emit_symbolic else "")
     fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
 
@@ -90,6 +87,5 @@ def exact_exp(
     value, radius = evaluate(final)
     value = min(max(value, 0.0), 1.0)
     symbolic = final.canonical_text() if emit_symbolic else ""
-    return value, ExactExpReport.of(ctx, t0, value=value, error_radius=radius, symbolic=symbolic,
-                                    regions_peak=budget.regions_peak,
-                                    terms_peak=budget.terms_peak, per_bag=per_bag)
+    return value, ExactExpReport.of(ctx, t0, budget, value=value, error_radius=radius,
+                                    symbolic=symbolic, per_bag=per_bag)

@@ -140,23 +140,12 @@ def _difference_in_place(vals: np.ndarray, ax: int) -> None:
                 v[p:p + rows, lo + 1:hi + 1, w:w + width] -= v[p:p + rows, lo:hi, w:w + width].copy()
 
 
-def finite_difference(table: StaircaseTable, roles: Sequence[int] | None = None) -> StaircaseTable:
-    """Iterated backward differences along the given source vertices
-    (default: all of them); inverse of cumulative summation.  Converts one
-    float64 copy in place and leaves ``table`` unchanged."""
+def finite_difference(table: StaircaseTable) -> StaircaseTable:
+    """Iterated backward differences along every source axis of a cumulative
+    table; inverse of cumulative summation (``to_difference``)."""
     if table.kind != CUMULATIVE:
         raise InputError("finite_difference expects a cumulative table")
-    targets = set(roles) if roles is not None else {v for v, r in table.axes if r == SRC}
-    axes = []
-    for i, (v, role) in enumerate(table.axes):
-        if v in targets:
-            if role != SRC:
-                raise InputError(f"vertex {v} is not a source axis")
-            axes.append(i)
-    vals = np.array(table.values, dtype=np.float64, order="C")
-    for ax in axes:
-        _difference_in_place(vals, ax)
-    return StaircaseTable(table.grid, table.axes, DIFFERENCE, vals)
+    return table.to_difference()
 
 
 def choose_M(k: int, n: int, m: int, epsilon: float) -> int:
@@ -328,10 +317,6 @@ def bag_staircase(
 # subtree merging
 
 
-def _axis_take(values: np.ndarray, axis: int, index: int) -> np.ndarray:
-    return np.take(values, index, axis=axis)
-
-
 def _transform_operand(
     table: StaircaseTable,
     density_vars: frozenset[int],
@@ -360,12 +345,12 @@ def _transform_operand(
         if v in frozen_src:
             if roles[v] != SRC:
                 raise InvariantViolation(f"frozen source {v} has terminal role in operand")
-            vals, owned = _axis_take(vals, ax, M), True
+            vals, owned = np.take(vals, M, axis=ax), True
             names.pop(ax)
         elif v in frozen_term:
             if roles[v] != TERM:
                 raise InvariantViolation(f"frozen terminal {v} has source role in operand")
-            vals, owned = _axis_take(vals, ax, 0), True
+            vals, owned = np.take(vals, 0, axis=ax), True
             names.pop(ax)
         else:
             raise InvariantViolation(f"variable {v} has no role at this merge")
@@ -499,7 +484,6 @@ def accumulate(table: StaircaseTable) -> float:
 class ApproxReport(SolveReport):
     m_res: int
     epsilon: float | None
-    cells_used: int
 
 
 def approx_dag(
@@ -508,7 +492,7 @@ def approx_dag(
     x: float,
     epsilon: float | None = None,
     m_override: int | None = None,
-    max_cells: int | None = None,
+    budget: Budget | None = None,
 ) -> tuple[float, ApproxReport]:
     """Full grid-FPTAS pipeline for uniform edge lengths.
 
@@ -525,7 +509,7 @@ def approx_dag(
     ctx, _, td_bin = prepare_context(g, td)
     M = m_override if m_override is not None else choose_M(td_bin.width, g.n, g.m, float(epsilon))
     grid = GridSpec(M, float(x))
-    budget = Budget.default(max_cells=max_cells)
+    budget = budget or Budget.default()
 
     def solve_bag(i: int, kids: list[StaircaseTable]) -> StaircaseTable:
         lam_g = finite_difference(bag_staircase(ctx, i, grid, budget))
@@ -538,5 +522,5 @@ def approx_dag(
     table, per_bag = sweep(ctx, solve_bag, describe)
     value = accumulate(table)
     value = min(max(value, 0.0), 1.0)
-    return value, ApproxReport.of(ctx, t0, value=value, m_res=M, epsilon=epsilon,
-                                  cells_used=budget.cells_used, per_bag=per_bag)
+    return value, ApproxReport.of(ctx, t0, budget, value=value, m_res=M, epsilon=epsilon,
+                                  per_bag=per_bag)

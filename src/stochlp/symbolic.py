@@ -88,8 +88,7 @@ class SymbolicSum:
 
     __slots__ = ("regions",)
 
-    def __init__(self, regions: Mapping[Chain, Mapping[TermKey, Fraction]] | None = None,
-                 budget: Budget | None = None):
+    def __init__(self, regions: Mapping[Chain, Mapping[TermKey, Fraction]] | None = None):
         self.regions: dict[Chain, dict[TermKey, Fraction]] = {}
         for chain, terms in (regions or {}).items():
             if not _chain_consistent(chain):
@@ -97,9 +96,6 @@ class SymbolicSum:
             kept = {key: coeff for key, coeff in terms.items() if coeff}
             if kept:
                 self.regions[chain] = kept
-        if budget is not None:
-            budget.note_regions(len(self.regions))
-            budget.note_terms(self.term_count())
 
     @classmethod
     def _own(cls, regions: dict[Chain, dict[TermKey, Fraction]],

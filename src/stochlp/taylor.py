@@ -165,7 +165,6 @@ class TaylorReport(SolveReport):
     tau: int
     theoretical_bound: float
     eps_additive: float | None
-    monomials_peak: int
 
 
 def approx_taylor(
@@ -195,9 +194,8 @@ def approx_taylor(
     names = sorted({d.name for _, _, d in g.edges if d.kind is DistKind.ORACLE})
     oracles = [oracle_of(name) for name in names]
     if xq < 0:
-        return 0.0, TaylorReport.of(ctx, t0, value=0.0, tau=tau or 0, theoretical_bound=0.0,
-                                    eps_additive=eps_additive,
-                                    monomials_peak=budget.terms_peak)
+        return 0.0, TaylorReport.of(ctx, t0, budget, value=0.0, tau=tau or 0,
+                                    theoretical_bound=0.0, eps_additive=eps_additive)
     try:
         xf = float(xq)
     except OverflowError:
@@ -224,6 +222,5 @@ def approx_taylor(
     final, per_bag = sweep(ctx, solve_bag, describe_sum)
     value, _ = evaluate(final)
     bound = total_error_bound(width, tau, xf, ctx.b)
-    return value, TaylorReport.of(ctx, t0, value=value, tau=tau, theoretical_bound=bound,
-                                  eps_additive=eps_additive, monomials_peak=budget.terms_peak,
-                                  per_bag=per_bag)
+    return value, TaylorReport.of(ctx, t0, budget, value=value, tau=tau, theoretical_bound=bound,
+                                  eps_additive=eps_additive, per_bag=per_bag)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochlp import Dag, DistSpec, SolveReport, TreeDecomposition, build_context, parse_graph
+from stochlp import Budget, Dag, DistSpec, SolveReport, TreeDecomposition, build_context, parse_graph
 from stochlp.decomposition import prepare_context
 
 
@@ -34,13 +34,16 @@ def single_bag_context(g: Dag):
     return build_context(g, td)
 
 
-def assert_shared_report(rep, g: Dag, td) -> None:
+def assert_shared_report(rep, g: Dag, td, budget: Budget) -> None:
     """A solver report is a SolveReport sized like the context that
-    ``prepare_context`` builds for the same input, holding plain values only
-    (no context or table stays alive through it)."""
+    ``prepare_context`` builds for the same input, carrying the counters of
+    the run's ``budget`` and holding plain values only (no context, table or
+    budget stays alive through it)."""
     ctx, _, _ = prepare_context(g, td)
     assert isinstance(rep, SolveReport)
     assert (rep.separated_width, rep.separated_n, rep.bag_count) == (ctx.td.width, ctx.dag.n, ctx.b)
+    assert (rep.cells_used, rep.regions_peak, rep.terms_peak, rep.work_used) == \
+        (budget.cells_used, budget.regions_peak, budget.terms_peak, budget.work_used)
     for f in dataclasses.fields(rep):
         assert isinstance(getattr(rep, f.name), (int, float, str, list, type(None))), f.name
 

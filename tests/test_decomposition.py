@@ -351,6 +351,21 @@ class TestContext:
             for i in range(ctx.b):
                 assert ctx.J[i] == ctx.S_prime[i] | ctx.T_prime[i]
 
+    def test_validates_each_decomposition_once(self, monkeypatch):
+        # a given td is checked before binarizing, the separated one in
+        # build_context; a synthesized td is checked by heuristic_td itself
+        from stochlp import decomposition
+
+        calls = []
+        original = decomposition.validate_td
+        monkeypatch.setattr(decomposition, "validate_td",
+                            lambda g, td: calls.append(td) or original(g, td))
+        inst = gen_diamond_ladder(2, dist="uniform")
+        prepare_context(inst.dag, None)
+        heuristic_calls = len(calls)
+        prepare_context(inst.dag, inst.td)
+        assert (heuristic_calls, len(calls) - heuristic_calls) == (2, 2)
+
 
 class TestSweep:
     def test_leaves_to_root(self):

@@ -65,8 +65,9 @@ class TestBagDensity:
 class TestExactExp:
     def test_per_bag_records(self):
         inst = gen_diamond_ladder(2, dist="exp")
-        _, rep = exact_exp(inst.dag, inst.td, 2)
-        assert_shared_report(rep, inst.dag, inst.td)
+        b = Budget()
+        _, rep = exact_exp(inst.dag, inst.td, 2, budget=b)
+        assert_shared_report(rep, inst.dag, inst.td, b)
         assert sorted(r["bag"] for r in rep.per_bag) == list(range(rep.bag_count))
         for r in rep.per_bag:
             assert list(r) == ["bag", "regions", "terms", "elapsed_ms"]
@@ -104,10 +105,16 @@ class TestExactExp:
         td = TreeDecomposition((frozenset({0, 1}),), ())  # vertex 2 in no bag
         with pytest.raises(InputError, match="condition1"):
             exact_exp(g, td, -1)
-        v, rep = exact_exp(g, None, -1)
+        b = Budget()
+        v, rep = exact_exp(g, None, -1, budget=b)
         assert v == 0.0 and rep.separated_n >= g.n and rep.bag_count >= 1
-        assert_shared_report(rep, g, None)
+        assert_shared_report(rep, g, None, b)
         assert rep.per_bag == []
+
+    def test_negative_x_symbolic_only_when_requested(self, diamond_exp):
+        assert exact_exp(diamond_exp, None, -1)[1].symbolic == ""
+        assert exact_exp(diamond_exp, None, 1)[1].symbolic == ""
+        assert exact_exp(diamond_exp, None, -1, emit_symbolic=True)[1].symbolic == "0"
 
     def test_budget_counters(self):
         # terms_peak, regions_peak and work_used as recorded before the

@@ -238,8 +238,9 @@ def parse_td_chain():
 class TestApproxDag:
     def test_per_bag_records(self):
         inst = gen_diamond_ladder(2, dist="uniform")
-        _, rep = approx_dag(inst.dag, inst.td, 2.0, m_override=4)
-        assert_shared_report(rep, inst.dag, inst.td)
+        b = Budget()
+        _, rep = approx_dag(inst.dag, inst.td, 2.0, m_override=4, budget=b)
+        assert_shared_report(rep, inst.dag, inst.td, b)
         assert sorted(r["bag"] for r in rep.per_bag) == list(range(rep.bag_count))
         for r in rep.per_bag:
             assert list(r) == ["bag", "bag_size", "edges", "active_vars", "elapsed_ms"]
@@ -309,31 +310,19 @@ class TestApproxDag:
     def test_budget_abort(self):
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         with pytest.raises(BudgetExceeded):
-            approx_dag(g, None, 1.0, m_override=64, max_cells=10)
+            approx_dag(g, None, 1.0, m_override=64, budget=Budget.default(max_cells=10))
+
+    def test_charges_given_budget(self):
+        inst = gen_diamond_ladder(2, dist="uniform")
+        b = Budget()
+        _, rep = approx_dag(inst.dag, inst.td, 2.0, m_override=4, budget=b)
+        assert rep.cells_used == b.cells_used > 0
 
     def test_deterministic_bits(self):
         inst = gen_random_tw(2, 4, seed=8, dist="uniform-mixed", max_edges=5)
         v1, _ = approx_dag(inst.dag, inst.td, 1.23, m_override=8)
         v2, _ = approx_dag(inst.dag, inst.td, 1.23, m_override=8)
         assert v1 == v2
-
-
-class TestFiniteDifferenceRoles:
-    def test_partial_roles_subset(self):
-        from stochlp.staircase import CUMULATIVE, StaircaseTable
-
-        grid = GridSpec(3, 1.0)
-        vals = np.arange(16.0).reshape(4, 4) / 16.0
-        table = StaircaseTable(grid, ((0, "s"), (1, "s")), CUMULATIVE, np.minimum(vals, 1.0))
-        lam = finite_difference(table, roles=[0])
-        expect = np.diff(table.values, axis=0, prepend=0.0)
-        assert np.allclose(lam.values, expect)
-
-    def test_wrong_role_rejected(self):
-        ctx = one_edge_ctx()
-        table = bag_staircase(ctx, 0, GridSpec(4, 1.0))
-        with pytest.raises(InputError):
-            finite_difference(table, roles=[1])  # vertex 1 is a terminal
 
 
 class TestDegenerateShapes:
@@ -447,14 +436,6 @@ class TestInPlaceConversions:
         assert np.array_equal(_bits(diff.to_cumulative().values),
                               _bits(self._np_cumulative(diff.values, src)))
 
-    def test_roles_subset(self):
-        from stochlp.staircase import CUMULATIVE
-
-        cum = self._table(6, self.ROLES, CUMULATIVE)
-        for roles in ([0], [3], [2, 0], [0, 2, 3]):
-            got = finite_difference(cum, roles=roles).values
-            assert np.array_equal(_bits(got), _bits(self._np_difference(cum.values, sorted(roles))))
-
     def test_non_contiguous_input(self):
         from stochlp.staircase import CUMULATIVE
 
@@ -470,7 +451,6 @@ class TestInPlaceConversions:
         diff = self._table(6, self.ROLES, DIFFERENCE, seed=1)
         before_cum, before_diff = cum.values.copy(), diff.values.copy()
         finite_difference(cum)
-        finite_difference(cum, roles=[2])
         cum.to_difference()
         diff.to_cumulative()
         assert np.array_equal(_bits(cum.values), _bits(before_cum))

@@ -104,8 +104,9 @@ class TestApproxTaylor:
     def test_per_bag_records(self):
         g = parse_graph("4 4\n1 2 oracle expcdf\n1 3 oracle expcdf\n"
                         "2 4 oracle expcdf\n3 4 oracle expcdf\n")
-        _, rep = approx_taylor(g, None, 1, tau=4)
-        assert_shared_report(rep, g, None)
+        b = Budget()
+        _, rep = approx_taylor(g, None, 1, tau=4, budget=b)
+        assert_shared_report(rep, g, None, b)
         assert sorted(r["bag"] for r in rep.per_bag) == list(range(rep.bag_count))
         for r in rep.per_bag:
             assert list(r) == ["bag", "regions", "terms", "elapsed_ms"]
@@ -171,9 +172,10 @@ class TestApproxTaylor:
             approx_taylor(g, td, -1, tau=4)
         with pytest.raises(InputError, match="unknown oracle"):
             approx_taylor(g, None, -1, tau=4, oracle="bogus")
-        v, rep = approx_taylor(g, None, -1, eps_additive=0.1)
+        b = Budget()
+        v, rep = approx_taylor(g, None, -1, eps_additive=0.1, budget=b)
         assert v == 0.0 and rep.separated_n >= g.n and rep.bag_count >= 1
-        assert_shared_report(rep, g, None)
+        assert_shared_report(rep, g, None, b)
         assert rep.per_bag == []
 
     def test_budget_counters(self):
@@ -184,7 +186,7 @@ class TestApproxTaylor:
         b = Budget()
         _, rep = approx_taylor(g, None, 1, tau=4, budget=b)
         assert (b.terms_peak, b.regions_peak, b.work_used) == (3600, 40, 10688)
-        assert rep.monomials_peak == b.terms_peak
+        assert rep.terms_peak == b.terms_peak
 
     def test_rejects_exp_edges(self):
         g = parse_graph("2 1\n1 2 exp\n")
