@@ -1,6 +1,6 @@
 """Unified command-line front end.
 
-JSON goes to stdout, human-readable logging to stderr.  Exit codes: 0 on
+JSON goes to stdout, a one-line failure message to stderr.  Exit codes: 0 on
 success, 1 on input errors, 2 on budget aborts, 3 on internal errors (a
 failed invariant check or a divergent integral, i.e. a bug).  Output is
 byte-identical across runs for fixed inputs; wall-clock timings only appear
@@ -10,6 +10,7 @@ under ``--timings``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +40,8 @@ def _render(obj, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, float):
-        out.append(format(obj, ".17g"))
+        # JSON has no inf or nan
+        out.append(format(obj, ".17g") if math.isfinite(obj) else "null")
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, str):

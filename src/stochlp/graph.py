@@ -14,6 +14,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     CycleError,
     DistributionMismatchError,
@@ -82,7 +84,8 @@ class Dag:
     """Directed acyclic graph with per-edge distribution tags.
 
     Invariants: edges carry distinct (u, v) pairs with u != v, and vertex ids
-    are a topological order (u < v for every edge).
+    are a topological order (u < v for every edge).  The edges themselves need
+    not come in tail order.
     """
 
     n: int
@@ -262,57 +265,57 @@ def _topological_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return order
 
 
-def longest_path_dp(
-    n: int,
-    edges: Sequence[tuple[int, int, float]],
-    src_offset: Mapping[int, float],
-    term_offset: Mapping[int, float],
-) -> float:
-    """Core DP: max over paths from a source key to a terminal key of
-    (sum of edge lengths) - src_offset[s] + term_offset[t].
-
-    Edges must be topologically sorted pairs (u < v).  Returns -inf when no
-    source reaches a terminal.
-    """
-    dist = [NEG_INF] * n
-    for s, off in src_offset.items():
-        dist[s] = max(dist[s], -off)
-    for u, v, w in sorted(edges, key=lambda e: (e[0], e[1])):
-        if dist[u] != NEG_INF and dist[u] + w > dist[v]:
-            dist[v] = dist[u] + w
-    best = NEG_INF
-    for t, off in term_offset.items():
-        if dist[t] != NEG_INF:
-            best = max(best, dist[t] + off)
-    return best
-
-
 def static_longest_path(
     g: Dag,
     lengths: Mapping[tuple[int, int], float] | Sequence[float],
     src_offset: Mapping[int, float] | None = None,
     term_offset: Mapping[int, float] | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Static longest source-terminal path with per-source and per-terminal
-    shifts, linear time in the graph size.
+    shifts: the max over paths from a source key to a terminal key of
+    (sum of edge lengths) - src_offset[s] + term_offset[t], linear time in the
+    graph size.
 
     ``lengths`` is either a sequence aligned with ``g.edges`` or a mapping
-    keyed by (u, v).  Offsets default to 0 on every whole-graph
+    keyed by (u, v).  Each length is a float, or each is a 1-D array of
+    samples of one common size; then the result is an array with one longest
+    length per sample.  Edges are relaxed in (tail, head) order, whatever the
+    order of ``g.edges``.  Offsets default to 0 on every whole-graph
     source/terminal.  Returns the -inf sentinel when no source-terminal path
     exists.
     """
     if isinstance(lengths, Mapping):
-        wl = [(u, v, float(lengths[(u, v)])) for u, v, _ in g.edges]
+        raw = [lengths[(u, v)] for u, v, _ in g.edges]
     else:
         if len(lengths) != g.m:
             raise InputError(f"expected {g.m} edge lengths, got {len(lengths)}")
-        wl = [(u, v, float(w)) for (u, v, _), w in zip(g.edges, lengths)]
-    for _, _, w in wl:
-        if not math.isfinite(w):
-            raise InputError("edge lengths must be finite")
-    src = dict(src_offset) if src_offset is not None else {s: 0.0 for s in g.sources}
-    term = dict(term_offset) if term_offset is not None else {t: 0.0 for t in g.terminals}
-    return longest_path_dp(g.n, wl, src, term)
+        raw = list(lengths)
+    if not any(getattr(w, "ndim", 0) for w in raw):
+        wl = [float(w) for w in raw]
+        finite = all(map(math.isfinite, wl))
+        # builtin max keeps its first argument on ties, as a strict > relaxation does
+        dist, best, join = [NEG_INF] * g.n, NEG_INF, max
+    else:
+        wl = [np.asarray(w, dtype=float) for w in raw]
+        shape = wl[0].shape
+        if len(shape) != 1 or any(w.shape != shape for w in wl):
+            raise InputError("edge lengths must be all floats or all 1-D arrays of one size")
+        finite = all(np.isfinite(w).all() for w in wl)
+        # rows of one block, maximised in place: no allocation per relaxation
+        dist, best = list(np.full((g.n, *shape), NEG_INF)), np.full(shape, NEG_INF)
+        join = lambda row, w: np.maximum(row, w, out=row)
+    if not finite:
+        raise InputError("edge lengths must be finite")
+    src = src_offset if src_offset is not None else dict.fromkeys(g.sources, 0.0)
+    term = term_offset if term_offset is not None else dict.fromkeys(g.terminals, 0.0)
+    for s, off in src.items():
+        dist[s] = join(dist[s], -off)
+    for i in sorted(range(g.m), key=lambda i: g.edges[i][:2]):
+        u, v, _ = g.edges[i]
+        dist[v] = join(dist[v], dist[u] + wl[i])
+    for t, off in term.items():
+        best = join(best, dist[t] + off)
+    return best
 
 
 def classify_subgraph_vertices(

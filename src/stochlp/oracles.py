@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import Budget, InputError, NotSeriesParallelError
-from .graph import Dag, DistKind
+from .graph import Dag, DistKind, static_longest_path
 from . import symbolic as sy
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,9 @@ from . import symbolic as sy
 _MC_CHUNK = 1 << 16
 
 
-def _sampler_for(dist, oracle_registry) -> Callable[[np.random.Generator, int], np.ndarray]:
+def _sampler_for(dist) -> Callable[[np.random.Generator, int], np.ndarray]:
+    from .taylor import resolve_oracle
+
     if dist.kind is DistKind.UNIFORM:
         a = dist.scale
         return lambda gen, size: a * gen.random(size)
@@ -39,9 +41,14 @@ def _sampler_for(dist, oracle_registry) -> Callable[[np.random.Generator, int], 
     if dist.kind is DistKind.ZERO:
         return lambda gen, size: np.zeros(size)
     if dist.kind is DistKind.ORACLE:
-        orc = oracle_registry(dist.name)
-        return orc.sample
+        return resolve_oracle(dist.name).sample
     raise InputError(f"cannot sample distribution {dist}")
+
+
+def _count_at_most(best, x: float, size: int) -> int:
+    """Samples of ``best`` at most ``x``; an edgeless graph gives one float
+    for all ``size`` samples."""
+    return int(np.count_nonzero(np.broadcast_to(best <= x, size)))
 
 
 def monte_carlo(g: Dag, x: float, samples: int, seed: int = 0) -> tuple[float, float]:
@@ -51,15 +58,9 @@ def monte_carlo(g: Dag, x: float, samples: int, seed: int = 0) -> tuple[float, f
     (seed, chunk index) over fixed-size chunks, so the result is independent
     of any surrounding parallelism.
     """
-    from .taylor import resolve_oracle
-
     if samples < 1:
         raise InputError("need at least one sample")
-    samplers = [_sampler_for(d, resolve_oracle) for _, _, d in g.edges]
-    heads = [v for _, v, _ in g.edges]
-    tails = [u for u, _, _ in g.edges]
-    sources = sorted(g.sources)
-    terminals = sorted(g.terminals)
+    samplers = [_sampler_for(d) for _, _, d in g.edges]
     hits = 0
     done = 0
     chunk_idx = 0
@@ -67,14 +68,10 @@ def monte_carlo(g: Dag, x: float, samples: int, seed: int = 0) -> tuple[float, f
     while done < samples:
         size = min(_MC_CHUNK, samples - done)
         gen = np.random.Generator(np.random.Philox(key=(seed_word << 64) + chunk_idx))
+        # held until the next chunk's are drawn, so the allocator reuses these
+        # pages; freed at once, they were returned and faulted in again
         lengths = [sampler(gen, size) for sampler in samplers]
-        dist = np.full((g.n, size), -np.inf)
-        for s in sources:
-            dist[s] = 0.0
-        for (u, v, w) in zip(tails, heads, lengths):
-            np.maximum(dist[v], dist[u] + w, out=dist[v])
-        best = dist[terminals].max(axis=0)
-        hits += int(np.count_nonzero(best <= x))
+        hits += _count_at_most(static_longest_path(g, lengths), x, size)
         done += size
         chunk_idx += 1
     p = hits / samples
@@ -119,35 +116,24 @@ def riemann_bracket(g: Dag, x: float, resolution: int, budget: Budget | None = N
     m = g.m
     total = resolution**m
     budget.charge_cells(total)
-    scales = np.array([d.scale for _, _, d in g.edges], dtype=np.int64)
-    sources = sorted(g.sources)
-    terminals = sorted(g.terminals)
+    scales = [d.scale for _, _, d in g.edges]
 
-    lo_count = 0
-    hi_count = 0
+    # counts[offs]: cells whose corner at offset offs is feasible; the
+    # minimal corner (0) gives the upper count, the maximal (1) the lower
+    counts = [0, 0]
     chunk = 1 << 16
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         size = idx.shape[0]
-        corners = np.empty((m, size), dtype=np.int64)
+        corners = np.empty((m, size))
         rem = idx
         for e in range(m - 1, -1, -1):
             corners[e] = rem % resolution
             rem = rem // resolution
-        for corner_kind, counter in (("min", "hi"), ("max", "lo")):
-            offs = 0 if corner_kind == "min" else 1
-            dist = np.full((g.n, size), -np.inf)
-            for s in sources:
-                dist[s] = 0.0
-            for e, (u, v, _) in enumerate(g.edges):
-                w = scales[e] * (corners[e] + offs)
-                np.maximum(dist[v], dist[u] + w, out=dist[v])
-            best = dist[terminals].max(axis=0)
-            feasible = int(np.count_nonzero(best <= x * resolution))
-            if counter == "hi":
-                hi_count += feasible
-            else:
-                lo_count += feasible
+        for offs in (0, 1):
+            best = static_longest_path(g, [a * (c + offs) for a, c in zip(scales, corners)])
+            counts[offs] += _count_at_most(best, x * resolution, size)
+    hi_count, lo_count = counts
     return VolumeBracket(Fraction(lo_count, total), Fraction(hi_count, total))
 
 

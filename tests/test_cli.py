@@ -134,6 +134,16 @@ class TestDispatch:
         else:
             assert rc == 0 and doc["value"] == want
 
+    @pytest.mark.parametrize("x, key", [("1e100", "bound"), ("1e200", "value")])
+    def test_non_finite_floats_render_as_null(self, tmp_path, x, key):
+        g = tmp_path / "g.txt"
+        g.write_text("2 1\n1 2 oracle expcdf\n")
+        rc, out, _ = run(["taylor", "--graph", str(g), "--x", x, "--tau", "2"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["guarantee"] if key == "bound" else doc)[key] is None
+        assert render_json([1.5, float("inf"), -float("inf"), float("nan")]) == "[1.5, null, null, null]"
+
     def test_sp_exact_rational_field(self, chain_files):
         g, _ = chain_files
         rc, out, _ = run(["sp-exact", "--graph", g, "--x", "1"])

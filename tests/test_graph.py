@@ -2,6 +2,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from stochlp import (
@@ -10,6 +11,7 @@ from stochlp import (
     DistKind,
     DistSpec,
     GraphFormatError,
+    InputError,
     PathLimitExceeded,
     SubgraphRef,
     classify_subgraph_vertices,
@@ -83,25 +85,57 @@ class TestParse:
         assert ratio < 8, f"parse_graph m=8000 over m=2000 took {ratio:.1f}x"
 
 
+def longest(g, lengths, *offsets):
+    """static_longest_path on float lengths, checked against its array form:
+    each sample of one call on three samples per edge (the lengths scaled by
+    1, 0.5 and 3) equals the float call on that sample."""
+    factors = (1.0, 0.5, 3.0)
+    keys = list(lengths) if isinstance(lengths, dict) else range(len(lengths))
+
+    def scaled(f):
+        out = {k: lengths[k] * f for k in keys}
+        return out if isinstance(lengths, dict) else [out[k] for k in keys]
+
+    each = [static_longest_path(g, scaled(f), *offsets) for f in factors]
+    assert all(type(v) is float for v in each)
+    arrays = {k: np.array([lengths[k] * f for f in factors]) for k in keys}
+    batch = static_longest_path(g, arrays if isinstance(lengths, dict) else list(arrays.values()), *offsets)
+    assert batch.shape == (len(factors),) and batch.tolist() == each
+    return each[0]
+
+
 class TestStaticLongestPath:
     def test_chain_sum(self):
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
-        assert static_longest_path(g, [1.0, 2.0]) == 3.0
+        assert longest(g, [1.0, 2.0]) == 3.0
 
     def test_offsets(self):
         g = parse_graph("2 1\n1 2 uniform 1\n")
-        val = static_longest_path(g, [0.4], {0: 0.5}, {1: 0.0})
+        val = longest(g, [0.4], {0: 0.5}, {1: 0.0})
         assert val == pytest.approx(-0.1)
 
     def test_diamond_max(self):
         g = parse_graph("4 4\n1 2 uniform 1\n1 3 uniform 1\n2 4 uniform 1\n3 4 uniform 1\n")
         lengths = {(0, 1): 1.0, (1, 3): 1.0, (0, 2): 2.0, (2, 3): 2.0}
-        assert static_longest_path(g, lengths) == 4.0
+        assert longest(g, lengths) == 4.0
 
     def test_no_path_sentinel(self):
         g = parse_graph("2 1\n1 2 uniform 1\n")
-        assert static_longest_path(g, [1.0], {0: 0.0}, {0: 0.0}) == 0.0
-        assert static_longest_path(g, [1.0], {1: 0.0}, {0: 0.0}) == -math.inf
+        assert longest(g, [1.0], {0: 0.0}, {0: 0.0}) == 0.0
+        assert longest(g, [1.0], {1: 0.0}, {0: 0.0}) == -math.inf
+
+    @pytest.mark.parametrize("lengths", [
+        [1.0],
+        [1.0, math.inf],
+        [np.ones(3), np.array([1.0, math.nan, 1.0])],
+        [np.ones(3), np.ones(4)],
+        [np.ones(3), 1.0],
+        [np.ones((2, 2)), np.ones((2, 2))],
+    ])
+    def test_rejects_bad_lengths(self, lengths):
+        g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
+        with pytest.raises(InputError):
+            static_longest_path(g, lengths)
 
     def test_matches_path_enumeration(self):
         rng = random.Random(7)
@@ -116,7 +150,10 @@ class TestStaticLongestPath:
             if not paths:
                 continue
             brute = max(sum(by_edge[e] for e in zip(p, p[1:])) for p in paths)
-            assert static_longest_path(g, lengths) == pytest.approx(brute)
+            assert longest(g, lengths) == pytest.approx(brute)
+            # the same graph with its edges listed out of tail order
+            shuffled = Dag(n=g.n, edges=g.edges[::-1])
+            assert longest(shuffled, lengths[::-1]) == longest(g, lengths)
 
 
 class TestClassify:

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from stochlp import (
+    Dag,
+    DistSpec,
     InputError,
     NotSeriesParallelError,
     irwin_hall,
@@ -44,6 +46,21 @@ class TestMonteCarlo:
         est, se = monte_carlo(g, 1.0, 10**5, seed=2)
         assert abs(est - (1 - math.exp(-1))) <= 4 * se
 
+    def test_edges_out_of_tail_order(self):
+        # Dag keeps u < v per edge but not tail order across edges
+        u1 = DistSpec.uniform(1)
+        shuffled = Dag(n=3, edges=((1, 2, u1), (0, 1, u1)))
+        ordered = Dag(n=3, edges=((0, 1, u1), (1, 2, u1)))
+        est, se = monte_carlo(shuffled, 0.5, 10**5, seed=4)
+        assert (est, se) == monte_carlo(ordered, 0.5, 10**5, seed=4)
+        assert abs(est - 1 / 8) <= 4 * se
+
+    def test_edgeless_graph(self):
+        g = parse_graph("2 0\n")
+        assert monte_carlo(g, 0.5, 10**5) == (1.0, 0.0)
+        assert monte_carlo(g, 0.0, 10**5) == (1.0, 0.0)
+        assert monte_carlo(g, -0.5, 10**5) == (0.0, 0.0)
+
 
 class TestRiemannBracket:
     def test_single_edge(self):
@@ -68,6 +85,14 @@ class TestRiemannBracket:
             coarse = riemann_bracket(g, x, 6)
             fine = riemann_bracket(g, x, 12)
             assert coarse.lower <= fine.lower <= fine.upper <= coarse.upper
+
+    def test_edges_out_of_tail_order(self):
+        u1 = DistSpec.uniform(1)
+        shuffled = Dag(n=3, edges=((1, 2, u1), (0, 1, u1)))
+        ordered = Dag(n=3, edges=((0, 1, u1), (1, 2, u1)))
+        br = riemann_bracket(shuffled, 0.5, 12)
+        assert br == riemann_bracket(ordered, 0.5, 12)
+        assert br.lower <= F(1, 8) <= br.upper
 
     def test_budget(self):
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
