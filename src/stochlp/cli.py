@@ -1,6 +1,8 @@
 """Unified command-line front end.
 
-JSON goes to stdout, a one-line failure message to stderr.  Exit codes: 0 on
+JSON goes to stdout, a one-line failure message to stderr, and a one-line
+warning to stderr when a solver's ``value`` is not a probability (non-finite
+or outside [0, 1]; the JSON and exit code stay as they are).  Exit codes: 0 on
 success, 1 on input errors, 2 on budget aborts, 3 on internal errors (a
 failed invariant check or a divergent integral, i.e. a bug).  Output is
 byte-identical across runs for fixed inputs; wall-clock timings only appear
@@ -332,6 +334,9 @@ def dispatch(argv: list[str]) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         report = _run(args)
+        value = report.get("value")
+        if isinstance(value, float) and not 0.0 <= value <= 1.0:
+            sys.stderr.write(f"stochlp: warning: value {value!r} outside [0, 1]\n")
         if not getattr(args, "timings", False):
             report = _strip_timings(report)
         sys.stdout.write(render_json(report) + "\n")

@@ -11,6 +11,18 @@ stored in slot 0, so cumulative and difference forms are exact inverses
 (``cumsum`` vs ``diff(prepend=0)``) and a single-bag run reproduces the plain
 cell count bit for bit.
 
+A merge freezes every axis that is neither kept nor glue: it reads a frozen
+source at grid index M and a frozen terminal at 0, and never the rest of the
+axis.  So a bag's frozen terminal axes are never built (``bag_staircase`` with
+``fixed``), and each child table loses its frozen axes right after it is
+cumulated, before the pointwise product (``_product_table``).  Both slices
+leave every surviving cell bit-identical: a bag's terminal axes are never
+differenced or cumulated and each of its cells is counted on its own, and the
+product acts cell by cell.  A bag's frozen source axes are still built in
+full, because the merge reads their slab at M only after the bag table's
+float difference-and-cumulate round trip, whose result at M depends on the
+whole axis.
+
 Memory is what limits M, so no step makes a full-size temporary it can avoid.
 A conversion copies its input table once and then works on that copy in
 place: cumulating with ``cumsum(out=...)``, differencing with a backward pass
@@ -25,7 +37,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -227,24 +239,33 @@ def _bag_threshold_rows(
 
 
 def _assemble_bag_table(
-    ctx: DecompositionContext, i: int, grid: GridSpec, budget: Budget
+    ctx: DecompositionContext, i: int, grid: GridSpec, budget: Budget,
+    fixed: Mapping[int, int],
 ) -> StaircaseTable:
     M = grid.m_res
     pairs, rows, counts = _bag_threshold_rows(ctx, i, grid, budget)
     active = sorted(ctx.S[i] | ctx.T[i])
-    axes = tuple((v, SRC if v in ctx.S[i] else TERM) for v in active)
+    for v, g in fixed.items():
+        if v not in active or not 0 <= g <= M:
+            raise InputError(f"cannot fix variable {v} of bag {i} at grid index {g}")
+    axes = tuple((v, SRC if v in ctx.S[i] else TERM) for v in active if v not in fixed)
     shape = (M + 1,) * len(axes)
     budget.charge_cells(int(np.prod(shape, dtype=np.int64)))
 
     r = sum(1 for (u, v) in ctx.bag_edges[i]
             if ctx.dag.dist_of[(u, v)].kind is DistKind.UNIFORM)
     total = float(M**r)
-    axis_pos = {v: k for k, v in enumerate(active)}
-    grids = []
-    for k in range(len(axes)):
+    # grid index of each active variable, broadcast over the table's axes; a
+    # fixed variable is one constant index, not an axis
+    axis_of = {v: k for k, (v, _) in enumerate(axes)}
+    at: dict[int, np.ndarray] = {}
+    for v in active:
         sh = [1] * len(axes)
-        sh[k] = M + 1
-        grids.append(np.arange(M + 1, dtype=np.int64).reshape(sh))
+        if v in fixed:
+            at[v] = np.full(sh, fixed[v], dtype=np.int64)
+        else:
+            sh[axis_of[v]] = M + 1
+            at[v] = np.arange(M + 1, dtype=np.int64).reshape(sh)
 
     if not pairs:
         return StaircaseTable(grid, axes, CUMULATIVE, np.full(shape, counts.sum() / total))
@@ -266,11 +287,11 @@ def _assemble_bag_table(
             np.cumsum(hist, axis=ax, out=hist)
         gather, outside = [], []
         for p, (s, t) in enumerate(pairs):
-            d = grids[axis_pos[s]] - grids[axis_pos[t]]
-            pos = np.searchsorted(uniq[p], d, side="right") - 1
+            pos = np.searchsorted(uniq[p], at[s] - at[t], side="right") - 1
             outside.append(pos < 0)
             gather.append(np.broadcast_to(np.maximum(pos, 0), shape))
-        values = (hist / total)[tuple(gather)]
+        # a table with no axis left gathers a scalar
+        values = np.asarray((hist / total)[tuple(gather)])
         for mask in outside:
             np.copyto(values, 0.0, where=mask)
     else:
@@ -280,7 +301,7 @@ def _assemble_bag_table(
         for row, cnt in zip(rows, counts):
             mask = np.ones(shape, dtype=bool)
             for (s, t), q in zip(pairs, row):
-                mask &= (grids[axis_pos[s]] - grids[axis_pos[t]]) >= q
+                mask &= (at[s] - at[t]) >= q
             np.add(values, float(cnt), out=values, where=mask)
         values /= total
     return StaircaseTable(grid, axes, CUMULATIVE, values)
@@ -307,14 +328,61 @@ def bag_cell_count(
 
 
 def bag_staircase(
-    ctx: DecompositionContext, i: int, grid: GridSpec, budget: Budget | None = None
+    ctx: DecompositionContext, i: int, grid: GridSpec, budget: Budget | None = None,
+    fixed: Mapping[int, int] | None = None,
 ) -> StaircaseTable:
-    """Cumulative staircase table of bag i over its active shift variables."""
-    return _assemble_bag_table(ctx, i, grid, budget or Budget.default())
+    """Cumulative staircase table of bag i over its active shift variables.
+
+    ``fixed`` maps some active variables to one grid index each; the table
+    then has no axis for them and equals the full table taken at those
+    indices, bit for bit, since every cell is counted on its own.
+    ``approx_dag`` fixes the bag's frozen terminals at 0, the only index of
+    them the merge reads.  It does not fix frozen sources: the merge reads
+    them at M after differencing and cumulating the whole axis.
+    """
+    return _assemble_bag_table(ctx, i, grid, budget or Budget.default(), fixed or {})
 
 
 # ---------------------------------------------------------------------------
 # subtree merging
+
+
+def _merge_roles(
+    ctx: DecompositionContext, i: int, alive: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """(kept, frozen sources, frozen terminals) of the merge at bag i, whose
+    operands carry the variables ``alive`` on their axes.
+
+    At the root, the subtree sources still on an operand's axes stay kept for
+    the final accumulation.  Glue variables are contracted, never frozen.
+    """
+    kept = ctx.kept(i)
+    if i == ctx.td.root:
+        kept = ctx.S_D[i] & frozenset(alive)
+    return kept, ctx.S_D[i] - kept - ctx.J[i], ctx.T_D[i] - kept - ctx.J[i]
+
+
+def _take_frozen(
+    vals: np.ndarray, axes: Sequence[Axis], m_res: int,
+    frozen_src: frozenset[int], frozen_term: frozenset[int],
+) -> tuple[np.ndarray, list[int]]:
+    """Take a cumulative array's frozen axes at their one read index: a
+    source at M, a terminal at 0.  Returns (array, remaining axis vertices)."""
+    names = [v for v, _ in axes]
+    for ax in reversed(range(len(axes))):
+        v, role = axes[ax]
+        if v in frozen_src:
+            if role != SRC:
+                raise InvariantViolation(f"frozen source {v} has terminal role in operand")
+            vals = np.take(vals, m_res, axis=ax)
+        elif v in frozen_term:
+            if role != TERM:
+                raise InvariantViolation(f"frozen terminal {v} has source role in operand")
+            vals = np.take(vals, 0, axis=ax)
+        else:
+            continue
+        names.pop(ax)
+    return vals, names
 
 
 def _transform_operand(
@@ -334,30 +402,14 @@ def _transform_operand(
     (value monotonicity absorbs the shift into the horizontal error).
     """
     M = table.grid.m_res
-    vals = table.to_cumulative().values
+    cum = table.to_cumulative().values
+    vals, names = _take_frozen(cum, table.axes, M, frozen_src, frozen_term)
     owned = vals is not table.values  # safe to difference in place
-    names: list[int] = [v for v, _ in table.axes]
-    roles = {v: r for v, r in table.axes}
-    for v in sorted(set(names), reverse=True):
-        ax = names.index(v)
-        if v in kept or v in contract:
+    for ax, v in enumerate(names):
+        if v in kept:
             continue
-        if v in frozen_src:
-            if roles[v] != SRC:
-                raise InvariantViolation(f"frozen source {v} has terminal role in operand")
-            vals, owned = np.take(vals, M, axis=ax), True
-            names.pop(ax)
-        elif v in frozen_term:
-            if roles[v] != TERM:
-                raise InvariantViolation(f"frozen terminal {v} has source role in operand")
-            vals, owned = np.take(vals, 0, axis=ax), True
-            names.pop(ax)
-        else:
-            raise InvariantViolation(f"variable {v} has no role at this merge")
-    for v in names:
-        ax = names.index(v)
         if v not in contract:
-            continue
+            raise InvariantViolation(f"variable {v} has no role at this merge")
         if v in density_vars:
             if not owned:
                 vals, owned = np.array(vals, dtype=np.float64, order="C"), True
@@ -385,16 +437,19 @@ def merge_subtree(
     x / 0.  At the root, the subtree sources still on an operand's axes stay
     unfrozen for the final accumulation.  Returns the difference table over
     the surviving variables.
+
+    ``lam_g`` may lack the bag's frozen terminal axes (``bag_staircase`` with
+    ``fixed``).  Its frozen source axes arrive full-width: their slab at M is
+    read only after ``lam_g`` is cumulated, and a cumulated difference at M
+    depends on the whole axis.  Each child table is cumulated and its frozen
+    axes taken before the children are multiplied, so the product is only
+    built over the kept and glue variables.
     """
     budget = budget or Budget.default()
     grid = lam_g.grid
-    kept = ctx.kept(i)
-    if i == ctx.td.root:
-        alive = {v for t in (lam_g, *child_tables) for v, _ in t.axes}
-        kept = ctx.S_D[i] & frozenset(alive)
+    kept, frozen_src, frozen_term = _merge_roles(
+        ctx, i, {v for t in (lam_g, *child_tables) for v, _ in t.axes})
     J = ctx.J[i]
-    frozen_src = ctx.S_D[i] - kept
-    frozen_term = ctx.T_D[i] - kept
 
     g_vals, g_names = _transform_operand(
         lam_g, density_vars=ctx.S_prime[i], kept=kept,
@@ -405,13 +460,13 @@ def merge_subtree(
         for t in child_tables:
             if t.grid != grid:
                 raise InputError("child tables use a different grid")
-        u_table = _product_table(child_tables)
-        for v, role in u_table.axes:
-            expected = SRC if v in ctx.S_U[i] else TERM if v in ctx.T_U[i] else None
-            if role != expected:
-                raise InvariantViolation(
-                    f"child variable {v} has role {role!r} in its table, "
-                    f"{expected!r} in the uncapped subtree")
+            for v, role in t.axes:
+                expected = SRC if v in ctx.S_U[i] else TERM if v in ctx.T_U[i] else None
+                if role != expected:
+                    raise InvariantViolation(
+                        f"child variable {v} has role {role!r} in its table, "
+                        f"{expected!r} in the uncapped subtree")
+        u_table = _product_table(child_tables, frozen_src, frozen_term, budget)
         u_vals, u_names = _transform_operand(
             u_table, density_vars=ctx.T_prime[i], kept=kept,
             frozen_src=frozen_src, frozen_term=frozen_term, contract=J,
@@ -429,7 +484,7 @@ def merge_subtree(
     if u_vals is None:
         out = np.einsum(g_vals, [label[v] for v in g_names], [label[v] for v in out_vars])
     else:
-        budget.charge_cells(int(g_vals.size) + int(u_vals.size))
+        budget.charge_cells(int(g_vals.size))
         out = np.einsum(
             g_vals, [label[v] for v in g_names],
             u_vals, [label[v] for v in u_names],
@@ -448,27 +503,38 @@ def merge_subtree(
     return cum.to_difference()
 
 
-def _product_table(child_tables: Sequence[StaircaseTable]) -> StaircaseTable:
+def _product_table(
+    child_tables: Sequence[StaircaseTable],
+    frozen_src: frozenset[int],
+    frozen_term: frozenset[int],
+    budget: Budget,
+) -> StaircaseTable:
     """Cumulative pointwise product of the child tables over the union of
-    their axes, which keep the children's roles (shared axes must agree)."""
+    their unfrozen axes, which keep the children's roles (shared axes must
+    agree).  Each child is cumulated and then taken at its frozen axes'
+    read index, so every product cell is the one a full product would hold
+    there.  The product's cells are charged before anything is allocated."""
     roles: dict[int, str] = {}
     for t in child_tables:
         for v, r in t.axes:
             if roles.setdefault(v, r) != r:
                 raise InvariantViolation(f"variable {v} has conflicting roles across children")
-    union = sorted(roles)
+    union = sorted(v for v in roles if v not in frozen_src and v not in frozen_term)
     label = {v: k for k, v in enumerate(union)}
-    size = child_tables[0].grid.m_res + 1
+    m_res = child_tables[0].grid.m_res
+    size = m_res + 1
+    budget.charge_cells(size ** len(union))
     full = np.ones((size,) * len(union), dtype=np.float64)
     for t in child_tables:
-        cum = t.to_cumulative()
+        vals, names = _take_frozen(t.to_cumulative().values, t.axes, m_res, frozen_src, frozen_term)
         # table axes are sorted by vertex, so they sit in the union in order:
         # inserting size-1 dims aligns them for broadcasting
         shape = [1] * len(union)
-        for v, _ in cum.axes:
+        for v in names:
             shape[label[v]] = size
-        full *= cum.values.reshape(shape)
-    return StaircaseTable(child_tables[0].grid, tuple(sorted(roles.items())), CUMULATIVE, full)
+        full *= vals.reshape(shape)
+    return StaircaseTable(child_tables[0].grid, tuple((v, roles[v]) for v in union),
+                          CUMULATIVE, full)
 
 
 def accumulate(table: StaircaseTable) -> float:
@@ -512,7 +578,12 @@ def approx_dag(
     budget = budget or Budget.default()
 
     def solve_bag(i: int, kids: list[StaircaseTable]) -> StaircaseTable:
-        lam_g = finite_difference(bag_staircase(ctx, i, grid, budget))
+        # the merge reads a frozen terminal at 0 only, so build it only there;
+        # one with a source role in this bag is left to the merge's role check
+        alive = ctx.S[i] | ctx.T[i] | {v for t in kids for v, _ in t.axes}
+        _, _, frozen_term = _merge_roles(ctx, i, alive)
+        fixed = dict.fromkeys(frozen_term & ctx.T[i], 0)
+        lam_g = finite_difference(bag_staircase(ctx, i, grid, budget, fixed))
         return merge_subtree(ctx, i, lam_g, kids, budget)
 
     def describe(i: int, _) -> dict:

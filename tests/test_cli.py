@@ -144,6 +144,16 @@ class TestDispatch:
         assert (doc["guarantee"] if key == "bound" else doc)[key] is None
         assert render_json([1.5, float("inf"), -float("inf"), float("nan")]) == "[1.5, null, null, null]"
 
+    @pytest.mark.parametrize("x, shown", [("1e100", "-5e+199"), ("1e200", "-inf")])
+    def test_value_outside_unit_interval_warns(self, tmp_path, x, shown):
+        g = tmp_path / "g.txt"
+        g.write_text("2 1\n1 2 oracle expcdf\n")
+        rc, out, err = run(["taylor", "--graph", str(g), "--x", x, "--tau", "2"])
+        assert rc == 0
+        assert err == f"stochlp: warning: value {shown} outside [0, 1]\n"
+        value = json.loads(out)["value"]
+        assert value is None if shown == "-inf" else value == -5e199
+
     def test_sp_exact_rational_field(self, chain_files):
         g, _ = chain_files
         rc, out, _ = run(["sp-exact", "--graph", g, "--x", "1"])

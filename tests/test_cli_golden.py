@@ -40,3 +40,16 @@ def test_stdout_matches_recording(name, monkeypatch):
         rc = dispatch(CASES[name])
     assert rc == 0, err.getvalue()
     assert out.getvalue() == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+# the tau=4 series on the given decomposition evaluates to a negative value
+STDERR = {"taylor-given": "stochlp: warning: value -0.00640707671957672 outside [0, 1]\n"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stderr_only_warns_outside_unit_interval(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        dispatch(CASES[name])
+    assert err.getvalue() == STDERR.get(name, "")

@@ -520,3 +520,126 @@ class TestInPlaceConversions:
         assert lam.values.ndim == 5
         ratio = peak / lam.values.nbytes
         assert ratio <= 2.2, f"build plus difference peaked at {ratio:.2f}x the table"
+
+
+def _full_table_value(ctx, grid, monkeypatch, budget):
+    """The grid value from full bag tables and full child products: the
+    sweep of ``approx_dag`` with nothing sliced before the merge freezes it."""
+    from stochlp import staircase
+
+    full_product = staircase._product_table
+    none = frozenset()
+    monkeypatch.setattr(staircase, "_product_table",
+                        lambda kids, _src, _term, b: full_product(kids, none, none, b))
+    done = {}
+    for i in ctx.post_order:
+        lam = finite_difference(bag_staircase(ctx, i, grid, budget))
+        done[i] = merge_subtree(ctx, i, lam, [done.pop(j) for j in ctx.children[i]], budget)
+    monkeypatch.undo()
+    return min(max(accumulate(done[ctx.td.root]), 0.0), 1.0)
+
+
+class TestFrozenAxesNeverBuilt:
+    """Slicing a frozen axis before it is built leaves every value's bits."""
+
+    @pytest.mark.parametrize("histogram", [True, False])
+    def test_fixed_bag_table_is_a_slice_of_the_full_table(self, monkeypatch, histogram):
+        from stochlp import staircase
+        from stochlp.decomposition import prepare_context
+
+        if not histogram:
+            monkeypatch.setattr(staircase, "DENSE_HISTOGRAM_CELLS", 0)
+        grid = GridSpec(7, 1.9)
+        M = grid.m_res
+        rng = random.Random(5)
+        for inst in (gen_random_tw(2, 6, seed=4, dist="uniform-mixed", max_edges=8),
+                     gen_diamond_ladder(2, dist="uniform-mixed"), gen_chain(4)):
+            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            for i in ctx.post_order:
+                full = bag_staircase(ctx, i, grid)
+                names = [v for v, _ in full.axes]
+                picked = rng.sample(names, rng.randint(0, len(names)))
+                for fixed in ({v: 0 for v, r in full.axes if r == "t"},
+                              {v: M for v, r in full.axes if r == "s"},
+                              {v: rng.randint(0, M) for v in picked},
+                              {v: rng.randint(0, M) for v in names}):
+                    got = bag_staircase(ctx, i, grid, fixed=fixed)
+                    expect = full.values
+                    for ax in reversed(range(len(names))):
+                        if names[ax] in fixed:
+                            expect = np.take(expect, fixed[names[ax]], axis=ax)
+                    assert got.axes == tuple(a for a in full.axes if a[0] not in fixed)
+                    assert np.array_equal(_bits(got.values), _bits(expect))
+
+    def test_fixed_outside_bag_or_grid_rejected(self):
+        ctx = one_edge_ctx()
+        grid = GridSpec(4, 1.0)
+        for fixed in ({7: 0}, {1: 5}, {0: -1}):
+            with pytest.raises(InputError, match="cannot fix"):
+                bag_staircase(ctx, 0, grid, fixed=fixed)
+
+    @pytest.mark.parametrize("m_res", [6, 7, 12])
+    def test_approx_dag_matches_full_table_sweep(self, monkeypatch, m_res):
+        from stochlp.decomposition import prepare_context
+
+        corpus = [gen_random_tw(2, 6, seed=s, dist="uniform-mixed", max_edges=8) for s in range(4)]
+        corpus += [gen_diamond_ladder(d, dist="uniform-mixed") for d in (1, 2, 3)]
+        corpus += [gen_chain(5, dist="uniform-mixed", seed=1)]
+        sliced = 0
+        for inst in corpus:
+            amax = sum(d.scale for _, _, d in inst.dag.edges)
+            for td in (inst.td, None):
+                ctx, _, _ = prepare_context(inst.dag, td)
+                for x in (amax * 0.37, amax * 0.71):
+                    full_budget, budget = Budget(), Budget()
+                    want = _full_table_value(ctx, GridSpec(m_res, x), monkeypatch, full_budget)
+                    got, _ = approx_dag(inst.dag, td, x, m_override=m_res, budget=budget)
+                    assert _bits(got) == _bits(want), (inst.dag.n, td is None, x)
+                    assert budget.cells_used <= full_budget.cells_used
+                    sliced += budget.cells_used < full_budget.cells_used
+        assert sliced > 0
+
+    def test_approx_dag_peak_memory(self):
+        # the 2-diamond ladder at M=24 built 25**5-cell tables (78 MB) and
+        # read a 25**3 part of them
+        inst = generate("diamond-ladder", 2, dist="uniform")
+        tracemalloc.start()
+        try:
+            approx_dag(inst.dag, inst.td, 2.0, m_override=24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6, f"approx_dag peaked at {peak / 1e6:.1f} MB"
+
+    def test_product_charged_before_it_is_allocated(self):
+        from stochlp.decomposition import prepare_context
+        from stochlp.staircase import _merge_roles
+
+        inst = gen_random_tw(3, 10, seed=1, dist="uniform", max_edges=20)
+        ctx, _, _ = prepare_context(inst.dag, None)
+        grid = GridSpec(24, 2.0)
+
+        def product_cells(i):
+            kid_vars = {v for j in ctx.children[i] for v in ctx.kept(j)}
+            _, frozen_src, frozen_term = _merge_roles(ctx, i, kid_vars | ctx.S[i] | ctx.T[i])
+            return (grid.m_res + 1) ** len(kid_vars - frozen_src - frozen_term)
+
+        target = max(ctx.post_order, key=product_cells)
+        cells = product_cells(target)
+        done = {}
+        for i in ctx.post_order:
+            kids = [done.pop(j) for j in ctx.children[i]]
+            if i == target:
+                break
+            done[i] = merge_subtree(ctx, i, finite_difference(bag_staircase(ctx, i, grid)), kids)
+        budget = Budget.default(max_cells=cells - 1)
+        lam = finite_difference(bag_staircase(ctx, target, grid, budget))
+        assert 8 * cells >= 1e6 and lam.values.size < cells
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                merge_subtree(ctx, target, lam, kids, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cells, f"peaked at {peak} bytes before a {8 * cells}-byte product"
