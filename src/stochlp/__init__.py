@@ -11,7 +11,6 @@ from .errors import (
     InputError,
     InvariantViolation,
     NotSeriesParallelError,
-    PathLimitExceeded,
     StochLPError,
     TdFormatError,
 )
@@ -19,9 +18,6 @@ from .graph import (
     Dag,
     DistKind,
     DistSpec,
-    SubgraphRef,
-    classify_subgraph_vertices,
-    enumerate_st_paths,
     parse_graph,
     static_longest_path,
 )
@@ -44,7 +40,6 @@ from .staircase import (
     StaircaseTable,
     accumulate,
     approx_dag,
-    bag_cell_count,
     bag_staircase,
     choose_M,
     finite_difference,

@@ -360,10 +360,10 @@ def _roles(
     """(sources, terminals, internals) among ``vertices`` of a subgraph that
     holds ``n_out[v]`` out-edges and ``n_in[v]`` in-edges of each ``v``.
 
-    The rule of ``classify_subgraph_vertices``, read off the counts: a source
-    has an out-edge in the subgraph and misses an in-edge of ``g`` (or has
-    none in ``g``); terminals are symmetric; a vertex with no edge in the
-    subgraph has no role.
+    The rule of ``classify_subgraph_vertices`` in ``tests/reference.py``,
+    read off the counts: a source has an out-edge in the subgraph and misses
+    an in-edge of ``g`` (or has none in ``g``); terminals are symmetric; a
+    vertex with no edge in the subgraph has no role.
     """
     sources, terminals, internals = [], [], []
     for v in vertices:
@@ -483,7 +483,8 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
     Notation: G_i is bag i with the edges it owns, D_i the union of G_j over
     the subtree rooted at i, and U_i the union of D_c over the children c of
     i.  Vertex roles in each (sources S, terminals T, internals I) follow
-    ``graph.classify_subgraph_vertices``.
+    ``_roles``, which restates ``classify_subgraph_vertices`` in
+    ``tests/reference.py``.
 
     Ownership.  Edge uv belongs to the topmost bag holding both endpoints.
     With top(v) the topmost bag of v's occurrence subtree, that bag is the

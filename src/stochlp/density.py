@@ -173,7 +173,6 @@ def merge_bag(
     child_sums: Sequence[SymbolicSum],
     x: Fraction,
     budget: Budget,
-    fresh: Callable[[], int],
     taylor_tau: int | None = None,
     order_rng: random.Random | None = None,
 ) -> SymbolicSum:
@@ -183,6 +182,9 @@ def merge_bag(
     truncation to ``taylor_tau`` after each one, in Taylor mode); terminals
     leaving scope are set to 0 and sources leaving scope are cumulatively
     integrated up to x.
+
+    Every ``cumulate`` integrates its dummy out before it returns, so all of
+    them share the id ``ctx.dag.n + 1``, which sorts after every real one.
     """
     taylor = taylor_tau is not None
     kept = ctx.kept(i)
@@ -191,8 +193,9 @@ def merge_bag(
     J = ctx.J[i]
     x_atom = const_atom(x)
     lower = ZERO_ATOM if taylor else None
+    dummy = ctx.dag.n + 1
 
-    phi_u = _phi_union(ctx, i, child_sums, taylor, budget, fresh)
+    phi_u = _phi_union(ctx, i, child_sums, taylor, budget)
 
     # sources shared between the bag and the uncapped subtree: both operands
     # are densities in them, so switch to distribution functions first and
@@ -202,7 +205,7 @@ def merge_bag(
     if shared and phi_u is not None:
         for s in shared:
             if s in phi_u.free_vars():
-                phi_u = cumulate(phi_u, s, fresh(), lower=lower, budget=budget)
+                phi_u = cumulate(phi_u, s, dummy, lower=lower, budget=budget)
 
     def maybe_shuffled(vals: list[int]) -> list[int]:
         if order_rng is not None:
@@ -213,7 +216,7 @@ def merge_bag(
     for pend, gsum in bag_density.parts:
         for s in shared:
             if s in gsum.free_vars():
-                gsum = cumulate(gsum, s, fresh(), lower=lower, budget=budget)
+                gsum = cumulate(gsum, s, dummy, lower=lower, budget=budget)
         cur = multiply(gsum, phi_u, budget=budget) if phi_u is not None else gsum
         consumed: set[int] = set()
         for a, b in sorted(pend):
@@ -259,7 +262,6 @@ def _phi_union(
     child_sums: Sequence[SymbolicSum],
     taylor: bool,
     budget: Budget,
-    fresh: Callable[[], int],
 ) -> SymbolicSum | None:
     """Density of the uncapped subtree: product of child distribution
     functions, differentiated along its sources.
@@ -276,11 +278,12 @@ def _phi_union(
     if not (free[0] & free[1]):
         return multiply(child_sums[0], child_sums[1], budget=budget)
     lower = ZERO_ATOM if taylor else None
+    dummy = ctx.dag.n + 1  # as in merge_bag
     cdfs = []
     for j, phi in zip(kids, child_sums):
         out = phi
         for s_var in sorted(phi.free_vars() & ctx.S_D[j]):
-            out = cumulate(out, s_var, fresh(), lower=lower, budget=budget)
+            out = cumulate(out, s_var, dummy, lower=lower, budget=budget)
         cdfs.append(out)
     prod = multiply(cdfs[0], cdfs[1], budget=budget)
     for s_var in sorted((free[0] | free[1]) & ctx.S_U[i]):

@@ -1,4 +1,5 @@
-"""Exception hierarchy and resource budgets shared across the package."""
+"""Exception hierarchy, rooted at ``StochLPError``, and the resource budget
+of one solver run."""
 
 from __future__ import annotations
 
@@ -33,10 +34,6 @@ class DistributionMismatchError(InputError):
 
 class NotSeriesParallelError(InputError):
     pass
-
-
-class PathLimitExceeded(StochLPError):
-    """enumerate_st_paths found more paths than the caller allowed."""
 
 
 class InvariantViolation(StochLPError):

@@ -4,7 +4,6 @@ binarized tree decomposition."""
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -72,12 +71,10 @@ def exact_exp(
     if xq < 0:
         return 0.0, ExactExpReport.of(ctx, t0, budget, value=0.0, error_radius=0.0,
                                       symbolic="0" if emit_symbolic else "")
-    fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
 
     def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
-        out = merge_bag(ctx, i, bag_density_exp(ctx, i, budget), kids, xq, budget, fresh,
-                        order_rng=rng)
+        out = merge_bag(ctx, i, bag_density_exp(ctx, i, budget), kids, xq, budget, order_rng=rng)
         _check_exponent_bounds(ctx, i, out)
         return out
 

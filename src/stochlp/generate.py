@@ -77,6 +77,8 @@ def gen_random_tw(k: int, n: int, seed: int = 0, dist: str = "uniform",
     """
     if k < 1 or n < k + 1:
         raise InputError("need n >= k+1 and k >= 1")
+    if max_edges is not None and max_edges < 0:
+        raise InputError(f"max_edges must be >= 0, got {max_edges}")
     rng = random.Random(seed)
     mk = _dist_maker(dist, rng)
     cliques: list[tuple[int, ...]] = [tuple(range(k + 1))]

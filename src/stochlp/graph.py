@@ -1,5 +1,4 @@
-"""DAG data model: parsing, topological order, static longest path,
-subgraph source/terminal classification, and small-instance path enumeration.
+"""DAG data model: parsing, topological order and static longest path.
 
 Vertices are stored 0-based in a topological order (for every edge ``u < v``);
 the 1-based labels from the input file are kept in ``Dag.labels``.
@@ -21,7 +20,6 @@ from .errors import (
     DistributionMismatchError,
     GraphFormatError,
     InputError,
-    PathLimitExceeded,
 )
 
 NEG_INF = float("-inf")
@@ -114,10 +112,6 @@ class Dag:
         return len(self.edges)
 
     @cached_property
-    def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
-
-    @cached_property
     def dist_of(self) -> dict[tuple[int, int], DistSpec]:
         return {(u, v): d for u, v, d in self.edges}
 
@@ -155,19 +149,6 @@ class Dag:
                 f"distribution mismatch: this solver needs {kind.value} edges, "
                 f"found {sorted(k.value for k in extra)}"
             )
-
-
-@dataclass(frozen=True)
-class SubgraphRef:
-    """A subgraph of a host Dag: a vertex subset plus an edge subset."""
-
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
-                raise InputError(f"subgraph edge ({u},{v}) has endpoint outside vertex set")
 
 
 def _strip_comment(line: str) -> str:
@@ -268,21 +249,16 @@ def _topological_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 def static_longest_path(
     g: Dag,
     lengths: Mapping[tuple[int, int], float] | Sequence[float],
-    src_offset: Mapping[int, float] | None = None,
-    term_offset: Mapping[int, float] | None = None,
 ) -> float | np.ndarray:
-    """Static longest source-terminal path with per-source and per-terminal
-    shifts: the max over paths from a source key to a terminal key of
-    (sum of edge lengths) - src_offset[s] + term_offset[t], linear time in the
-    graph size.
+    """Static longest source-terminal path: the max over paths from a
+    whole-graph source to a whole-graph terminal of the sum of edge lengths,
+    linear time in the graph size.
 
     ``lengths`` is either a sequence aligned with ``g.edges`` or a mapping
     keyed by (u, v).  Each length is a float, or each is a 1-D array of
     samples of one common size; then the result is an array with one longest
     length per sample.  Edges are relaxed in (tail, head) order, whatever the
-    order of ``g.edges``.  Offsets default to 0 on every whole-graph
-    source/terminal.  Returns the -inf sentinel when no source-terminal path
-    exists.
+    order of ``g.edges``.
     """
     if isinstance(lengths, Mapping):
         raw = [lengths[(u, v)] for u, v, _ in g.edges]
@@ -306,82 +282,12 @@ def static_longest_path(
         join = lambda row, w: np.maximum(row, w, out=row)
     if not finite:
         raise InputError("edge lengths must be finite")
-    src = src_offset if src_offset is not None else dict.fromkeys(g.sources, 0.0)
-    term = term_offset if term_offset is not None else dict.fromkeys(g.terminals, 0.0)
-    for s, off in src.items():
-        dist[s] = join(dist[s], -off)
+    for s in g.sources:
+        dist[s] = join(dist[s], 0.0)
     for i in sorted(range(g.m), key=lambda i: g.edges[i][:2]):
         u, v, _ = g.edges[i]
         dist[v] = join(dist[v], dist[u] + wl[i])
-    for t, off in term.items():
-        best = join(best, dist[t] + off)
+    for t in g.terminals:
+        best = join(best, dist[t])
     return best
 
-
-def classify_subgraph_vertices(
-    g: Dag, sub: SubgraphRef
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Classify the vertices of a subgraph into (sources, terminals, internals).
-
-    Local criterion equivalent to the path-based definition: v is a source of
-    ``sub`` iff it has an outgoing edge in ``sub`` and either no incoming edge
-    in ``g`` at all or some incoming edge of ``g`` missing from ``sub``;
-    terminals are symmetric.  Vertices with no incident edge in ``sub`` are
-    classified as neither.
-    """
-    for u, v in sub.edges:
-        if (u, v) not in g.edge_pairs:
-            raise InputError(f"subgraph edge ({u},{v}) not in host graph")
-    if any(not (0 <= v < g.n) for v in sub.vertices):
-        raise InputError("subgraph vertex outside host graph")
-
-    out_in: dict[int, list[int]] = {v: [0, 0] for v in sub.vertices}
-    for u, v in sub.edges:
-        out_in[u][0] += 1
-        out_in[v][1] += 1
-
-    sources, terminals, internals = set(), set(), set()
-    for v in sub.vertices:
-        n_out, n_in = out_in[v]
-        if n_out == 0 and n_in == 0:
-            continue  # no incident edge in sub: neither role
-        g_in = g.predecessors[v]
-        g_out = g.successors[v]
-        in_absent = any((p, v) not in sub.edges for p in g_in)
-        out_absent = any((v, s) not in sub.edges for s in g_out)
-        is_src = n_out >= 1 and (not g_in or in_absent)
-        is_term = n_in >= 1 and (not g_out or out_absent)
-        if is_src:
-            sources.add(v)
-        if is_term:
-            terminals.add(v)
-        if not is_src and not is_term:
-            internals.add(v)
-    return frozenset(sources), frozenset(terminals), frozenset(internals)
-
-
-def enumerate_st_paths(g: Dag, limit: int = 10_000) -> list[tuple[int, ...]]:
-    """All source-terminal paths in lexicographic order of vertex sequences.
-
-    Raises PathLimitExceeded as soon as more than ``limit`` paths exist; meant
-    for validation oracles on small instances only.
-    """
-    paths: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def walk(v: int) -> None:
-        stack.append(v)
-        succs = g.successors[v]
-        if not succs:
-            if len(paths) >= limit:
-                raise PathLimitExceeded(f"more than {limit} source-terminal paths")
-            paths.append(tuple(stack))
-        else:
-            for w in succs:
-                walk(w)
-        stack.pop()
-
-    for s in sorted(g.sources):
-        if g.successors[s]:
-            walk(s)
-    return paths

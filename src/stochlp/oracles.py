@@ -214,17 +214,6 @@ class PiecewisePoly:
             return (Fraction(0),)
         return self.polys[bisect_right(self.breaks, t) - 1]
 
-    def mass(self) -> Fraction:
-        """Total integral of a density with bounded support."""
-        end = self.support_end()
-        if _poly_trim(self.polys[-1]) not in ((), (Fraction(0),)):
-            raise InputError("density must vanish beyond its last break")
-        total = Fraction(0)
-        for i in range(len(self.breaks) - 1):
-            anti = _poly_integ(self.polys[i])
-            total += _poly_eval(anti, self.breaks[i + 1]) - _poly_eval(anti, self.breaks[i])
-        return total
-
 
 def _poly_eval(p: Sequence[Fraction], t: Fraction) -> Fraction:
     acc = Fraction(0)
@@ -252,10 +241,6 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, .
 
 def _poly_deriv(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return _poly_trim(tuple(c * i for i, c in enumerate(p) if i >= 1))
-
-
-def _poly_integ(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
 
 
 def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -74,15 +74,6 @@ class GridSpec:
         if not (self.x >= 0.0 and math.isfinite(self.x)):
             raise InputError(f"horizon must be finite and >= 0, got {self.x}")
 
-    def snap(self, vertex_role: str, z: float) -> int:
-        """Grid rounding: ceil for source shifts, floor for terminal shifts,
-        computed in exact rational arithmetic (no epsilon nudging)."""
-        if self.x == 0.0:
-            return 0
-        ratio = Fraction(self.m_res) * Fraction(z) / Fraction(self.x)
-        g = math.ceil(ratio) if vertex_role == SRC else math.floor(ratio)
-        return min(max(g, 0), self.m_res)
-
 
 @dataclass(frozen=True)
 class StaircaseTable:
@@ -163,7 +154,7 @@ def finite_difference(table: StaircaseTable) -> StaircaseTable:
 def choose_M(k: int, n: int, m: int, epsilon: float) -> int:
     """Grid resolution from the approximation-ratio formula, with the ratio
     target clamped into (0, 1]."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # also rejects NaN
         raise InputError(f"epsilon must be positive, got {epsilon}")
     eps = min(float(epsilon), 1.0)
     M = math.ceil(Fraction((6 * k + 6) * m * n) / Fraction(eps))
@@ -305,26 +296,6 @@ def _assemble_bag_table(
             np.add(values, float(cnt), out=values, where=mask)
         values /= total
     return StaircaseTable(grid, axes, CUMULATIVE, values)
-
-
-def bag_cell_count(
-    ctx: DecompositionContext, i: int, z: Mapping[int, float], grid: GridSpec,
-    budget: Budget | None = None,
-) -> int:
-    """Number of cells of the bag's unit box intersecting the constraint
-    region at shift vector z (snapped onto the grid per the ceil/floor
-    convention)."""
-    budget = budget or Budget.default()
-    pairs, rows, counts = _bag_threshold_rows(ctx, i, grid, budget)
-    missing = (ctx.S[i] | ctx.T[i]) - set(z)
-    if missing:
-        raise InputError(f"missing shift values for {sorted(missing)}")
-    gpt = {v: grid.snap(SRC if v in ctx.S[i] else TERM, z[v]) for v in z}
-    total = 0
-    for row, cnt in zip(rows, counts):
-        if all(gpt[s] - gpt[t] >= q for (s, t), q in zip(pairs, row)):
-            total += int(cnt)
-    return total
 
 
 def bag_staircase(

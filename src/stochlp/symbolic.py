@@ -20,14 +20,12 @@ solvers perform.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 import mpmath
 
-from .errors import Budget, DivergentIntegral, InputError, InvariantViolation
+from .errors import Budget, DivergentIntegral, InputError
 
 # atoms: ("c", Fraction) constants, ("v", int) variables
 Atom = tuple[str, object]
@@ -161,13 +159,6 @@ class SymbolicSum:
                 out.update(v for v, _ in powers)
                 out.update(v for v, _ in exps)
         return frozenset(out)
-
-    def max_total_degree(self) -> int:
-        best = 0
-        for terms in self.regions.values():
-            for powers, _, _ in terms:
-                best = max(best, sum(n for _, n in powers))
-        return best
 
     def canonical_text(self) -> str:
         """Deterministic text form (sorted regions and terms) for golden tests."""

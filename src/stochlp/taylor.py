@@ -4,7 +4,6 @@ fixed total degree after every integration."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
@@ -182,6 +181,8 @@ def approx_taylor(
     g.require_homogeneous(DistKind.ORACLE)
     if eps_additive is None and tau is None:
         raise InputError("need either an additive error target or an explicit truncation order")
+    if tau is not None and tau < 0:
+        raise InputError(f"truncation order must be >= 0, got {tau}")
     xq = Fraction(x)
     t0 = time.perf_counter()
     budget = budget or Budget.default()
@@ -212,12 +213,11 @@ def approx_taylor(
     for orc in oracles:
         check_oracle(orc, xf, tau)
 
-    fresh = itertools.count(ctx.dag.n + 1).__next__
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
 
     def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
         return merge_bag(ctx, i, bag_taylor(ctx, i, oracle_of, tau, budget), kids, xq, budget,
-                         fresh, taylor_tau=tau, order_rng=rng)
+                         taylor_tau=tau, order_rng=rng)
 
     final, per_bag = sweep(ctx, solve_bag, describe_sum)
     value, _ = evaluate(final)

@@ -52,7 +52,7 @@ def definition4_classify(g: Dag, sub_vertices, sub_edges):
     """Literal path-quantified classification: v is a source of the subgraph
     iff some source-terminal path of g meets it with no incoming and one
     outgoing edge inside the subgraph; terminals symmetric."""
-    from stochlp import enumerate_st_paths
+    from reference import enumerate_st_paths
 
     sub_vertices = frozenset(sub_vertices)
     sub_edges = frozenset(sub_edges)

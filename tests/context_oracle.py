@@ -8,9 +8,10 @@ the tests compare the bottom-up ``build_context`` against it on small inputs.
 
 from __future__ import annotations
 
-from stochlp import InvariantViolation, SubgraphRef, classify_subgraph_vertices
+from stochlp import InvariantViolation
 from stochlp.decomposition import TreeDecomposition
 from stochlp.graph import Dag
+from reference import SubgraphRef, classify_subgraph_vertices, edge_pairs
 
 # the fields the solvers read, compared field by field
 SOLVER_FIELDS = (
@@ -150,6 +151,7 @@ def reference_verify(g: Dag, td: TreeDecomposition, ref: dict) -> None:
 
     # separation: no edge may connect the parent-bag remainder B_h \ B_i to a
     # strict-descendant remainder B_j \ B_i
+    pairs = edge_pairs(g)
     for i in range(b):
         h = ref["parent"][i]
         if h is None:
@@ -161,7 +163,7 @@ def reference_verify(g: Dag, td: TreeDecomposition, ref: dict) -> None:
             lower = td.bags[j] - td.bags[i]
             for u in upper:
                 for v in lower:
-                    if (u, v) in g.edge_pairs or (v, u) in g.edge_pairs:
+                    if (u, v) in pairs or (v, u) in pairs:
                         raise InvariantViolation(
                             f"separation fails: edge between {u} (above bag {i}) and {v} (below)"
                         )

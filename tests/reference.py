@@ -1,0 +1,165 @@
+"""Test-only references: from-scratch rules and brute-force helpers that the
+solvers, oracles and CLI never call.
+
+``classify_subgraph_vertices`` is the role rule that
+``stochlp.decomposition._roles`` restates from edge counts;
+``enumerate_st_paths`` lists every source-terminal path of a small graph;
+``bag_cell_count`` counts one bag's cells at a single shift vector, snapped
+onto the grid with ``snap``.  The rest are small readings of a ``Dag``, a
+``SymbolicSum`` or a ``PiecewisePoly`` that only the tests take.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping
+
+from stochlp.decomposition import DecompositionContext
+from stochlp.errors import Budget, InputError, StochLPError
+from stochlp.graph import Dag
+from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
+from stochlp.staircase import SRC, TERM, GridSpec, _bag_threshold_rows
+from stochlp.symbolic import SymbolicSum
+
+
+class PathLimitExceeded(StochLPError):
+    """enumerate_st_paths found more paths than the caller allowed."""
+
+
+def edge_pairs(g: Dag) -> frozenset[tuple[int, int]]:
+    return frozenset((u, v) for u, v, _ in g.edges)
+
+
+@dataclass(frozen=True)
+class SubgraphRef:
+    """A subgraph of a host Dag: a vertex subset plus an edge subset."""
+
+    vertices: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        for u, v in self.edges:
+            if u not in self.vertices or v not in self.vertices:
+                raise InputError(f"subgraph edge ({u},{v}) has endpoint outside vertex set")
+
+
+def classify_subgraph_vertices(
+    g: Dag, sub: SubgraphRef
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """Classify the vertices of a subgraph into (sources, terminals, internals).
+
+    Local criterion equivalent to the path-based definition: v is a source of
+    ``sub`` iff it has an outgoing edge in ``sub`` and either no incoming edge
+    in ``g`` at all or some incoming edge of ``g`` missing from ``sub``;
+    terminals are symmetric.  Vertices with no incident edge in ``sub`` are
+    classified as neither.
+    """
+    host = edge_pairs(g)
+    for u, v in sub.edges:
+        if (u, v) not in host:
+            raise InputError(f"subgraph edge ({u},{v}) not in host graph")
+    if any(not (0 <= v < g.n) for v in sub.vertices):
+        raise InputError("subgraph vertex outside host graph")
+
+    out_in: dict[int, list[int]] = {v: [0, 0] for v in sub.vertices}
+    for u, v in sub.edges:
+        out_in[u][0] += 1
+        out_in[v][1] += 1
+
+    sources, terminals, internals = set(), set(), set()
+    for v in sub.vertices:
+        n_out, n_in = out_in[v]
+        if n_out == 0 and n_in == 0:
+            continue  # no incident edge in sub: neither role
+        g_in = g.predecessors[v]
+        g_out = g.successors[v]
+        in_absent = any((p, v) not in sub.edges for p in g_in)
+        out_absent = any((v, s) not in sub.edges for s in g_out)
+        is_src = n_out >= 1 and (not g_in or in_absent)
+        is_term = n_in >= 1 and (not g_out or out_absent)
+        if is_src:
+            sources.add(v)
+        if is_term:
+            terminals.add(v)
+        if not is_src and not is_term:
+            internals.add(v)
+    return frozenset(sources), frozenset(terminals), frozenset(internals)
+
+
+def enumerate_st_paths(g: Dag, limit: int = 10_000) -> list[tuple[int, ...]]:
+    """All source-terminal paths in lexicographic order of vertex sequences.
+
+    Raises PathLimitExceeded as soon as more than ``limit`` paths exist; meant
+    for validation oracles on small instances only.
+    """
+    paths: list[tuple[int, ...]] = []
+    stack: list[int] = []
+
+    def walk(v: int) -> None:
+        stack.append(v)
+        succs = g.successors[v]
+        if not succs:
+            if len(paths) >= limit:
+                raise PathLimitExceeded(f"more than {limit} source-terminal paths")
+            paths.append(tuple(stack))
+        else:
+            for w in succs:
+                walk(w)
+        stack.pop()
+
+    for s in sorted(g.sources):
+        if g.successors[s]:
+            walk(s)
+    return paths
+
+
+def snap(grid: GridSpec, vertex_role: str, z: float) -> int:
+    """Grid rounding: ceil for source shifts, floor for terminal shifts,
+    computed in exact rational arithmetic (no epsilon nudging)."""
+    if grid.x == 0.0:
+        return 0
+    ratio = Fraction(grid.m_res) * Fraction(z) / Fraction(grid.x)
+    g = math.ceil(ratio) if vertex_role == SRC else math.floor(ratio)
+    return min(max(g, 0), grid.m_res)
+
+
+def bag_cell_count(
+    ctx: DecompositionContext, i: int, z: Mapping[int, float], grid: GridSpec,
+    budget: Budget | None = None,
+) -> int:
+    """Number of cells of the bag's unit box intersecting the constraint
+    region at shift vector z (snapped onto the grid per the ceil/floor
+    convention)."""
+    budget = budget or Budget.default()
+    pairs, rows, counts = _bag_threshold_rows(ctx, i, grid, budget)
+    missing = (ctx.S[i] | ctx.T[i]) - set(z)
+    if missing:
+        raise InputError(f"missing shift values for {sorted(missing)}")
+    gpt = {v: snap(grid, SRC if v in ctx.S[i] else TERM, z[v]) for v in z}
+    total = 0
+    for row, cnt in zip(rows, counts):
+        if all(gpt[s] - gpt[t] >= q for (s, t), q in zip(pairs, row)):
+            total += int(cnt)
+    return total
+
+
+def max_total_degree(s: SymbolicSum) -> int:
+    best = 0
+    for terms in s.regions.values():
+        for powers, _, _ in terms:
+            best = max(best, sum(n for _, n in powers))
+    return best
+
+
+def mass(p: PiecewisePoly) -> Fraction:
+    """Total integral of a density with bounded support."""
+    p.support_end()
+    if _poly_trim(p.polys[-1]) not in ((), (Fraction(0),)):
+        raise InputError("density must vanish beyond its last break")
+    total = Fraction(0)
+    for i in range(len(p.breaks) - 1):
+        anti = (Fraction(0),) + tuple(c / (j + 1) for j, c in enumerate(p.polys[i]))
+        total += _poly_eval(anti, p.breaks[i + 1]) - _poly_eval(anti, p.breaks[i])
+    return total

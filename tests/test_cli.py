@@ -96,6 +96,34 @@ class TestDispatch:
         doc = json.loads(out)
         assert doc["guarantee"]["kind"] == "exact" and doc["symbolic"]
 
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--epsilon", "nan"],
+        ["taylor", "--tau", "-1"],
+        ["taylor", "--tau", "-2"],
+    ])
+    def test_bad_solver_parameter_is_input_error(self, tmp_path, argv):
+        command, *flags = argv
+        g, t = tmp_path / "g.txt", tmp_path / "t.td"
+        dist = "uniform" if command == "approx" else "oracle:expcdf"
+        rc, _, _ = run(["gen", "--shape", "chain", "--n", "3", "--dist", dist,
+                        "--out-graph", str(g), "--out-td", str(t)])
+        assert rc == 0
+        rc, out, err = run([command, "--graph", str(g), "--td", str(t), "--x", "1", *flags])
+        assert rc == 1 and err.startswith("stochlp: error: ")
+        assert out.count("\n") == 1 and json.loads(out)["kind"] == "input"
+
+    @pytest.mark.parametrize("max_edges, code", [("-1", 1), ("0", 0)])
+    def test_gen_max_edges(self, tmp_path, max_edges, code):
+        g = tmp_path / "g.txt"
+        rc, out, err = run(["gen", "--shape", "random-tw", "--n", "6", "--max-edges", max_edges,
+                            "--out-graph", str(g), "--out-td", str(tmp_path / "t.td")])
+        assert rc == code and out.count("\n") == 1
+        if code:
+            assert json.loads(out)["kind"] == "input" and "max_edges" in err
+        else:
+            # zero keeps the one-edge fallback
+            assert json.loads(out)["m"] == 1 and g.read_text().splitlines()[0] == "6 1"
+
     def test_taylor_requires_order(self, tmp_path):
         p = tmp_path / "o.txt"
         p.write_text("2 1\n1 2 oracle expcdf\n")

@@ -405,7 +405,7 @@ class TestSweep:
 
 class TestGenerators:
     def test_diamond_ladder_counts(self):
-        from stochlp import enumerate_st_paths
+        from reference import enumerate_st_paths
         from stochlp.generate import gen_diamond_ladder
 
         inst = gen_diamond_ladder(3, dist="uniform")

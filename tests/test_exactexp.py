@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -204,12 +203,11 @@ class TestPublicMergeOps:
             {label: i for i, label in enumerate(g.labels)}
         )
         ctx, _, _ = prepare_context(g, td)
-        fresh = itertools.count(ctx.dag.n + 1).__next__
         sums = {}
         for i in ctx.post_order:
             den = bag_density_exp(ctx, i)
             kids = [sums.pop(c) for c in ctx.children[i]]
-            sums[i] = merge_bag(ctx, i, den, kids, F(2), Budget.default(), fresh)
+            sums[i] = merge_bag(ctx, i, den, kids, F(2), Budget.default())
         final = sums[ctx.td.root]
         assert final.free_vars() == frozenset()
         val, _ = sy.evaluate(final)

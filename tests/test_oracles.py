@@ -22,6 +22,7 @@ from stochlp.oracles import (
     convolve_density_cdf,
     uniform_cdf_poly,
 )
+from reference import mass
 
 
 class TestMonteCarlo:
@@ -138,7 +139,7 @@ class TestPiecewisePoly:
         acc = uniform_cdf_poly(1)
         for scale in (1, 2, 3):
             acc = convolve_density_cdf(uniform_cdf_poly(scale).derivative(), acc)
-        assert acc.derivative().mass() == 1
+        assert mass(acc.derivative()) == 1
 
     def test_product_is_parallel_composition(self):
         a = uniform_cdf_poly(1)

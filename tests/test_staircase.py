@@ -17,7 +17,6 @@ from stochlp import (
     TreeDecomposition,
     accumulate,
     approx_dag,
-    bag_cell_count,
     bag_staircase,
     choose_M,
     finite_difference,
@@ -29,6 +28,7 @@ from stochlp import (
 from stochlp.errors import Budget, BudgetExceeded
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
 from conftest import assert_shared_report, single_bag_context
+from reference import bag_cell_count
 
 
 def one_edge_ctx(scale: int = 1):
@@ -47,6 +47,13 @@ class TestChooseM:
     def test_bad_epsilon(self):
         with pytest.raises(InputError):
             choose_M(1, 2, 1, 0.0)
+
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            choose_M(1, 2, 1, math.nan)
+        g = parse_graph("2 1\n1 2 uniform 1\n")
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            approx_dag(g, None, 0.5, epsilon=math.nan)
 
 
 class TestBagCellCount:

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction as F
 
@@ -33,6 +32,14 @@ class TestChooseTau:
     def test_bad_epsilon(self):
         with pytest.raises(InputError):
             choose_tau(1, 1.0, 4, 0.0)
+
+    @pytest.mark.parametrize("tau", [-1, -2])
+    @pytest.mark.parametrize("x", [1, -1])
+    def test_negative_tau_rejected(self, tau, x):
+        # rejected with the other input checks, before the answer for x < 0
+        g = parse_graph("2 1\n1 2 oracle expcdf\n")
+        with pytest.raises(InputError, match="truncation order"):
+            approx_taylor(g, None, x, tau=tau)
 
 
 class TestOracles:
@@ -208,12 +215,11 @@ class TestPublicMergeOps:
         )
         ctx, _, _ = prepare_context(g, td)
         tau = 8
-        fresh = itertools.count(ctx.dag.n + 1).__next__
         sums = {}
         for i in ctx.post_order:
             den = bag_taylor(ctx, i, resolve_oracle, tau)
             kids = [sums.pop(c) for c in ctx.children[i]]
-            sums[i] = merge_bag(ctx, i, den, kids, F(1), Budget.default(), fresh, taylor_tau=tau)
+            sums[i] = merge_bag(ctx, i, den, kids, F(1), Budget.default(), taylor_tau=tau)
         val, _ = sy.evaluate(sums[ctx.td.root])
         assert val == pytest.approx(1 - 2 * math.exp(-1), abs=1e-5)
 
