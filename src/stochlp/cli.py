@@ -349,7 +349,7 @@ def dispatch(argv: list[str]) -> int:
         sys.stderr.write(f"stochlp: internal error: {e}\n")
         sys.stdout.write(render_json({"error": str(e), "kind": "internal"}) + "\n")
         return 3
-    except (InputError, StochLPError) as e:
+    except StochLPError as e:
         sys.stderr.write(f"stochlp: error: {e}\n")
         sys.stdout.write(render_json({"error": str(e), "kind": "input"}) + "\n")
         return 1

@@ -303,21 +303,15 @@ def binarize_td(td: TreeDecomposition) -> TreeDecomposition:
     return out
 
 
-@dataclass(frozen=True)
-class VertexTriple:
-    minus: int
-    star: int
-    plus: int
-
-
-def separate(g: Dag, td: TreeDecomposition) -> tuple[Dag, TreeDecomposition, dict[int, VertexTriple]]:
+def separate(g: Dag, td: TreeDecomposition) -> tuple[Dag, TreeDecomposition]:
     """Build the separated graph/decomposition pair.
 
-    Every vertex v becomes v-, v*, v+ joined by two zero-length edges; the
-    incoming edges of v move to v-; an outgoing edge of v leaves from v* when
-    its head lies in v's topmost bag and from v+ when the head only appears in
-    strictly deeper bags.  Bags are tripled in place, so the width grows from
-    w to 3w+2 and the longest path distribution is unchanged for x >= 0.
+    Every vertex v becomes v- = 3v, v* = 3v+1 and v+ = 3v+2, joined by two
+    zero-length edges; the incoming edges of v move to v-; an outgoing edge
+    of v leaves from v* when its head lies in v's topmost bag and from v+
+    when the head only appears in strictly deeper bags.  Bags are tripled in
+    place, so the width grows from w to 3w+2 and the longest path
+    distribution is unchanged for x >= 0.
     """
     _, _, depth = td.rooted()
     topmost: list[int] = []
@@ -329,29 +323,22 @@ def separate(g: Dag, td: TreeDecomposition) -> tuple[Dag, TreeDecomposition, dic
             raise InputError(f"occurrence set of vertex {v} is disconnected")
         topmost.append(best)
 
-    def triple(v: int) -> VertexTriple:
-        return VertexTriple(3 * v, 3 * v + 1, 3 * v + 2)
-
-    vmap = {v: triple(v) for v in range(g.n)}
     edges: list[tuple[int, int, DistSpec]] = []
     for v in range(g.n):
-        t = vmap[v]
-        edges.append((t.minus, t.star, DistSpec.zero()))
-        edges.append((t.star, t.plus, DistSpec.zero()))
+        edges.append((3 * v, 3 * v + 1, DistSpec.zero()))
+        edges.append((3 * v + 1, 3 * v + 2, DistSpec.zero()))
     for u, v, dist in g.edges:
-        tail = vmap[u].star if v in td.bags[topmost[u]] else vmap[u].plus
-        edges.append((tail, vmap[v].minus, dist))
+        tail = 3 * u + 1 if v in td.bags[topmost[u]] else 3 * u + 2
+        edges.append((tail, 3 * v, dist))
     edges.sort(key=lambda e: (e[0], e[1]))
     g_star = Dag(n=3 * g.n, edges=tuple(edges))
 
     bags = tuple(
-        frozenset().union(*({t.minus, t.star, t.plus} for t in (vmap[v] for v in bag)))
-        if bag
-        else frozenset()
+        frozenset().union(*({3 * v, 3 * v + 1, 3 * v + 2} for v in bag)) if bag else frozenset()
         for bag in td.bags
     )
     td_star = TreeDecomposition(bags, td.tree_edges, td.root)
-    return g_star, td_star, vmap
+    return g_star, td_star
 
 
 def _roles(
@@ -411,6 +398,12 @@ class DecompositionContext:
     @property
     def b(self) -> int:
         return self.td.b
+
+    @property
+    def k(self) -> int:
+        """Width of the decomposition before separation, which turned width
+        k into 3k+2."""
+        return (self.td.width - 2) // 3
 
     def kept(self, i: int) -> frozenset[int]:
         """Variables that stay active after merging at bag i."""
@@ -693,20 +686,14 @@ def _verify_context(
                 raise InvariantViolation(f"bag {i}: child subtree roles collide")
 
 
-def prepare_context(g: Dag, td: TreeDecomposition | None) -> tuple[DecompositionContext, dict[int, VertexTriple], TreeDecomposition]:
+def prepare_context(g: Dag, td: TreeDecomposition | None) -> DecompositionContext:
     """Shared solver front end: validate a given decomposition (or
     synthesize one, which ``heuristic_td`` validates itself), binarize,
-    separate, and build the merge context.
-
-    Returns (context, vertex triple map, binarized pre-separation td).
-    """
+    separate, and build the merge context."""
     if td is None:
         td = heuristic_td(g)
     else:
         report = validate_td(g, td)
         if not report.valid:
             raise InputError(f"invalid tree decomposition: {report.message} (condition={report.condition})")
-    td_bin = binarize_td(td)
-    g_star, td_star, vmap = separate(g, td_bin)
-    ctx = build_context(g_star, td_star)
-    return ctx, vmap, td_bin
+    return build_context(*separate(g, binarize_td(td)))

@@ -42,7 +42,6 @@ class BagDensity:
     pending point-mass pairs.  Free variables are the bag's sources and
     terminals."""
 
-    bag: int
     parts: tuple[tuple[frozenset[Pending], SymbolicSum], ...]
 
 
@@ -157,7 +156,7 @@ def build_bag_density(
         for a, _ in pend:
             if a not in ctx.S[i]:
                 raise InvariantViolation(f"bag {i}: pending pair tail {a} is not a bag source")
-    return BagDensity(i, tuple(sorted(branches.items(), key=lambda kv: sorted(kv[0]))))
+    return BagDensity(tuple(sorted(branches.items(), key=lambda kv: sorted(kv[0]))))
 
 
 def describe_sum(i: int, s: SymbolicSum) -> dict:

@@ -67,7 +67,7 @@ def exact_exp(
     xq = Fraction(x)
     t0 = time.perf_counter()
     budget = budget or Budget.default()
-    ctx, _, _ = prepare_context(g, td)
+    ctx = prepare_context(g, td)
     if xq < 0:
         return 0.0, ExactExpReport.of(ctx, t0, budget, value=0.0, error_radius=0.0,
                                       symbolic="0" if emit_symbolic else "")

@@ -354,7 +354,7 @@ def _st_eval_s(a: STPoly, bound: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     top = max(by_power) if by_power else 0
     for p in range(top + 1):
         if p:
-            power = _poly_mul(power, bound if len(bound) > 1 else (bound[0],))
+            power = _poly_mul(power, bound)
         if p in by_power:
             total = _poly_add(total, _poly_mul(by_power[p], power))
     return _poly_trim(total)

@@ -37,7 +37,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -229,10 +229,21 @@ def _bag_threshold_rows(
     return pairs, rows, counts
 
 
-def _assemble_bag_table(
-    ctx: DecompositionContext, i: int, grid: GridSpec, budget: Budget,
-    fixed: Mapping[int, int],
+def bag_staircase(
+    ctx: DecompositionContext, i: int, grid: GridSpec, budget: Budget | None = None,
+    fixed: Mapping[int, int] | None = None,
 ) -> StaircaseTable:
+    """Cumulative staircase table of bag i over its active shift variables.
+
+    ``fixed`` maps some active variables to one grid index each; the table
+    then has no axis for them and equals the full table taken at those
+    indices, bit for bit, since every cell is counted on its own.
+    ``approx_dag`` fixes the bag's frozen terminals at 0, the only index of
+    them the merge reads.  It does not fix frozen sources: the merge reads
+    them at M after differencing and cumulating the whole axis.
+    """
+    budget = budget or Budget.default()
+    fixed = fixed or {}
     M = grid.m_res
     pairs, rows, counts = _bag_threshold_rows(ctx, i, grid, budget)
     active = sorted(ctx.S[i] | ctx.T[i])
@@ -243,9 +254,8 @@ def _assemble_bag_table(
     shape = (M + 1,) * len(axes)
     budget.charge_cells(int(np.prod(shape, dtype=np.int64)))
 
-    r = sum(1 for (u, v) in ctx.bag_edges[i]
-            if ctx.dag.dist_of[(u, v)].kind is DistKind.UNIFORM)
-    total = float(M**r)
+    # each of the M^r corners falls in exactly one threshold row
+    total = float(counts.sum())
     # grid index of each active variable, broadcast over the table's axes; a
     # fixed variable is one constant index, not an axis
     axis_of = {v: k for k, (v, _) in enumerate(axes)}
@@ -259,7 +269,7 @@ def _assemble_bag_table(
             at[v] = np.arange(M + 1, dtype=np.int64).reshape(sh)
 
     if not pairs:
-        return StaircaseTable(grid, axes, CUMULATIVE, np.full(shape, counts.sum() / total))
+        return StaircaseTable(grid, axes, CUMULATIVE, np.ones(shape))
 
     # dominance count: a grid point admits the corners whose threshold row it
     # dominates, so histogram the rows on compressed coordinates, prefix-sum,
@@ -298,39 +308,29 @@ def _assemble_bag_table(
     return StaircaseTable(grid, axes, CUMULATIVE, values)
 
 
-def bag_staircase(
-    ctx: DecompositionContext, i: int, grid: GridSpec, budget: Budget | None = None,
-    fixed: Mapping[int, int] | None = None,
-) -> StaircaseTable:
-    """Cumulative staircase table of bag i over its active shift variables.
-
-    ``fixed`` maps some active variables to one grid index each; the table
-    then has no axis for them and equals the full table taken at those
-    indices, bit for bit, since every cell is counted on its own.
-    ``approx_dag`` fixes the bag's frozen terminals at 0, the only index of
-    them the merge reads.  It does not fix frozen sources: the merge reads
-    them at M after differencing and cumulating the whole axis.
-    """
-    return _assemble_bag_table(ctx, i, grid, budget or Budget.default(), fixed or {})
-
-
 # ---------------------------------------------------------------------------
 # subtree merging
 
 
 def _merge_roles(
-    ctx: DecompositionContext, i: int, alive: Iterable[int]
+    ctx: DecompositionContext, i: int
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """(kept, frozen sources, frozen terminals) of the merge at bag i, whose
-    operands carry the variables ``alive`` on their axes.
+    """(kept, frozen sources, frozen terminals) of the merge at bag i.
 
-    At the root, the subtree sources still on an operand's axes stay kept for
-    the final accumulation.  Glue variables are contracted, never frozen.
+    Kept are the subtree's sources and terminals still in the parent bag; at
+    the root, where no parent bag exists, every subtree source stays for the
+    final accumulation.  The rest of ``S_D`` and ``T_D`` is frozen.  The
+    rule reads the decomposition only, not the operands' axes, because:
+
+    - glue variables become internal at this merge (``_verify_context``
+      checks that ``J`` is exactly that set), so they are never in ``S_D`` or
+      ``T_D`` and are contracted, never frozen;
+    - at the root every subtree source is the v- of a source of the whole
+      graph, and the root owns its edge v- -> v*, so ``S_D`` lies inside
+      ``S`` and every kept root variable is an axis of the bag table.
     """
-    kept = ctx.kept(i)
-    if i == ctx.td.root:
-        kept = ctx.S_D[i] & frozenset(alive)
-    return kept, ctx.S_D[i] - kept - ctx.J[i], ctx.T_D[i] - kept - ctx.J[i]
+    kept = ctx.S_D[i] if i == ctx.td.root else ctx.kept(i)
+    return kept, ctx.S_D[i] - kept, ctx.T_D[i] - kept
 
 
 def _take_frozen(
@@ -405,9 +405,9 @@ def merge_subtree(
     Glue variables are contracted by pairing the mass increments of the side
     that is a density in the variable with the other side's value at each
     mass interval's lower end; sources/terminals leaving scope are frozen at
-    x / 0.  At the root, the subtree sources still on an operand's axes stay
-    unfrozen for the final accumulation.  Returns the difference table over
-    the surviving variables.
+    x / 0.  At the root, the subtree sources stay unfrozen for the final
+    accumulation (``_merge_roles``).  Returns the difference table over the
+    surviving variables.
 
     ``lam_g`` may lack the bag's frozen terminal axes (``bag_staircase`` with
     ``fixed``).  Its frozen source axes arrive full-width: their slab at M is
@@ -418,8 +418,7 @@ def merge_subtree(
     """
     budget = budget or Budget.default()
     grid = lam_g.grid
-    kept, frozen_src, frozen_term = _merge_roles(
-        ctx, i, {v for t in (lam_g, *child_tables) for v, _ in t.axes})
+    kept, frozen_src, frozen_term = _merge_roles(ctx, i)
     J = ctx.J[i]
 
     g_vals, g_names = _transform_operand(
@@ -514,7 +513,7 @@ def accumulate(table: StaircaseTable) -> float:
     cum = table.to_cumulative()
     M = table.grid.m_res
     idx = tuple(M if role == SRC else 0 for _, role in cum.axes)
-    return float(cum.values[idx]) if cum.axes else float(cum.values)
+    return float(cum.values[idx])
 
 
 @dataclass(kw_only=True)
@@ -543,16 +542,15 @@ def approx_dag(
     t0 = time.perf_counter()
     if x < 0:
         raise InputError("horizon x must be >= 0")
-    ctx, _, td_bin = prepare_context(g, td)
-    M = m_override if m_override is not None else choose_M(td_bin.width, g.n, g.m, float(epsilon))
+    ctx = prepare_context(g, td)
+    M = m_override if m_override is not None else choose_M(ctx.k, g.n, g.m, float(epsilon))
     grid = GridSpec(M, float(x))
     budget = budget or Budget.default()
 
     def solve_bag(i: int, kids: list[StaircaseTable]) -> StaircaseTable:
         # the merge reads a frozen terminal at 0 only, so build it only there;
         # one with a source role in this bag is left to the merge's role check
-        alive = ctx.S[i] | ctx.T[i] | {v for t in kids for v, _ in t.axes}
-        _, _, frozen_term = _merge_roles(ctx, i, alive)
+        _, _, frozen_term = _merge_roles(ctx, i)
         fixed = dict.fromkeys(frozen_term & ctx.T[i], 0)
         lam_g = finite_difference(bag_staircase(ctx, i, grid, budget, fixed))
         return merge_subtree(ctx, i, lam_g, kids, budget)

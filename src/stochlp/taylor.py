@@ -156,7 +156,7 @@ def bag_taylor(
     from .symbolic import truncate_total_degree
 
     parts = tuple((pend, truncate_total_degree(s, tau)) for pend, s in den.parts)
-    return BagDensity(i, parts)
+    return BagDensity(parts)
 
 
 @dataclass(kw_only=True)
@@ -190,7 +190,7 @@ def approx_taylor(
     def oracle_of(name: str) -> DistributionOracle:
         return resolve_oracle(oracle if oracle is not None else name)
 
-    ctx, _, td_bin = prepare_context(g, td)
+    ctx = prepare_context(g, td)
     width = ctx.td.width
     names = sorted({d.name for _, _, d in g.edges if d.kind is DistKind.ORACLE})
     oracles = [oracle_of(name) for name in names]
@@ -204,7 +204,7 @@ def approx_taylor(
     if tau is None:
         # formula order; instantiated with the original treewidth per the
         # (3k+3) factor, so pass the pre-separation width
-        tau = choose_tau(td_bin.width, xf, ctx.b, float(eps_additive))
+        tau = choose_tau(ctx.k, xf, ctx.b, float(eps_additive))
         est = math.comb(tau + width + 1, width + 1)
         if est > budget.max_terms:
             raise InputError(

@@ -39,7 +39,7 @@ def assert_shared_report(rep, g: Dag, td, budget: Budget) -> None:
     ``prepare_context`` builds for the same input, carrying the counters of
     the run's ``budget`` and holding plain values only (no context, table or
     budget stays alive through it)."""
-    ctx, _, _ = prepare_context(g, td)
+    ctx = prepare_context(g, td)
     assert isinstance(rep, SolveReport)
     assert (rep.separated_width, rep.separated_n, rep.bag_count) == (ctx.td.width, ctx.dag.n, ctx.b)
     assert (rep.cells_used, rep.regions_peak, rep.terms_peak, rep.work_used) == \

@@ -188,13 +188,13 @@ def test_criterion_9_decomposition_invariants():
         _, children, _ = td_bin.rooted()
         assert all(len(c) <= 2 for c in children)
         assert td_bin.b <= 4 * inst.dag.n
-        g_star, td_star, _ = separate(inst.dag, td_bin)
+        g_star, td_star = separate(inst.dag, td_bin)
         assert td_star.width <= 3 * inst.td.width + 2
         # build_context re-verifies: edge partition, bag/subtree role
         # disjointness, the T' successor condition, the separation property
         # between ancestor and descendant bag remainders, glue containment,
         # and the two computations of the new-internal-vertex sets
-        ctx, _, _ = prepare_context(inst.dag, inst.td)
+        ctx = prepare_context(inst.dag, inst.td)
         owned = [e for i in range(ctx.b) for e in ctx.bag_edges[i]]
         assert len(owned) == len(set(owned)) == ctx.dag.m
         for i in range(ctx.b):
@@ -246,7 +246,7 @@ def test_criterion_10_symbolic_calculus_properties():
 
     for seed in (0, 3):
         inst = gen_random_tw(2, 5, seed=seed, dist="exp", max_edges=7)
-        ctx, _, _ = prepare_context(inst.dag, inst.td)
+        ctx = prepare_context(inst.dag, inst.td)
         bound = math.factorial(ctx.td.width + 1)
         for i in ctx.post_order:
             for _, ssum in bag_density_exp(ctx, i).parts:

@@ -5,6 +5,7 @@ whole-subtree invariant battery must pass on it, and the bag-local battery
 must still catch a corrupted context."""
 
 import dataclasses
+import gc
 import time
 
 import pytest
@@ -63,7 +64,7 @@ CASES = [
 
 @pytest.mark.parametrize("g,td", CASES)
 def test_fields_match_reference(g, td):
-    ctx, _, _ = prepare_context(g, td)
+    ctx = prepare_context(g, td)
     ref = reference_context(ctx.dag, ctx.td)
     for name in SOLVER_FIELDS:
         want = ref[name]
@@ -78,7 +79,7 @@ def test_role_sets_are_bag_local(case):
     # global sources and terminals forgotten deep below a bag must not ride
     # along in its role sets, or their total size grows quadratically
     g, td = (gen_chain(800).dag, None) if case.startswith("chain") else _many_source_sink(200)
-    ctx, _, _ = prepare_context(g, td)
+    ctx = prepare_context(g, td)
     bags = ctx.td.bags
     total = 0
     for name in ROLE_FIELDS:
@@ -131,7 +132,7 @@ def _corrupt_cases(ctx):
 
 def test_bag_local_battery_rejects_corrupted_context():
     inst = gen_random_tw(2, 7, seed=3)
-    ctx, _, _ = prepare_context(inst.dag, inst.td)
+    ctx = prepare_context(inst.dag, inst.td)
     internal_D, internal_U = reference_internals(reference_context(ctx.dag, ctx.td), ctx.td, ctx.dag)
     _verify_context(ctx, internal_D, internal_U)
     for what, bad in _corrupt_cases(ctx):
@@ -144,13 +145,20 @@ def test_prepare_context_scales_linearly():
     # a linear front end gives about 4 per quadrupling of the chain length,
     # whole-subtree unions about 16; the bound leaves room for timing noise,
     # the sizes alternate so that a slow phase of the machine hits both, and
-    # CPU time leaves out the time other processes hold the core
+    # CPU time leaves out the time other processes hold the core; the cyclic
+    # garbage collector is paused so that a collection of garbage left by
+    # earlier tests does not land inside one timed call
     chains = {n: gen_chain(n) for n in (400, 1600)}
     best = dict.fromkeys(chains, float("inf"))
     for _ in range(5):
         for n, inst in chains.items():
-            t0 = time.process_time()
-            prepare_context(inst.dag, inst.td)
-            best[n] = min(best[n], time.process_time() - t0)
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                prepare_context(inst.dag, inst.td)
+                best[n] = min(best[n], time.process_time() - t0)
+            finally:
+                gc.enable()
     ratio = best[1600] / best[400]
     assert ratio < 8, f"prepare_context n=1600 over n=400 took {ratio:.1f}x"

@@ -262,7 +262,7 @@ class TestSeparate:
     def test_single_edge_shape(self):
         g = parse_graph("2 1\n1 2 uniform 1\n")
         td = TreeDecomposition((frozenset({0, 1}),), ())
-        gs, tds, vmap = separate(g, td)
+        gs, tds = separate(g, td)
         assert gs.n == 6 and gs.m == 5
         assert sum(1 for _, _, d in gs.edges if d.kind is DistKind.ZERO) == 4
         assert tds.bags[0] == frozenset(range(6))
@@ -273,7 +273,7 @@ class TestSeparate:
         td = parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n").relabel(
             {label: i for i, label in enumerate(g.labels)}
         )
-        ctx, _, _ = prepare_context(g, td)
+        ctx = prepare_context(g, td)
         assert ctx.td.width <= 5
         for i in range(ctx.b):
             assert not ctx.S[i] & ctx.T[i]
@@ -282,7 +282,7 @@ class TestSeparate:
         rng = random.Random(9)
         g = parse_graph("4 4\n1 2 uniform 2\n1 3 uniform 1\n2 4 uniform 3\n3 4 uniform 1\n")
         td = heuristic_td(g)
-        gs, tds, vmap = separate(g, binarize_td(td))
+        gs, tds = separate(g, binarize_td(td))
         for _ in range(25):
             lengths = {(u, v): rng.uniform(0, d.scale) for u, v, d in g.edges}
             star_lengths = []
@@ -290,7 +290,7 @@ class TestSeparate:
                 if d.kind is DistKind.ZERO:
                     star_lengths.append(0.0)
                 else:
-                    # recover the original edge through the triple map
+                    # recover the original edge: the copies of v are 3v, 3v+1, 3v+2
                     orig_u = u // 3
                     orig_v = v // 3
                     star_lengths.append(lengths[(orig_u, orig_v)])
@@ -302,14 +302,42 @@ class TestSeparate:
         for seed in range(5):
             inst = gen_random_tw(2, 7, seed=seed)
             k = inst.td.width
-            _, tds, _ = separate(inst.dag, binarize_td(inst.td))
+            _, tds = separate(inst.dag, binarize_td(inst.td))
             assert tds.width <= 3 * k + 2
+
+
+def _context_corpus():
+    """(graph, decomposition) pairs: random partial k-trees for k = 1-4,
+    diamond ladders and chains, each with its given decomposition and with
+    the heuristic one."""
+    insts = [gen_random_tw(k, k + 2 + seed % 4, seed=seed, max_edges=None if seed % 2 else 2 * k + 1)
+             for k in range(1, 5) for seed in range(6)]
+    insts += [gen_diamond_ladder(d) for d in (1, 2, 3)] + [gen_chain(n) for n in (2, 5, 9)]
+    for inst in insts:
+        yield inst.dag, inst.td
+        yield inst.dag, heuristic_td(inst.dag)
+
+
+class TestContextFacts:
+    def test_k_is_width_before_separation(self):
+        for g, td in _context_corpus():
+            assert prepare_context(g, td).k == td.width
+
+    def test_merge_roles_need_no_operand_axes(self):
+        # the two facts that let the grid merge take its roles from the
+        # context alone: glue is never a subtree source or terminal, and at
+        # the root every subtree source is a source of the bag itself
+        for g, td in _context_corpus():
+            ctx = prepare_context(g, td)
+            for i in range(ctx.b):
+                assert not ctx.J[i] & (ctx.S_D[i] | ctx.T_D[i])
+            assert ctx.S_D[ctx.td.root] <= ctx.S[ctx.td.root]
 
 
 class TestContext:
     def test_leaf_bag_has_empty_glue(self):
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
-        ctx, _, _ = prepare_context(g, None)
+        ctx = prepare_context(g, None)
         for i in ctx.post_order:
             if not ctx.children[i]:
                 assert ctx.J[i] == frozenset()
@@ -319,7 +347,7 @@ class TestContext:
         # build_context runs the full invariant battery internally
         for seed in range(30):
             inst = gen_random_tw(2, 4 + seed % 4, seed=seed, max_edges=8)
-            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            ctx = prepare_context(inst.dag, inst.td)
             owned = [e for i in range(ctx.b) for e in ctx.bag_edges[i]]
             assert len(owned) == ctx.dag.m
             assert len(set(owned)) == ctx.dag.m
@@ -329,11 +357,11 @@ class TestContext:
         td = parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n").relabel(
             {label: i for i, label in enumerate(g.labels)}
         )
-        ctx, vmap, _ = prepare_context(g, td)
+        ctx = prepare_context(g, td)
         # vertex 1's zero edges live in the root's bag-subgraph, not the child's
         root = ctx.td.root
         root_owned = ctx.bag_edges[root]
-        assert (vmap[0].minus, vmap[0].star) in root_owned
+        assert (3 * 0, 3 * 0 + 1) in root_owned
 
     def test_rejects_unbinarized(self):
         bags = (frozenset({0, 1}),) + tuple(frozenset({0, 1}) for _ in range(3))
@@ -347,7 +375,7 @@ class TestContext:
         # compares it against the new-internal-vertex characterization
         for seed in (1, 4, 7):
             inst = generate("random-tw", 6, seed=seed, k=2, max_edges=7)
-            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            ctx = prepare_context(inst.dag, inst.td)
             for i in range(ctx.b):
                 assert ctx.J[i] == ctx.S_prime[i] | ctx.T_prime[i]
 
@@ -370,7 +398,7 @@ class TestContext:
 class TestSweep:
     def test_leaves_to_root(self):
         inst = gen_random_tw(2, 10, seed=4)
-        ctx, _, _ = prepare_context(inst.dag, inst.td)
+        ctx = prepare_context(inst.dag, inst.td)
         assert any(len(kids) == 2 for kids in ctx.children)
 
         class Result:
@@ -435,6 +463,6 @@ class TestAncestorFirstRealEdges:
         mp = {label: i for i, label in enumerate(g.labels)}
         td = parse_td("s td 2 3 3\nb 1 1 2 3\nb 2 1 2\n1 2\n").relabel(mp)
         assert validate_td(g, td).valid
-        ctx, vmap, _ = prepare_context(g, td)
-        edge = (vmap[mp[1]].star, vmap[mp[2]].minus)
+        ctx = prepare_context(g, td)
+        edge = (3 * mp[1] + 1, 3 * mp[2])
         assert edge in ctx.bag_edges[ctx.td.root]

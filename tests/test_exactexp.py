@@ -53,7 +53,7 @@ class TestBagDensity:
             inst = gen_random_tw(2, 5, seed=seed, dist="exp", max_edges=7)
             from stochlp.decomposition import prepare_context
 
-            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            ctx = prepare_context(inst.dag, inst.td)
             for i in ctx.post_order:
                 den = bag_density_exp(ctx, i)
                 w1 = ctx.td.width + 1
@@ -202,7 +202,7 @@ class TestPublicMergeOps:
         td = parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n").relabel(
             {label: i for i, label in enumerate(g.labels)}
         )
-        ctx, _, _ = prepare_context(g, td)
+        ctx = prepare_context(g, td)
         sums = {}
         for i in ctx.post_order:
             den = bag_density_exp(ctx, i)

@@ -114,7 +114,7 @@ class TestBagStaircase:
             inst = gen_random_tw(2, 4, seed=seed, max_edges=5)
             from stochlp.decomposition import prepare_context
 
-            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            ctx = prepare_context(inst.dag, inst.td)
             grid = GridSpec(6, 1.3)
             for i in ctx.post_order:
                 t = bag_staircase(ctx, i, grid)
@@ -209,7 +209,7 @@ class TestMergeAndAccumulate:
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         from stochlp.decomposition import prepare_context
 
-        ctx, _, _ = prepare_context(g, parse_td_chain())
+        ctx = prepare_context(g, parse_td_chain())
         grid = GridSpec(4, 1.0)
         leaf = next(i for i in ctx.post_order if not ctx.children[i])
         child = merge_subtree(ctx, leaf, finite_difference(bag_staircase(ctx, leaf, grid)), [])
@@ -356,7 +356,7 @@ class TestDominanceCountFallback:
         grid = GridSpec(m_res, 1.7)
         for inst in (gen_random_tw(2, 6, seed=4, dist="uniform-mixed", max_edges=8),
                      gen_diamond_ladder(2, dist="uniform-mixed")):
-            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            ctx = prepare_context(inst.dag, inst.td)
             dense = [bag_staircase(ctx, i, grid) for i in ctx.post_order]
             monkeypatch.setattr(staircase, "DENSE_HISTOGRAM_CELLS", 0)
             looped = [bag_staircase(ctx, i, grid) for i in ctx.post_order]
@@ -467,7 +467,7 @@ class TestInPlaceConversions:
         from stochlp.decomposition import prepare_context
 
         inst = gen_diamond_ladder(2, dist="uniform-mixed")
-        ctx, _, _ = prepare_context(inst.dag, inst.td)
+        ctx = prepare_context(inst.dag, inst.td)
         grid = GridSpec(6, 3.1)
         done = {}
         for i in ctx.post_order:
@@ -502,7 +502,7 @@ class TestInPlaceConversions:
         grid = GridSpec(7, 1.9)
         for inst in (gen_random_tw(2, 6, seed=4, dist="uniform-mixed", max_edges=8),
                      gen_diamond_ladder(2, dist="uniform-mixed"), gen_chain(4)):
-            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            ctx = prepare_context(inst.dag, inst.td)
             for i in ctx.post_order:
                 got = bag_staircase(ctx, i, grid).values
                 assert got.dtype == np.float64
@@ -515,7 +515,7 @@ class TestInPlaceConversions:
         from stochlp.decomposition import prepare_context
 
         inst = generate("diamond-ladder", 2, dist="uniform")
-        ctx, _, _ = prepare_context(inst.dag, inst.td)
+        ctx = prepare_context(inst.dag, inst.td)
         i = max(ctx.post_order, key=lambda j: len(ctx.S[j] | ctx.T[j]))
         grid = GridSpec(24, 2.0)
         tracemalloc.start()
@@ -561,7 +561,7 @@ class TestFrozenAxesNeverBuilt:
         rng = random.Random(5)
         for inst in (gen_random_tw(2, 6, seed=4, dist="uniform-mixed", max_edges=8),
                      gen_diamond_ladder(2, dist="uniform-mixed"), gen_chain(4)):
-            ctx, _, _ = prepare_context(inst.dag, inst.td)
+            ctx = prepare_context(inst.dag, inst.td)
             for i in ctx.post_order:
                 full = bag_staircase(ctx, i, grid)
                 names = [v for v, _ in full.axes]
@@ -596,7 +596,7 @@ class TestFrozenAxesNeverBuilt:
         for inst in corpus:
             amax = sum(d.scale for _, _, d in inst.dag.edges)
             for td in (inst.td, None):
-                ctx, _, _ = prepare_context(inst.dag, td)
+                ctx = prepare_context(inst.dag, td)
                 for x in (amax * 0.37, amax * 0.71):
                     full_budget, budget = Budget(), Budget()
                     want = _full_table_value(ctx, GridSpec(m_res, x), monkeypatch, full_budget)
@@ -623,12 +623,12 @@ class TestFrozenAxesNeverBuilt:
         from stochlp.staircase import _merge_roles
 
         inst = gen_random_tw(3, 10, seed=1, dist="uniform", max_edges=20)
-        ctx, _, _ = prepare_context(inst.dag, None)
+        ctx = prepare_context(inst.dag, None)
         grid = GridSpec(24, 2.0)
 
         def product_cells(i):
             kid_vars = {v for j in ctx.children[i] for v in ctx.kept(j)}
-            _, frozen_src, frozen_term = _merge_roles(ctx, i, kid_vars | ctx.S[i] | ctx.T[i])
+            _, frozen_src, frozen_term = _merge_roles(ctx, i)
             return (grid.m_res + 1) ** len(kid_vars - frozen_src - frozen_term)
 
         target = max(ctx.post_order, key=product_cells)

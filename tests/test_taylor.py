@@ -213,7 +213,7 @@ class TestPublicMergeOps:
         td = parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n").relabel(
             {label: i for i, label in enumerate(g.labels)}
         )
-        ctx, _, _ = prepare_context(g, td)
+        ctx = prepare_context(g, td)
         tau = 8
         sums = {}
         for i in ctx.post_order:
