@@ -136,7 +136,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--threads", type=int, default=None,
                         help="worker hint; results are identical for any value")
         sp.add_argument("--timings", action="store_true")
-        sp.add_argument("--out", choices=["json"], default="json")
 
     sp = sub.add_parser("approx", help="grid FPTAS for uniform edge lengths")
     common(sp)
@@ -170,7 +169,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("validate-td", help="check the three decomposition conditions")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--td", required=True)
-    sp.add_argument("--out", choices=["json"], default="json")
 
     sp = sub.add_parser("gen", help="emit a graph + decomposition pair")
     sp.add_argument("--shape", required=True, choices=["chain", "diamond-ladder", "random-tw"])
@@ -181,7 +179,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-edges", type=int, default=None)
     sp.add_argument("--out-graph", required=True)
     sp.add_argument("--out-td", required=True)
-    sp.add_argument("--out", choices=["json"], default="json")
     return p
 
 

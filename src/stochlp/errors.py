@@ -75,8 +75,9 @@ class Budget:
     """Mutable resource accounting for one solver run.
 
     ``max_cells`` bounds grid-corner evaluations (FPTAS and Riemann
-    bracketing); ``max_regions``/``max_terms`` bound the symbolic calculus.
-    The STOCHLP_BUDGET environment variable, when set, overrides all three.
+    bracketing); ``max_regions``/``max_terms`` bound the symbolic calculus and
+    ``max_work`` its term-combination work.  The STOCHLP_BUDGET environment
+    variable, when set, overrides all four in ``Budget.default``.
     """
 
     max_cells: int = _DEFAULT_MAX_CELLS

@@ -13,13 +13,13 @@ cell count bit for bit.
 
 A merge freezes every axis that is neither kept nor glue: it reads a frozen
 source at grid index M and a frozen terminal at 0, and never the rest of the
-axis.  So a bag's frozen terminal axes are never built (``bag_staircase`` with
-``fixed``), and each child table loses its frozen axes right after it is
-cumulated, before the pointwise product (``_product_table``).  Both slices
-leave every surviving cell bit-identical: a bag's terminal axes are never
-differenced or cumulated and each of its cells is counted on its own, and the
-product acts cell by cell.  A bag's frozen source axes are still built in
-full, because the merge reads their slab at M only after the bag table's
+axis.  Only the bag table holds frozen axes: a variable frozen at a bag is not
+in its parent bag, so its one edge is owned by the bag itself and no child
+subtree gives it a role.  A bag's frozen terminal axes are never built
+(``bag_staircase`` with ``fixed``), which leaves every surviving cell
+bit-identical, since terminal axes are never differenced or cumulated and
+each cell is counted on its own.  A bag's frozen source axes are still built
+in full, because the merge reads their slab at M only after the bag table's
 float difference-and-cumulate round trip, whose result at M depends on the
 whole axis.
 
@@ -357,40 +357,30 @@ def _take_frozen(
 
 
 def _transform_operand(
-    table: StaircaseTable,
-    density_vars: frozenset[int],
-    kept: frozenset[int],
-    frozen_src: frozenset[int],
-    frozen_term: frozenset[int],
-    contract: frozenset[int],
-) -> tuple[np.ndarray, list[int]]:
-    """Freeze out-of-scope axes, difference the density-side glue axes, and
-    lag the plain-side glue axes one grid step.
+    vals: np.ndarray, names: Sequence[int], m_res: int,
+    density_vars: frozenset[int], kept: frozenset[int], contract: frozenset[int],
+) -> np.ndarray:
+    """Difference the density-side glue axes of a cumulative array the merge
+    owns, in place, and lag the other glue axes one grid step.
 
-    Returns (array, axis vertex ids).  Kept axes stay cumulative.  The lag
-    pairs each glue-mass interval with the value at the interval's lower end,
-    which keeps the merged table an upper staircase of the true distribution
-    (value monotonicity absorbs the shift into the horizontal error).
+    Kept axes stay cumulative.  The lag pairs each glue-mass interval with
+    the value at the interval's lower end, which keeps the merged table an
+    upper staircase of the true distribution (value monotonicity absorbs the
+    shift into the horizontal error).
     """
-    M = table.grid.m_res
-    cum = table.to_cumulative().values
-    vals, names = _take_frozen(cum, table.axes, M, frozen_src, frozen_term)
-    owned = vals is not table.values  # safe to difference in place
     for ax, v in enumerate(names):
         if v in kept:
             continue
         if v not in contract:
             raise InvariantViolation(f"variable {v} has no role at this merge")
         if v in density_vars:
-            if not owned:
-                vals, owned = np.array(vals, dtype=np.float64, order="C"), True
             _difference_in_place(vals, ax)
         else:
             # glue mass of interval ((g-1)h, gh] on the other side meets the
             # value at (g-1)h; the origin atom (slot 0) sits exactly at 0
-            idx = np.concatenate(([0], np.arange(0, M)))
-            vals, owned = np.take(vals, idx, axis=ax), True
-    return vals, names
+            idx = np.concatenate(([0], np.arange(0, m_res)))
+            vals = np.take(vals, idx, axis=ax)
+    return vals
 
 
 def merge_subtree(
@@ -400,7 +390,7 @@ def merge_subtree(
     child_tables: Sequence[StaircaseTable],
     budget: Budget | None = None,
 ) -> StaircaseTable:
-    """Combine the bag table with the child subtree tables at bag i.
+    """Combine the difference bag table with the child subtree tables at bag i.
 
     Glue variables are contracted by pairing the mass increments of the side
     that is a density in the variable with the other side's value at each
@@ -412,20 +402,24 @@ def merge_subtree(
     ``lam_g`` may lack the bag's frozen terminal axes (``bag_staircase`` with
     ``fixed``).  Its frozen source axes arrive full-width: their slab at M is
     read only after ``lam_g`` is cumulated, and a cumulated difference at M
-    depends on the whole axis.  Each child table is cumulated and its frozen
-    axes taken before the children are multiplied, so the product is only
-    built over the kept and glue variables.
+    depends on the whole axis.  Children never carry a frozen axis: a
+    variable frozen at bag i is not in the parent bag, so its one edge
+    (v- -> v* or v* -> v+) is owned by bag i and it has no role in the
+    subtrees below.  So it is in neither ``S_U`` nor ``T_U``, and the child
+    role check rejects any child axis for it.
     """
     budget = budget or Budget.default()
+    if lam_g.kind != DIFFERENCE:
+        raise InputError("merge_subtree expects a difference bag table")
     grid = lam_g.grid
+    M = grid.m_res
     kept, frozen_src, frozen_term = _merge_roles(ctx, i)
     J = ctx.J[i]
 
-    g_vals, g_names = _transform_operand(
-        lam_g, density_vars=ctx.S_prime[i], kept=kept,
-        frozen_src=frozen_src, frozen_term=frozen_term, contract=J,
-    )
-
+    g_vals, g_names = _take_frozen(lam_g.to_cumulative().values, lam_g.axes, M,
+                                   frozen_src, frozen_term)
+    g_vals = _transform_operand(g_vals, g_names, M, ctx.S_prime[i], kept, J)
+    u_vals, u_names = None, []
     if child_tables:
         for t in child_tables:
             if t.grid != grid:
@@ -436,30 +430,21 @@ def merge_subtree(
                     raise InvariantViolation(
                         f"child variable {v} has role {role!r} in its table, "
                         f"{expected!r} in the uncapped subtree")
-        u_table = _product_table(child_tables, frozen_src, frozen_term, budget)
-        u_vals, u_names = _transform_operand(
-            u_table, density_vars=ctx.T_prime[i], kept=kept,
-            frozen_src=frozen_src, frozen_term=frozen_term, contract=J,
-        )
-    else:
-        if J:
-            raise InvariantViolation(f"leaf bag {i} has nonempty glue set {sorted(J)}")
-        u_vals, u_names = None, []
+        u_vals, u_names = _product_table(child_tables, budget)
+        u_vals = _transform_operand(u_vals, u_names, M, ctx.T_prime[i], kept, J)
+        budget.charge_cells(int(g_vals.size))
+    elif J:
+        raise InvariantViolation(f"leaf bag {i} has nonempty glue set {sorted(J)}")
 
     if J - (set(g_names) & set(u_names)):
         raise InvariantViolation(f"glue variables {sorted(J)} missing from an operand")
 
     label = {v: k for k, v in enumerate(sorted(set(g_names) | set(u_names)))}
     out_vars = sorted(kept)
-    if u_vals is None:
-        out = np.einsum(g_vals, [label[v] for v in g_names], [label[v] for v in out_vars])
-    else:
-        budget.charge_cells(int(g_vals.size))
-        out = np.einsum(
-            g_vals, [label[v] for v in g_names],
-            u_vals, [label[v] for v in u_names],
-            [label[v] for v in out_vars],
-        )
+    operands = [g_vals, [label[v] for v in g_names]]
+    if u_vals is not None:
+        operands += [u_vals, [label[v] for v in u_names]]
+    out = np.einsum(*operands, [label[v] for v in out_vars])
 
     axes = []
     for v in out_vars:
@@ -474,37 +459,24 @@ def merge_subtree(
 
 
 def _product_table(
-    child_tables: Sequence[StaircaseTable],
-    frozen_src: frozenset[int],
-    frozen_term: frozenset[int],
-    budget: Budget,
-) -> StaircaseTable:
+    child_tables: Sequence[StaircaseTable], budget: Budget
+) -> tuple[np.ndarray, list[int]]:
     """Cumulative pointwise product of the child tables over the union of
-    their unfrozen axes, which keep the children's roles (shared axes must
-    agree).  Each child is cumulated and then taken at its frozen axes'
-    read index, so every product cell is the one a full product would hold
-    there.  The product's cells are charged before anything is allocated."""
-    roles: dict[int, str] = {}
-    for t in child_tables:
-        for v, r in t.axes:
-            if roles.setdefault(v, r) != r:
-                raise InvariantViolation(f"variable {v} has conflicting roles across children")
-    union = sorted(v for v in roles if v not in frozen_src and v not in frozen_term)
+    their axes.  Returns (array, axis vertex ids).  The product's cells are
+    charged before anything is allocated."""
+    union = sorted({v for t in child_tables for v, _ in t.axes})
     label = {v: k for k, v in enumerate(union)}
-    m_res = child_tables[0].grid.m_res
-    size = m_res + 1
+    size = child_tables[0].grid.m_res + 1
     budget.charge_cells(size ** len(union))
     full = np.ones((size,) * len(union), dtype=np.float64)
     for t in child_tables:
-        vals, names = _take_frozen(t.to_cumulative().values, t.axes, m_res, frozen_src, frozen_term)
         # table axes are sorted by vertex, so they sit in the union in order:
         # inserting size-1 dims aligns them for broadcasting
         shape = [1] * len(union)
-        for v in names:
+        for v, _ in t.axes:
             shape[label[v]] = size
-        full *= vals.reshape(shape)
-    return StaircaseTable(child_tables[0].grid, tuple((v, roles[v]) for v in union),
-                          CUMULATIVE, full)
+        full *= t.to_cumulative().values.reshape(shape)
+    return full, union
 
 
 def accumulate(table: StaircaseTable) -> float:

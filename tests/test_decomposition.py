@@ -22,6 +22,7 @@ from stochlp import (
 )
 from stochlp.decomposition import format_td, prepare_context, sweep
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
+from stochlp.staircase import _merge_roles
 
 
 class TestParseTd:
@@ -332,6 +333,21 @@ class TestContextFacts:
             for i in range(ctx.b):
                 assert not ctx.J[i] & (ctx.S_D[i] | ctx.T_D[i])
             assert ctx.S_D[ctx.td.root] <= ctx.S[ctx.td.root]
+
+    def test_frozen_variables_belong_to_their_bag(self):
+        # a variable frozen at bag i is not in the parent bag, so its one edge
+        # is owned by bag i: it is a source or terminal of the bag itself and
+        # no child subtree gives it a role, under the grid and symbolic rules
+        for g, td in _context_corpus():
+            ctx = prepare_context(g, td)
+            for i in range(ctx.b):
+                _, grid_src, grid_term = _merge_roles(ctx, i)
+                kept = ctx.kept(i)
+                for frozen_src, frozen_term in ((grid_src, grid_term),
+                                                (ctx.S_D[i] - kept, ctx.T_D[i] - kept)):
+                    assert frozen_src <= ctx.S[i]
+                    assert frozen_term <= ctx.T[i]
+                    assert not (frozen_src | frozen_term) & (ctx.S_U[i] | ctx.T_U[i])
 
 
 class TestContext:

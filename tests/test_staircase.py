@@ -208,6 +208,7 @@ class TestMergeAndAccumulate:
         # bag is a bug upstream; the merge must not cumulate along it anyway
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         from stochlp.decomposition import prepare_context
+        from stochlp.staircase import _merge_roles
 
         ctx = prepare_context(g, parse_td_chain())
         grid = GridSpec(4, 1.0)
@@ -221,6 +222,17 @@ class TestMergeAndAccumulate:
         merge_subtree(ctx, parent, lam, [child])
         with pytest.raises(InvariantViolation, match=f"child variable {v} has role"):
             merge_subtree(ctx, parent, lam, [flipped])
+        # a variable frozen at the parent has no role in the uncapped subtree,
+        # so a child axis for it is rejected, not sliced
+        _, frozen_src, frozen_term = _merge_roles(ctx, parent)
+        f = min(frozen_src | frozen_term)
+        role = "s" if f in frozen_src else "t"
+        axes = tuple(sorted((*child.axes, (f, role))))
+        pos = axes.index((f, role))
+        extra = StaircaseTable(grid, axes, child.kind,
+                               np.stack([child.values] * (grid.m_res + 1), axis=pos))
+        with pytest.raises(InvariantViolation, match=f"child variable {f} has role"):
+            merge_subtree(ctx, parent, lam, [extra])
 
     def test_x_beyond_support_is_one(self):
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
@@ -478,19 +490,13 @@ class TestInPlaceConversions:
             for t, b in zip((lam, *kids), before):
                 assert np.array_equal(_bits(t.values), _bits(b))
 
-    def test_cumulative_operand_differenced_on_a_copy(self):
-        # a cumulative operand is the one case where the merge starts from
-        # the caller's own array
-        from stochlp.staircase import CUMULATIVE, _transform_operand
-
-        cum = self._table(6, ("s", "s"), CUMULATIVE)
-        before = cum.values.copy()
-        none = frozenset()
-        vals, names = _transform_operand(cum, density_vars=frozenset({0}), kept=frozenset({1}),
-                                         frozen_src=none, frozen_term=none, contract=frozenset({0}))
-        assert names == [0, 1]
-        assert np.array_equal(_bits(vals), _bits(np.diff(before, axis=0, prepend=0.0)))
-        assert np.array_equal(_bits(cum.values), _bits(before))
+    def test_cumulative_bag_table_rejected(self):
+        # the merge cumulates its bag operand itself, so it takes only the
+        # difference tables that finite_difference returns
+        ctx = one_edge_ctx()
+        cum = bag_staircase(ctx, 0, GridSpec(6, 0.5))
+        with pytest.raises(InputError, match="difference bag table"):
+            merge_subtree(ctx, 0, cum, [])
 
     @pytest.mark.parametrize("histogram", [True, False])
     def test_bag_table_bits(self, monkeypatch, histogram):
@@ -529,20 +535,13 @@ class TestInPlaceConversions:
         assert ratio <= 2.2, f"build plus difference peaked at {ratio:.2f}x the table"
 
 
-def _full_table_value(ctx, grid, monkeypatch, budget):
-    """The grid value from full bag tables and full child products: the
-    sweep of ``approx_dag`` with nothing sliced before the merge freezes it."""
-    from stochlp import staircase
-
-    full_product = staircase._product_table
-    none = frozenset()
-    monkeypatch.setattr(staircase, "_product_table",
-                        lambda kids, _src, _term, b: full_product(kids, none, none, b))
+def _full_table_value(ctx, grid, budget):
+    """The grid value from full bag tables: the sweep of ``approx_dag`` with
+    no bag axis sliced before the merge freezes it."""
     done = {}
     for i in ctx.post_order:
         lam = finite_difference(bag_staircase(ctx, i, grid, budget))
         done[i] = merge_subtree(ctx, i, lam, [done.pop(j) for j in ctx.children[i]], budget)
-    monkeypatch.undo()
     return min(max(accumulate(done[ctx.td.root]), 0.0), 1.0)
 
 
@@ -586,7 +585,7 @@ class TestFrozenAxesNeverBuilt:
                 bag_staircase(ctx, 0, grid, fixed=fixed)
 
     @pytest.mark.parametrize("m_res", [6, 7, 12])
-    def test_approx_dag_matches_full_table_sweep(self, monkeypatch, m_res):
+    def test_approx_dag_matches_full_table_sweep(self, m_res):
         from stochlp.decomposition import prepare_context
 
         corpus = [gen_random_tw(2, 6, seed=s, dist="uniform-mixed", max_edges=8) for s in range(4)]
@@ -599,7 +598,7 @@ class TestFrozenAxesNeverBuilt:
                 ctx = prepare_context(inst.dag, td)
                 for x in (amax * 0.37, amax * 0.71):
                     full_budget, budget = Budget(), Budget()
-                    want = _full_table_value(ctx, GridSpec(m_res, x), monkeypatch, full_budget)
+                    want = _full_table_value(ctx, GridSpec(m_res, x), full_budget)
                     got, _ = approx_dag(inst.dag, td, x, m_override=m_res, budget=budget)
                     assert _bits(got) == _bits(want), (inst.dag.n, td is None, x)
                     assert budget.cells_used <= full_budget.cells_used
@@ -620,7 +619,6 @@ class TestFrozenAxesNeverBuilt:
 
     def test_product_charged_before_it_is_allocated(self):
         from stochlp.decomposition import prepare_context
-        from stochlp.staircase import _merge_roles
 
         inst = gen_random_tw(3, 10, seed=1, dist="uniform", max_edges=20)
         ctx = prepare_context(inst.dag, None)
@@ -628,8 +626,7 @@ class TestFrozenAxesNeverBuilt:
 
         def product_cells(i):
             kid_vars = {v for j in ctx.children[i] for v in ctx.kept(j)}
-            _, frozen_src, frozen_term = _merge_roles(ctx, i)
-            return (grid.m_res + 1) ** len(kid_vars - frozen_src - frozen_term)
+            return (grid.m_res + 1) ** len(kid_vars)
 
         target = max(ctx.post_order, key=product_cells)
         cells = product_cells(target)
