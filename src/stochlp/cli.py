@@ -34,6 +34,12 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# JSON string escapes: a short form where JSON has one, else \u00XX for a
+# control character
+_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('\\"\n\t\r\b\f', '\\"ntrbf')})
+
+
 def _render(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -47,7 +53,7 @@ def _render(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"')
+        out.append('"' + obj.translate(_ESCAPES) + '"')
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):

@@ -180,7 +180,9 @@ def merge_bag(
     The glue variables are integrated over the full line (or over [0, x] with
     truncation to ``taylor_tau`` after each one, in Taylor mode); terminals
     leaving scope are set to 0 and sources leaving scope are cumulatively
-    integrated up to x.
+    integrated up to x.  A terminal leaving scope has no role below the bag,
+    so it is set to 0 on the bag factor before the product with the
+    subtrees, unless a pending pair brings it in.
 
     Every ``cumulate`` integrates its dummy out before it returns, so all of
     them share the id ``ctx.dag.n + 1``, which sorts after every real one.
@@ -216,6 +218,11 @@ def merge_bag(
         for s in shared:
             if s in gsum.free_vars():
                 gsum = cumulate(gsum, s, dummy, lower=lower, budget=budget)
+        # eliminate each frozen terminal on the one factor that holds it; one
+        # a pending pair brings in waits for the pair
+        paired = {v for pair in pend for v in pair}
+        for t in maybe_shuffled(sorted((frozen_term & gsum.free_vars()) - paired)):
+            gsum = substitute(gsum, t, Fraction(0), budget=budget)
         cur = multiply(gsum, phi_u, budget=budget) if phi_u is not None else gsum
         consumed: set[int] = set()
         for a, b in sorted(pend):

@@ -10,6 +10,12 @@ otherwise; the two hash and compare alike, so only the cost of hashing
 differs.  Operations that would create incomparable atoms split into all
 linear extensions, so chains stay total.
 
+An operation builds each coefficient it changes as an unreduced integer pair
+(numerator, positive denominator) and adds the pairs without a gcd; at its
+end it reduces each pair once to a ``Fraction``.  A sum at rest holds reduced
+``Fraction`` coefficients only.  FLINT's ``fmpq_poly`` keeps integer
+numerators for the same reason.
+
 Equality is almost-everywhere equality: boundaries between regions carry no
 mass.  Substituting a value that lands exactly on a boundary resolves ties as
 if the substituted atom were infinitesimally above its value, i.e. a
@@ -34,6 +40,10 @@ Chain = tuple[Atom, ...]
 # n nonzero; e_const an int when integral, else a Fraction (an int hashes
 # cheaply and equals the Fraction of the same value)
 TermKey = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Union[int, Fraction]]
+# an unreduced coefficient n/d as integers, d > 0, as operations build them;
+# a Coeff is one of those or a reduced Fraction an operation passes through
+Pair = tuple[int, int]
+Coeff = Union[Fraction, Pair]
 
 ZERO_ATOM: Atom = ("c", Fraction(0))
 
@@ -79,9 +89,10 @@ class SymbolicSum:
     The public constructor copies the mapping it is given, dropping
     inconsistent chains, zero coefficients and regions left empty; it adds
     nothing up.  Every operation merges its terms into one fresh bucket per
-    guard chain, one ``Fraction`` coefficient per term key, and hands those
-    buckets to ``_own``, which keeps them and rebuilds only a bucket holding a
-    zero coefficient.  Buckets are never changed once a sum holds them.
+    guard chain, adding unreduced integer pairs per term key, then reduces
+    each coefficient once to a ``Fraction`` and hands those buckets to
+    ``_own``, which keeps them and rebuilds only a bucket holding a zero
+    coefficient.  Buckets are never changed once a sum holds them.
     """
 
     __slots__ = ("regions",)
@@ -265,12 +276,6 @@ def _merge_pow(p1: tuple[tuple[int, int], ...], p2: tuple[tuple[int, int], ...]
     return tuple(sorted(merged.items()))
 
 
-def _term_mul(k1: TermKey, c1: Fraction, k2: TermKey, c2: Fraction) -> tuple[TermKey, Fraction]:
-    p1, e1, q1 = k1
-    p2, e2, q2 = k2
-    return (_merge_pow(p1, p2), _merge_pow(e1, e2), _key_const(q1 + q2)), c1 * c2
-
-
 def _is_guard(s: SymbolicSum) -> bool:
     """Whether s is a single guard chain (possibly empty) times 1."""
     if len(s.regions) != 1:
@@ -279,66 +284,92 @@ def _is_guard(s: SymbolicSum) -> bool:
     return len(terms) == 1 and terms.get(_UNIT_KEY) == 1
 
 
+def _pairs(terms: Mapping[TermKey, Fraction]) -> dict[TermKey, Pair]:
+    return {key: (c.numerator, c.denominator) for key, c in terms.items()}
+
+
+def _add(bucket: dict[TermKey, Coeff], key: TermKey, c: Coeff) -> None:
+    """Add c into ``bucket[key]``; a sum is an unreduced pair."""
+    old = bucket.get(key)
+    if old is None:
+        bucket[key] = c
+        return
+    n1, d1 = old if type(old) is tuple else (old.numerator, old.denominator)
+    n2, d2 = c if type(c) is tuple else (c.numerator, c.denominator)
+    bucket[key] = (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
+
+
+def _reduced(out: dict[Chain, dict[TermKey, Coeff]]) -> dict[Chain, dict[TermKey, Fraction]]:
+    """``out`` with each pair made one ``Fraction`` in lowest terms, in place;
+    a ``Fraction`` an operation passed through unchanged is kept."""
+    for bucket in out.values():
+        for key, c in bucket.items():
+            if type(c) is tuple:
+                bucket[key] = Fraction(*c)
+    return out
+
+
 def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> SymbolicSum:
     """Product of two sums; overlapping guard chains split into all linear
     extensions of their union.
 
-    When one factor is a guard chain times 1, the other factor's terms are
-    the products; they are reused instead of multiplied out, with the same
+    Each product is an unreduced integer pair.  When one factor is a guard
+    chain times 1, the other factor's terms are the products; they are
+    reused, reduced as they are, instead of multiplied out, with the same
     work charged."""
-    out: dict[Chain, dict[TermKey, Fraction]] = {}
+    out: dict[Chain, dict[TermKey, Coeff]] = {}
     unit_a = _is_guard(a)
     unit_b = not unit_a and _is_guard(b)
+    general = not (unit_a or unit_b)
+    if general:
+        pairs_b = {ch2: _pairs(terms2) for ch2, terms2 in b.regions.items()}
     pending_terms = 0
     for ch1, terms1 in a.regions.items():
+        if general:
+            pairs1 = _pairs(terms1)
         for ch2, terms2 in b.regions.items():
             if budget is not None:
                 budget.charge_work(len(terms1) * len(terms2))
-            if unit_a or unit_b:
+            if not general:
                 prods = terms2 if unit_a else terms1
             else:
                 prods = {}
-                for k1, c1 in terms1.items():
-                    for k2, c2 in terms2.items():
-                        key, coeff = _term_mul(k1, c1, k2, c2)
-                        old = prods.get(key)
-                        prods[key] = coeff if old is None else old + coeff
+                for (p1, e1, q1), (n1, d1) in pairs1.items():
+                    for (p2, e2, q2), (n2, d2) in pairs_b[ch2].items():
+                        key = (_merge_pow(p1, p2), _merge_pow(e1, e2), _key_const(q1 + q2))
+                        _add(prods, key, (n1 * n2, d1 * d2))
             for chain in _interleavings(ch1, ch2):
                 bucket = out.get(chain)
                 if bucket is None:
                     out[chain] = dict(prods)
                 else:
-                    _accumulate(bucket, prods.items())
+                    for key, c in prods.items():
+                        _add(bucket, key, c)
                 pending_terms += len(terms1) * len(terms2)
             if budget is not None:
                 budget.note_regions(len(out))
                 if pending_terms > 3 * budget.max_terms:
                     # bound transient memory before canonicalization prunes
                     budget.note_terms(pending_terms)
-    return SymbolicSum._own(out, budget=budget)
+    return SymbolicSum._own(_reduced(out), budget=budget)
 
 
 def differentiate(s: SymbolicSum, v: int) -> SymbolicSum:
     """Classical derivative within each region (guards unchanged, a.e.)."""
-    out: dict[Chain, dict[TermKey, Fraction]] = {}
+    out: dict[Chain, dict[TermKey, Coeff]] = {}
     for chain, terms in s.regions.items():
         bucket = out.setdefault(chain, {})
         for (powers, exps, e_const), coeff in terms.items():
             pd = dict(powers)
-            ed = dict(exps)
             alpha = pd.get(v, 0)
-            beta = ed.get(v, 0)
+            beta = dict(exps).get(v, 0)
             if alpha:
-                p2 = dict(pd)
-                p2[v] = alpha - 1
-                key = (_key_pow(p2), exps, e_const)
-                old = bucket.get(key)
-                bucket[key] = coeff * alpha if old is None else old + coeff * alpha
+                pd[v] = alpha - 1
+                _add(bucket, (_key_pow(pd), exps, e_const),
+                     (coeff.numerator * alpha, coeff.denominator))
             if beta:
-                key = (powers, exps, e_const)
-                old = bucket.get(key)
-                bucket[key] = coeff * beta if old is None else old + coeff * beta
-    return SymbolicSum._own(out)
+                _add(bucket, (powers, exps, e_const), (coeff.numerator * beta, coeff.denominator))
+    return SymbolicSum._own(_reduced(out))
 
 
 def _split(p: tuple[tuple[int, int], ...], v: int) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -350,16 +381,22 @@ def _split(p: tuple[tuple[int, int], ...], v: int) -> tuple[tuple[tuple[int, int
 
 
 def _at_atom(powers: tuple[tuple[int, int], ...], exps: tuple[tuple[int, int], ...], e_const,
-             coeff: Fraction, alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Fraction]:
+             coeff: Coeff, alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Coeff]:
     """Key and coefficient of the term coeff * e^e_const * powers * exps
     times z^alpha * e^(beta*z), with z put at ``atom``.  ``powers`` and
-    ``exps`` are key tuples over the other variables."""
+    ``exps`` are key tuples over the other variables; a coefficient that
+    changes comes back as an unreduced pair."""
     if atom[0] == "c":
         value = atom[1]
+        num, den = value.numerator, value.denominator
         if beta:
-            e_const = _key_const(e_const + beta * value)
+            # the new e_const in one reduction, or none when all is integral
+            e_num, e_den = e_const.numerator, e_const.denominator
+            e_const = e_num + beta * num if den == e_den == 1 else \
+                _key_const(Fraction(e_num * den + beta * num * e_den, e_den * den))
         if alpha:
-            coeff = coeff * value**alpha
+            n, d = coeff if type(coeff) is tuple else (coeff.numerator, coeff.denominator)
+            coeff = (n * num**alpha, d * den**alpha)
         return (powers, exps, e_const), coeff
     w = atom[1]
     if alpha:
@@ -379,7 +416,7 @@ def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
     """
     target: Atom = value if isinstance(value, tuple) else const_atom(value)
     va = var_atom(v)
-    out: dict[Chain, dict[TermKey, Fraction]] = {}
+    out: dict[Chain, dict[TermKey, Coeff]] = {}
     for chain, terms in s.regions.items():
         new_chain = chain
         if va in chain:
@@ -400,21 +437,21 @@ def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
             powers, alpha = _split(powers, v)
             exps, beta = _split(exps, v)
             key, c = _at_atom(powers, exps, e_const, coeff, alpha, beta, target)
-            old = bucket.get(key)
-            bucket[key] = c if old is None else old + c
-    return SymbolicSum._own(out, budget=budget)
+            _add(bucket, key, c)
+    return SymbolicSum._own(_reduced(out), budget=budget)
 
 
-def _antiderivative(alpha: int, beta: int) -> list[tuple[Fraction, int, int]]:
-    """Terms (coeff, alpha', beta') of the antiderivative of z^alpha e^(beta z)."""
+def _antiderivative(alpha: int, beta: int) -> tuple[tuple[Pair, int, int], ...]:
+    """Terms (coeff, alpha', beta') of the antiderivative of z^alpha e^(beta z),
+    each coeff a pair in lowest terms."""
     if beta == 0:
-        return [(Fraction(1, alpha + 1), alpha + 1, 0)]
+        return (((1, alpha + 1), alpha + 1, 0),)
     out = [(Fraction(1, beta), alpha, beta)]
     fall = 1
     for i in range(1, alpha + 1):
         fall *= alpha - i + 1
         out.append((Fraction((-1) ** i * fall, beta ** (i + 1)), alpha - i, beta))
-    return out
+    return tuple(((c.numerator, c.denominator), a, b) for c, a, b in out)
 
 
 def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
@@ -429,7 +466,8 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
     if upper is not None:
         s = multiply(s, SymbolicSum.guard(var_atom(v), upper), budget=budget)
     va = var_atom(v)
-    out: dict[Chain, dict[TermKey, Fraction]] = {}
+    out: dict[Chain, dict[TermKey, Coeff]] = {}
+    antiderivatives: dict[tuple[int, int], tuple[tuple[Pair, int, int], ...]] = {}
     for chain, terms in s.regions.items():
         if va not in chain:
             # an unguarded variable integrated over the whole line diverges
@@ -440,9 +478,12 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
         rest = chain[:idx] + chain[idx + 1:]
         bucket = out.setdefault(rest, {})
         for (powers, exps, e_const), coeff in terms.items():
+            n, d = coeff.numerator, coeff.denominator
             powers, alpha = _split(powers, v)
             exps, beta = _split(exps, v)
-            anti = _antiderivative(alpha, beta)
+            anti = antiderivatives.get((alpha, beta))
+            if anti is None:
+                anti = antiderivatives[alpha, beta] = _antiderivative(alpha, beta)
             for bound, sign in ((hi, 1), (lo, -1)):
                 if bound is None:
                     # value at an infinite end must vanish
@@ -451,13 +492,11 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                             f"non-vanishing tail integrating z{v} (alpha={alpha}, beta={beta})"
                         )
                     continue  # vanishing exponential tail contributes 0
-                for c_a, a_pow, b_exp in anti:
-                    c = coeff * c_a
-                    key, c = _at_atom(powers, exps, e_const, c if sign > 0 else -c,
+                for (n_a, d_a), a_pow, b_exp in anti:
+                    key, c = _at_atom(powers, exps, e_const, (sign * n * n_a, d * d_a),
                                       a_pow, b_exp, bound)
-                    old = bucket.get(key)
-                    bucket[key] = c if old is None else old + c
-    return SymbolicSum._own(out, budget=budget)
+                    _add(bucket, key, c)
+    return SymbolicSum._own(_reduced(out), budget=budget)
 
 
 def cumulate(s: SymbolicSum, v: int, fresh: int, lower: Atom | None = None,

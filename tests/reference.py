@@ -5,8 +5,12 @@ solvers, oracles and CLI never call.
 ``stochlp.decomposition._roles`` restates from edge counts;
 ``enumerate_st_paths`` lists every source-terminal path of a small graph;
 ``bag_cell_count`` counts one bag's cells at a single shift vector, snapped
-onto the grid with ``snap``.  The rest are small readings of a ``Dag``, a
-``SymbolicSum`` or a ``PiecewisePoly`` that only the tests take.
+onto the grid with ``snap``; ``fraction_multiply``, ``fraction_substitute``
+and ``fraction_integrate_out`` are the symbolic operations with one reduced
+``Fraction`` step per coefficient operation, which the engine's
+reduce-once arithmetic must match term for term.  The rest are small readings
+of a ``Dag``, a ``SymbolicSum`` or a ``PiecewisePoly`` that only the tests
+take.
 """
 
 from __future__ import annotations
@@ -17,11 +21,23 @@ from fractions import Fraction
 from typing import Mapping
 
 from stochlp.decomposition import DecompositionContext
-from stochlp.errors import Budget, InputError, StochLPError
+from stochlp.errors import Budget, DivergentIntegral, InputError, StochLPError
 from stochlp.graph import Dag
 from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
 from stochlp.staircase import SRC, TERM, GridSpec, _bag_threshold_rows
-from stochlp.symbolic import SymbolicSum
+from stochlp.symbolic import (
+    Atom,
+    SymbolicSum,
+    _accumulate,
+    _chain_consistent,
+    _interleavings,
+    _is_guard,
+    _key_const,
+    _merge_pow,
+    _split,
+    const_atom,
+    var_atom,
+)
 
 
 class PathLimitExceeded(StochLPError):
@@ -163,3 +179,130 @@ def mass(p: PiecewisePoly) -> Fraction:
         anti = (Fraction(0),) + tuple(c / (j + 1) for j, c in enumerate(p.polys[i]))
         total += _poly_eval(anti, p.breaks[i + 1]) - _poly_eval(anti, p.breaks[i])
     return total
+
+
+def _fraction_term_mul(k1, c1, k2, c2):
+    p1, e1, q1 = k1
+    p2, e2, q2 = k2
+    return (_merge_pow(p1, p2), _merge_pow(e1, e2), _key_const(q1 + q2)), c1 * c2
+
+
+def fraction_multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> SymbolicSum:
+    """``symbolic.multiply`` with a reduced ``Fraction`` per product and sum."""
+    out: dict = {}
+    unit_a = _is_guard(a)
+    unit_b = not unit_a and _is_guard(b)
+    pending_terms = 0
+    for ch1, terms1 in a.regions.items():
+        for ch2, terms2 in b.regions.items():
+            if budget is not None:
+                budget.charge_work(len(terms1) * len(terms2))
+            if unit_a or unit_b:
+                prods = terms2 if unit_a else terms1
+            else:
+                prods = {}
+                for k1, c1 in terms1.items():
+                    for k2, c2 in terms2.items():
+                        key, coeff = _fraction_term_mul(k1, c1, k2, c2)
+                        old = prods.get(key)
+                        prods[key] = coeff if old is None else old + coeff
+            for chain in _interleavings(ch1, ch2):
+                bucket = out.get(chain)
+                if bucket is None:
+                    out[chain] = dict(prods)
+                else:
+                    _accumulate(bucket, prods.items())
+                pending_terms += len(terms1) * len(terms2)
+            if budget is not None:
+                budget.note_regions(len(out))
+                if pending_terms > 3 * budget.max_terms:
+                    budget.note_terms(pending_terms)
+    return SymbolicSum._own(out, budget=budget)
+
+
+def _fraction_at_atom(powers, exps, e_const, coeff: Fraction, alpha: int, beta: int, atom: Atom):
+    if atom[0] == "c":
+        value = atom[1]
+        if beta:
+            e_const = _key_const(e_const + beta * value)
+        if alpha:
+            coeff = coeff * value**alpha
+        return (powers, exps, e_const), coeff
+    w = atom[1]
+    if alpha:
+        powers = _merge_pow(powers, ((w, alpha),))
+    if beta:
+        exps = _merge_pow(exps, ((w, beta),))
+    return (powers, exps, e_const), coeff
+
+
+def fraction_substitute(s: SymbolicSum, v: int, value, budget: Budget | None = None) -> SymbolicSum:
+    """``symbolic.substitute`` with a reduced ``Fraction`` per product and sum."""
+    target = value if isinstance(value, tuple) else const_atom(value)
+    va = var_atom(v)
+    out: dict = {}
+    for chain, terms in s.regions.items():
+        new_chain = chain
+        if va in chain:
+            idx = chain.index(va)
+            if target in chain:
+                tpos = chain.index(target)
+                if tpos > idx or tpos < idx - 1:
+                    continue
+                new_chain = chain[:idx] + chain[idx + 1:]
+            else:
+                new_chain = chain[:idx] + (target,) + chain[idx + 1:]
+            if not _chain_consistent(new_chain):
+                continue
+        bucket = out.setdefault(new_chain, {})
+        for (powers, exps, e_const), coeff in terms.items():
+            powers, alpha = _split(powers, v)
+            exps, beta = _split(exps, v)
+            key, c = _fraction_at_atom(powers, exps, e_const, coeff, alpha, beta, target)
+            old = bucket.get(key)
+            bucket[key] = c if old is None else old + c
+    return SymbolicSum._own(out, budget=budget)
+
+
+def _fraction_antiderivative(alpha: int, beta: int) -> list[tuple[Fraction, int, int]]:
+    if beta == 0:
+        return [(Fraction(1, alpha + 1), alpha + 1, 0)]
+    out = [(Fraction(1, beta), alpha, beta)]
+    fall = 1
+    for i in range(1, alpha + 1):
+        fall *= alpha - i + 1
+        out.append((Fraction((-1) ** i * fall, beta ** (i + 1)), alpha - i, beta))
+    return out
+
+
+def fraction_integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
+                           budget: Budget | None = None) -> SymbolicSum:
+    """``symbolic.integrate_out`` with a reduced ``Fraction`` per product and
+    sum."""
+    if upper is not None:
+        s = fraction_multiply(s, SymbolicSum.guard(var_atom(v), upper), budget=budget)
+    va = var_atom(v)
+    out: dict = {}
+    for chain, terms in s.regions.items():
+        if va not in chain:
+            raise DivergentIntegral(f"variable z{v} is unbounded in a region")
+        idx = chain.index(va)
+        lo = chain[idx - 1] if idx > 0 else None
+        hi = chain[idx + 1] if idx + 1 < len(chain) else None
+        bucket = out.setdefault(chain[:idx] + chain[idx + 1:], {})
+        for (powers, exps, e_const), coeff in terms.items():
+            powers, alpha = _split(powers, v)
+            exps, beta = _split(exps, v)
+            anti = _fraction_antiderivative(alpha, beta)
+            for bound, sign in ((hi, 1), (lo, -1)):
+                if bound is None:
+                    if beta == 0 or (sign > 0 and beta > 0) or (sign < 0 and beta < 0):
+                        raise DivergentIntegral(f"non-vanishing tail integrating z{v}")
+                    continue
+                for c_a, a_pow, b_exp in anti:
+                    c = coeff * c_a
+                    key, c = _fraction_at_atom(powers, exps, e_const, c if sign > 0 else -c,
+                                               a_pow, b_exp, bound)
+                    old = bucket.get(key)
+                    bucket[key] = c if old is None else old + c
+    return SymbolicSum._own(out, budget=budget)

@@ -73,6 +73,14 @@ class TestDispatch:
         rc, _, err = run(["mc", "--graph", "/nonexistent", "--x", "1"])
         assert rc == 1 and "cannot read" in err
 
+    def test_error_line_with_control_characters_is_json(self, tmp_path):
+        path = str(tmp_path / "a\tb\x01.txt")
+        rc, out, _ = run(["mc", "--graph", path, "--x", "1"])
+        assert rc == 1 and out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["kind"] == "input" and path in doc["error"]
+        assert render_json({"p": "a\tb\x01\r\b\f\x1f"}) == '{"p": "a\\tb\\u0001\\r\\b\\f\\u001f"}'
+
     def test_approx_json_fields(self, chain_files):
         g, t = chain_files
         rc, out, _ = run(["approx", "--graph", g, "--td", t, "--x", "1", "--grid-m", "8"])

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from stochlp.errors import Budget, DivergentIntegral, InputError
 from stochlp import symbolic as sy
-from reference import max_total_degree
+from reference import (
+    fraction_integrate_out,
+    fraction_multiply,
+    fraction_substitute,
+    max_total_degree,
+)
 
 
 def H(lo, hi):
@@ -345,6 +350,73 @@ class TestAlgebraicProperties:
              + sy.SymbolicSum.term(3, e_const=10)
              + sy.SymbolicSum.term(5, e_const=F(3, 2), powers={1: 1}))
         assert s.canonical_text() == "[true] 5*e^(3/2)*z1^1 + 1*e^(-1/2) + 2 + 3*e^(10)"
+
+
+SCALES = (F(1), F(-1, 3), F(5, 6), F(7, 4), F(-9, 10))
+ATOMS = (ZERO, sy.const_atom(F(3, 2)), sy.const_atom(F(-2, 5)), sy.const_atom(2), v(2), v(3))
+
+
+@st.composite
+def mixed_sums(draw):
+    """Two symbolic_sums() scaled apart and added, so that the terms of one
+    bucket carry different denominators."""
+    a, b = draw(symbolic_sums()), draw(symbolic_sums())
+    return a.scale(draw(st.sampled_from(SCALES))) + b.scale(draw(st.sampled_from(SCALES)))
+
+
+def _outcome(op, *args):
+    budget = Budget()
+    try:
+        out = op(*args, budget=budget)
+    except DivergentIntegral:
+        return None, None
+    return out, budget
+
+
+def assert_same_sum(got, want):
+    """Same regions and terms in the same order, with the same key types and
+    budget counters, and every coefficient a Fraction in lowest terms."""
+    (g, g_budget), (w, w_budget) = got, want
+    if w is None:
+        assert g is None
+        return
+
+    def listed(s):
+        return [(chain, [(key, type(key[2]), c) for key, c in terms.items()])
+                for chain, terms in s.regions.items()]
+
+    assert listed(g) == listed(w)
+    assert (g_budget.work_used, g_budget.terms_peak, g_budget.regions_peak) == \
+        (w_budget.work_used, w_budget.terms_peak, w_budget.regions_peak)
+    for terms in g.regions.values():
+        for c in terms.values():
+            assert type(c) is F and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+class TestReduceOnce:
+    """Unreduced integer pairs, reduced once per operation, give exactly what
+    one reduced Fraction per step gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_sums(), mixed_sums(), guards())
+    def test_multiply(self, a, b, g):
+        for x, y in ((a, b), (a, g), (g, a)):
+            assert_same_sum(_outcome(sy.multiply, x, y), _outcome(fraction_multiply, x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_sums())
+    def test_substitute(self, a):
+        for target in ATOMS:
+            assert_same_sum(_outcome(sy.substitute, a, 1, target),
+                            _outcome(fraction_substitute, a, 1, target))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_sums())
+    def test_integrate_out(self, a):
+        for upper in (None,) + ATOMS:
+            for w in (1, 2):
+                assert_same_sum(_outcome(sy.integrate_out, a, w, upper),
+                                _outcome(fraction_integrate_out, a, w, upper))
 
 
 class TestRegionBudgets:
