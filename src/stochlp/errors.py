@@ -3,6 +3,7 @@ of one solver run."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -40,6 +41,13 @@ class InvariantViolation(StochLPError):
     """A structural invariant that should hold by construction failed.
     Every invalid input decomposition is rejected with InputError before any
     solver runs, so this signals a bug.  Maps to CLI exit code 3."""
+
+
+def finite_horizon(x):
+    """Return the horizon ``x``; ``InputError`` if it is NaN or infinite."""
+    if x != x or x in (math.inf, -math.inf):
+        raise InputError(f"horizon must be finite, got {x}")
+    return x
 
 
 class BudgetExceeded(StochLPError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
                             prepare_context, sweep)
 from .density import BagDensity, build_bag_density, describe_sum, exp_edge_factor, merge_bag
-from .errors import Budget, InputError, InvariantViolation
+from .errors import Budget, InputError, InvariantViolation, finite_horizon
 from .graph import Dag, DistKind
 from .symbolic import SymbolicSum, evaluate
 
@@ -64,7 +64,7 @@ def exact_exp(
     symbolic expression (rationals and powers of e) when requested.
     """
     g.require_homogeneous(DistKind.EXPONENTIAL)
-    xq = Fraction(x)
+    xq = Fraction(finite_horizon(x))
     t0 = time.perf_counter()
     budget = budget or Budget.default()
     ctx = prepare_context(g, td)

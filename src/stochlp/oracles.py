@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Budget, InputError, NotSeriesParallelError
+from .errors import Budget, InputError, NotSeriesParallelError, finite_horizon
 from .graph import Dag, DistKind, static_longest_path
 from . import symbolic as sy
 
@@ -58,6 +58,7 @@ def monte_carlo(g: Dag, x: float, samples: int, seed: int = 0) -> tuple[float, f
     (seed, chunk index) over fixed-size chunks, so the result is independent
     of any surrounding parallelism.
     """
+    finite_horizon(x)
     if samples < 1:
         raise InputError("need at least one sample")
     samplers = [_sampler_for(d) for _, _, d in g.edges]
@@ -110,6 +111,7 @@ def riemann_bracket(g: Dag, x: float, resolution: int, budget: Budget | None = N
     decomposition pipeline.
     """
     g.require_homogeneous(DistKind.UNIFORM)
+    finite_horizon(x)
     if resolution < 1:
         raise InputError("resolution must be >= 1")
     budget = budget or Budget.default()
@@ -146,7 +148,7 @@ def irwin_hall(m: int, x) -> Fraction:
     variables, exact at rational arguments."""
     if m < 1:
         raise InputError("need m >= 1")
-    xq = Fraction(x)
+    xq = Fraction(finite_horizon(x))
     if xq <= 0:
         return Fraction(0)
     if xq >= m:
@@ -417,6 +419,7 @@ def series_parallel_exact(g: Dag, x) -> Fraction | float:
     Uniform: exact rational (piecewise polynomial composition).
     Exponential: float from the symbolic polynomial-exponential composition.
     """
+    finite_horizon(x)
     kinds = g.kinds()
     if kinds <= {DistKind.UNIFORM}:
         def leaf(d):

@@ -3,13 +3,13 @@
 Per bag, the probability that every source-terminal path fits inside its
 shifts is approximated by counting 1/M-side cells of the unit box whose
 minimal corner satisfies all path constraints (an upper staircase for the
-true volume).  Subtree results are combined by summing difference tables over
+true volume).  Subtree results are combined by summing mass increments over
 the glue variables and freezing variables that leave scope.
 
-Difference tables use backward differences with the mass at the grid origin
-stored in slot 0, so cumulative and difference forms are exact inverses
-(``cumsum`` vs ``diff(prepend=0)``) and a single-bag run reproduces the plain
-cell count bit for bit.
+Tables hold staircase values wherever they pass between functions.  Backward
+differences put the mass at the grid origin in slot 0, so differencing and
+cumulating are exact inverses (``diff(prepend=0)`` vs ``cumsum``) and a
+single-bag run reproduces the plain cell count bit for bit.
 
 A merge freezes every axis that is neither kept nor glue: it reads a frozen
 source at grid index M and a frozen terminal at 0, and never the rest of the
@@ -19,9 +19,8 @@ subtree gives it a role.  A bag's frozen terminal axes are never built
 (``bag_staircase`` with ``fixed``), which leaves every surviving cell
 bit-identical, since terminal axes are never differenced or cumulated and
 each cell is counted on its own.  A bag's frozen source axes are still built
-in full, because the merge reads their slab at M only after the bag table's
-float difference-and-cumulate round trip, whose result at M depends on the
-whole axis.
+in full, because ``merge_subtree`` reads their slab at M only after its float
+round trip of the bag table, whose result at M depends on the whole axis.
 
 Memory is what limits M, so no step makes a full-size temporary it can avoid.
 A conversion copies its input table once and then works on that copy in
@@ -43,16 +42,13 @@ import numpy as np
 
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
                             prepare_context, sweep)
-from .errors import Budget, InputError, InvariantViolation
+from .errors import Budget, InputError, InvariantViolation, finite_horizon
 from .graph import Dag, DistKind
 
 SRC = "s"
 TERM = "t"
 
 Axis = tuple[int, str]  # (vertex, role)
-
-CUMULATIVE = "cumulative"
-DIFFERENCE = "difference"
 
 # largest compressed threshold histogram (cells) the dominance count builds;
 # beyond it each bag table is summed up one threshold row at a time
@@ -77,18 +73,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class StaircaseTable:
-    """Dense table over grid points of the active shift variables.
-
-    ``cumulative`` tables hold staircase values of the shifted distribution
-    function; ``difference`` tables hold iterated backward differences along
-    every source axis, with slot 0 carrying the value at the axis origin.
-    ``to_cumulative`` and ``to_difference`` copy the values once, convert the
-    float64 copy in place and leave this table unchanged.
+    """Dense table of the shifted distribution function's staircase values
+    over grid points of the active shift variables.  ``to_difference`` takes
+    iterated backward differences along every source axis, with slot 0
+    carrying the value at the axis origin, and ``to_cumulative`` sums them
+    back.  Each copies the values once, converts the float64 copy in place
+    and leaves this table unchanged.
     """
 
     grid: GridSpec
     axes: tuple[Axis, ...]
-    kind: str
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -102,20 +96,16 @@ class StaircaseTable:
         return [i for i, (_, role) in enumerate(self.axes) if role == SRC]
 
     def to_cumulative(self) -> "StaircaseTable":
-        if self.kind == CUMULATIVE:
-            return self
         vals = np.array(self.values, dtype=np.float64, order="C")
         for ax in self.source_axes():
             np.cumsum(vals, axis=ax, out=vals)
-        return StaircaseTable(self.grid, self.axes, CUMULATIVE, vals)
+        return StaircaseTable(self.grid, self.axes, vals)
 
     def to_difference(self) -> "StaircaseTable":
-        if self.kind == DIFFERENCE:
-            return self
         vals = np.array(self.values, dtype=np.float64, order="C")
         for ax in self.source_axes():
             _difference_in_place(vals, ax)
-        return StaircaseTable(self.grid, self.axes, DIFFERENCE, vals)
+        return StaircaseTable(self.grid, self.axes, vals)
 
 
 def _difference_in_place(vals: np.ndarray, ax: int) -> None:
@@ -144,10 +134,7 @@ def _difference_in_place(vals: np.ndarray, ax: int) -> None:
 
 
 def finite_difference(table: StaircaseTable) -> StaircaseTable:
-    """Iterated backward differences along every source axis of a cumulative
-    table; inverse of cumulative summation (``to_difference``)."""
-    if table.kind != CUMULATIVE:
-        raise InputError("finite_difference expects a cumulative table")
+    """Iterated backward differences along every source axis (``to_difference``)."""
     return table.to_difference()
 
 
@@ -233,7 +220,7 @@ def bag_staircase(
     ctx: DecompositionContext, i: int, grid: GridSpec, budget: Budget | None = None,
     fixed: Mapping[int, int] | None = None,
 ) -> StaircaseTable:
-    """Cumulative staircase table of bag i over its active shift variables.
+    """Staircase table of bag i over its active shift variables.
 
     ``fixed`` maps some active variables to one grid index each; the table
     then has no axis for them and equals the full table taken at those
@@ -269,7 +256,7 @@ def bag_staircase(
             at[v] = np.arange(M + 1, dtype=np.int64).reshape(sh)
 
     if not pairs:
-        return StaircaseTable(grid, axes, CUMULATIVE, np.ones(shape))
+        return StaircaseTable(grid, axes, np.ones(shape))
 
     # dominance count: a grid point admits the corners whose threshold row it
     # dominates, so histogram the rows on compressed coordinates, prefix-sum,
@@ -305,7 +292,7 @@ def bag_staircase(
                 mask &= (at[s] - at[t]) >= q
             np.add(values, float(cnt), out=values, where=mask)
         values /= total
-    return StaircaseTable(grid, axes, CUMULATIVE, values)
+    return StaircaseTable(grid, axes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +324,7 @@ def _take_frozen(
     vals: np.ndarray, axes: Sequence[Axis], m_res: int,
     frozen_src: frozenset[int], frozen_term: frozenset[int],
 ) -> tuple[np.ndarray, list[int]]:
-    """Take a cumulative array's frozen axes at their one read index: a
+    """Take a staircase array's frozen axes at their one read index: a
     source at M, a terminal at 0.  Returns (array, remaining axis vertices)."""
     names = [v for v, _ in axes]
     for ax in reversed(range(len(axes))):
@@ -360,10 +347,10 @@ def _transform_operand(
     vals: np.ndarray, names: Sequence[int], m_res: int,
     density_vars: frozenset[int], kept: frozenset[int], contract: frozenset[int],
 ) -> np.ndarray:
-    """Difference the density-side glue axes of a cumulative array the merge
+    """Difference the density-side glue axes of a staircase array the merge
     owns, in place, and lag the other glue axes one grid step.
 
-    Kept axes stay cumulative.  The lag pairs each glue-mass interval with
+    Kept axes stay as they are.  The lag pairs each glue-mass interval with
     the value at the interval's lower end, which keeps the merged table an
     upper staircase of the true distribution (value monotonicity absorbs the
     shift into the horizontal error).
@@ -386,38 +373,40 @@ def _transform_operand(
 def merge_subtree(
     ctx: DecompositionContext,
     i: int,
-    lam_g: StaircaseTable,
+    bag: StaircaseTable,
     child_tables: Sequence[StaircaseTable],
     budget: Budget | None = None,
 ) -> StaircaseTable:
-    """Combine the difference bag table with the child subtree tables at bag i.
+    """Combine the bag table with the child subtree tables at bag i.
 
     Glue variables are contracted by pairing the mass increments of the side
     that is a density in the variable with the other side's value at each
     mass interval's lower end; sources/terminals leaving scope are frozen at
     x / 0.  At the root, the subtree sources stay unfrozen for the final
-    accumulation (``_merge_roles``).  Returns the difference table over the
-    surviving variables.
+    accumulation (``_merge_roles``).  Takes and returns staircase tables.
 
-    ``lam_g`` may lack the bag's frozen terminal axes (``bag_staircase`` with
-    ``fixed``).  Its frozen source axes arrive full-width: their slab at M is
-    read only after ``lam_g`` is cumulated, and a cumulated difference at M
-    depends on the whole axis.  Children never carry a frozen axis: a
-    variable frozen at bag i is not in the parent bag, so its one edge
-    (v- -> v* or v* -> v+) is owned by bag i and it has no role in the
-    subtrees below.  So it is in neither ``S_U`` nor ``T_U``, and the child
-    role check rejects any child axis for it.
+    The difference form exists only here: the bag table and the result each
+    go through one float difference-and-cumulate round trip, and the value
+    bits depend on its rounding.  Each step rebinds its name, which frees the
+    table it replaces unless the caller holds it.
+
+    ``bag`` may lack the bag's frozen terminal axes (``bag_staircase`` with
+    ``fixed``).  Its frozen source axes arrive full-width: after the round
+    trip their slab at M depends on the whole axis.  Children never carry a
+    frozen axis: a variable frozen at bag i is not in the parent bag, so its
+    one edge (v- -> v* or v* -> v+) is owned by bag i and it has no role in
+    the subtrees below.  So it is in neither ``S_U`` nor ``T_U``, and the
+    child role check rejects any child axis for it.
     """
     budget = budget or Budget.default()
-    if lam_g.kind != DIFFERENCE:
-        raise InputError("merge_subtree expects a difference bag table")
-    grid = lam_g.grid
+    bag = finite_difference(bag)
+    bag = bag.to_cumulative()
+    grid = bag.grid
     M = grid.m_res
     kept, frozen_src, frozen_term = _merge_roles(ctx, i)
     J = ctx.J[i]
 
-    g_vals, g_names = _take_frozen(lam_g.to_cumulative().values, lam_g.axes, M,
-                                   frozen_src, frozen_term)
+    g_vals, g_names = _take_frozen(bag.values, bag.axes, M, frozen_src, frozen_term)
     g_vals = _transform_operand(g_vals, g_names, M, ctx.S_prime[i], kept, J)
     u_vals, u_names = None, []
     if child_tables:
@@ -454,16 +443,17 @@ def merge_subtree(
             axes.append((v, TERM))
         else:
             raise InvariantViolation(f"kept variable {v} is neither source nor terminal of the subtree")
-    cum = StaircaseTable(grid, tuple(axes), CUMULATIVE, out)
-    return cum.to_difference()
+    out = StaircaseTable(grid, tuple(axes), out)
+    out = out.to_difference()
+    return out.to_cumulative()
 
 
 def _product_table(
     child_tables: Sequence[StaircaseTable], budget: Budget
 ) -> tuple[np.ndarray, list[int]]:
-    """Cumulative pointwise product of the child tables over the union of
-    their axes.  Returns (array, axis vertex ids).  The product's cells are
-    charged before anything is allocated."""
+    """Pointwise product of the child tables over the union of their axes.
+    Returns (array, axis vertex ids).  The product's cells are charged before
+    anything is allocated."""
     union = sorted({v for t in child_tables for v, _ in t.axes})
     label = {v: k for k, v in enumerate(union)}
     size = child_tables[0].grid.m_res + 1
@@ -475,17 +465,16 @@ def _product_table(
         shape = [1] * len(union)
         for v, _ in t.axes:
             shape[label[v]] = size
-        full *= t.to_cumulative().values.reshape(shape)
+        full *= t.values.reshape(shape)
     return full, union
 
 
 def accumulate(table: StaircaseTable) -> float:
-    """Cumulative value with every source shift at x and every terminal shift
-    at 0: the solver output at z = x*sigma."""
-    cum = table.to_cumulative()
+    """Table value with every source shift at x and every terminal shift at
+    0: the solver output at z = x*sigma."""
     M = table.grid.m_res
-    idx = tuple(M if role == SRC else 0 for _, role in cum.axes)
-    return float(cum.values[idx])
+    idx = tuple(M if role == SRC else 0 for _, role in table.axes)
+    return float(table.values[idx])
 
 
 @dataclass(kw_only=True)
@@ -512,7 +501,7 @@ def approx_dag(
     if epsilon is None and m_override is None:
         raise InputError("need either epsilon or an explicit grid resolution")
     t0 = time.perf_counter()
-    if x < 0:
+    if finite_horizon(x) < 0:
         raise InputError("horizon x must be >= 0")
     ctx = prepare_context(g, td)
     M = m_override if m_override is not None else choose_M(ctx.k, g.n, g.m, float(epsilon))
@@ -524,8 +513,7 @@ def approx_dag(
         # one with a source role in this bag is left to the merge's role check
         _, _, frozen_term = _merge_roles(ctx, i)
         fixed = dict.fromkeys(frozen_term & ctx.T[i], 0)
-        lam_g = finite_difference(bag_staircase(ctx, i, grid, budget, fixed))
-        return merge_subtree(ctx, i, lam_g, kids, budget)
+        return merge_subtree(ctx, i, bag_staircase(ctx, i, grid, budget, fixed), kids, budget)
 
     def describe(i: int, _) -> dict:
         return {"bag_size": len(ctx.td.bags[i]), "edges": len(ctx.bag_edges[i]),

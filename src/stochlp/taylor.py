@@ -17,7 +17,7 @@ import numpy as np
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
                             prepare_context, sweep)
 from .density import BagDensity, build_bag_density, describe_sum, merge_bag, poly_edge_factor
-from .errors import Budget, InputError
+from .errors import Budget, InputError, finite_horizon
 from .graph import Dag, DistKind
 from .symbolic import SymbolicSum, evaluate
 
@@ -183,7 +183,7 @@ def approx_taylor(
         raise InputError("need either an additive error target or an explicit truncation order")
     if tau is not None and tau < 0:
         raise InputError(f"truncation order must be >= 0, got {tau}")
-    xq = Fraction(x)
+    xq = Fraction(finite_horizon(x))
     t0 = time.perf_counter()
     budget = budget or Budget.default()
 

@@ -9,6 +9,9 @@ from stochlp import (
     DistSpec,
     InputError,
     NotSeriesParallelError,
+    approx_dag,
+    approx_taylor,
+    exact_exp,
     irwin_hall,
     monte_carlo,
     parse_graph,
@@ -184,3 +187,25 @@ class TestSeriesParallel:
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 exp\n")
         with pytest.raises(InputError):
             series_parallel_exact(g, 1)
+
+
+_UNIFORM = "3 2\n1 2 uniform 1\n2 3 uniform 1\n"
+_NON_FINITE_ENTRY_POINTS = {
+    "exact_exp": lambda x: exact_exp(parse_graph("2 1\n1 2 exp\n"), None, x),
+    "approx_taylor": lambda x: approx_taylor(parse_graph("2 1\n1 2 oracle expcdf\n"), None, x,
+                                             tau=2),
+    "approx_dag": lambda x: approx_dag(parse_graph(_UNIFORM), None, x, m_override=4),
+    "series_parallel_exact": lambda x: series_parallel_exact(parse_graph(_UNIFORM), x),
+    "irwin_hall": lambda x: irwin_hall(2, x),
+    "monte_carlo": lambda x: monte_carlo(parse_graph(_UNIFORM), x, 10),
+    "riemann_bracket": lambda x: riemann_bracket(parse_graph(_UNIFORM), x, 2),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_NON_FINITE_ENTRY_POINTS))
+def test_non_finite_horizon_rejected(entry, x):
+    # no solver or oracle has a value at a NaN or infinite horizon: each
+    # raises InputError, never a bare conversion error or a made-up result
+    with pytest.raises(InputError, match="horizon must be finite"):
+        _NON_FINITE_ENTRY_POINTS[entry](x)

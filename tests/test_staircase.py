@@ -126,10 +126,8 @@ class TestBagStaircase:
 
 class TestFiniteDifference:
     def test_constant_gives_zero(self):
-        from stochlp.staircase import CUMULATIVE, StaircaseTable
-
         grid = GridSpec(4, 1.0)
-        table = StaircaseTable(grid, ((0, "s"),), CUMULATIVE, np.full(5, 0.7))
+        table = StaircaseTable(grid, ((0, "s"),), np.full(5, 0.7))
         lam = finite_difference(table)
         assert np.allclose(lam.values[1:], 0.0)
         assert lam.values[0] == 0.7
@@ -149,9 +147,7 @@ class TestFiniteDifference:
         g1 = np.arange(M + 1).reshape(-1, 1)
         g2 = np.arange(M + 1).reshape(1, -1)
         vals = (g1 * g2).astype(float) / M**2
-        from stochlp.staircase import CUMULATIVE, StaircaseTable
-
-        table = StaircaseTable(grid, ((0, "s"), (1, "s")), CUMULATIVE, vals)
+        table = StaircaseTable(grid, ((0, "s"), (1, "s")), vals)
         lam = finite_difference(table)
         assert np.allclose(lam.values[1:, 1:], 1.0 / M**2)
 
@@ -166,8 +162,7 @@ class TestMergeAndAccumulate:
     def test_single_bag_accumulate_equals_cell_count(self):
         ctx = one_edge_ctx()
         grid = GridSpec(24, 0.5)
-        lam = finite_difference(bag_staircase(ctx, 0, grid))
-        out = merge_subtree(ctx, 0, lam, [])
+        out = merge_subtree(ctx, 0, bag_staircase(ctx, 0, grid), [])
         v = accumulate(out)
         assert v == pytest.approx(13 / 24)
 
@@ -180,10 +175,10 @@ class TestMergeAndAccumulate:
         ctx = build_context(g, td)
         leaf = [i for i in range(2) if ctx.children[i] == ()][0]
         grid = GridSpec(4, 1.0)
-        lam = finite_difference(bag_staircase(ctx, leaf, grid))
-        out = merge_subtree(ctx, leaf, lam, [])
-        assert out.axes == lam.axes
-        assert np.allclose(out.values, lam.values)
+        table = bag_staircase(ctx, leaf, grid)
+        out = merge_subtree(ctx, leaf, table, [])
+        assert out.axes == table.axes
+        assert np.allclose(out.values, table.values)
 
     def test_merged_dominates_direct_count(self):
         # two-bag separated chain: the merged value is an upper staircase of
@@ -213,12 +208,11 @@ class TestMergeAndAccumulate:
         ctx = prepare_context(g, parse_td_chain())
         grid = GridSpec(4, 1.0)
         leaf = next(i for i in ctx.post_order if not ctx.children[i])
-        child = merge_subtree(ctx, leaf, finite_difference(bag_staircase(ctx, leaf, grid)), [])
+        child = merge_subtree(ctx, leaf, bag_staircase(ctx, leaf, grid), [])
         (v, role), *rest = child.axes
-        flipped = StaircaseTable(grid, ((v, "t" if role == "s" else "s"), *rest),
-                                 child.kind, child.values)
+        flipped = StaircaseTable(grid, ((v, "t" if role == "s" else "s"), *rest), child.values)
         parent = ctx.parent[leaf]
-        lam = finite_difference(bag_staircase(ctx, parent, grid))
+        lam = bag_staircase(ctx, parent, grid)
         merge_subtree(ctx, parent, lam, [child])
         with pytest.raises(InvariantViolation, match=f"child variable {v} has role"):
             merge_subtree(ctx, parent, lam, [flipped])
@@ -229,8 +223,7 @@ class TestMergeAndAccumulate:
         role = "s" if f in frozen_src else "t"
         axes = tuple(sorted((*child.axes, (f, role))))
         pos = axes.index((f, role))
-        extra = StaircaseTable(grid, axes, child.kind,
-                               np.stack([child.values] * (grid.m_res + 1), axis=pos))
+        extra = StaircaseTable(grid, axes, np.stack([child.values] * (grid.m_res + 1), axis=pos))
         with pytest.raises(InvariantViolation, match=f"child variable {f} has role"):
             merge_subtree(ctx, parent, lam, [extra])
 
@@ -409,11 +402,11 @@ class TestInPlaceConversions:
 
     ROLES = ("s", "t", "s", "s", "t")
 
-    def _table(self, m_res, roles, kind, seed=0):
+    def _table(self, m_res, roles, seed=0):
         rng = np.random.default_rng(seed)
         vals = rng.random((m_res + 1,) * len(roles))
         axes = tuple((v, r) for v, r in enumerate(roles))
-        return StaircaseTable(GridSpec(m_res, 1.0), axes, kind, vals)
+        return StaircaseTable(GridSpec(m_res, 1.0), axes, vals)
 
     @staticmethod
     def _np_difference(values, axes):
@@ -428,10 +421,8 @@ class TestInPlaceConversions:
         return values
 
     def test_one_axis(self):
-        from stochlp.staircase import CUMULATIVE, DIFFERENCE
-
-        cum = self._table(24, ("s",), CUMULATIVE)
-        diff = self._table(24, ("s",), DIFFERENCE, seed=1)
+        cum = self._table(24, ("s",))
+        diff = self._table(24, ("s",), seed=1)
         assert np.array_equal(_bits(finite_difference(cum).values),
                               _bits(np.diff(cum.values, prepend=0.0)))
         assert np.array_equal(_bits(diff.to_cumulative().values), _bits(np.cumsum(diff.values)))
@@ -442,13 +433,12 @@ class TestInPlaceConversions:
     def test_five_axes_any_chunk(self, monkeypatch, m_res, chunk):
         # chunks below one slab ((M+1)**4 cells) split each slab of the pass
         from stochlp import staircase
-        from stochlp.staircase import CUMULATIVE, DIFFERENCE
 
         if chunk is not None:
             monkeypatch.setattr(staircase, "DIFF_CHUNK_CELLS", chunk)
         src = [ax for ax, r in enumerate(self.ROLES) if r == "s"]
-        cum = self._table(m_res, self.ROLES, CUMULATIVE)
-        diff = self._table(m_res, self.ROLES, DIFFERENCE, seed=1)
+        cum = self._table(m_res, self.ROLES)
+        diff = self._table(m_res, self.ROLES, seed=1)
         expect = _bits(self._np_difference(cum.values, src))
         assert np.array_equal(_bits(finite_difference(cum).values), expect)
         assert np.array_equal(_bits(cum.to_difference().values), expect)
@@ -456,18 +446,14 @@ class TestInPlaceConversions:
                               _bits(self._np_cumulative(diff.values, src)))
 
     def test_non_contiguous_input(self):
-        from stochlp.staircase import CUMULATIVE
-
         vals = np.random.default_rng(2).random((9, 9)).T
-        cum = StaircaseTable(GridSpec(8, 1.0), ((0, "s"), (1, "s")), CUMULATIVE, vals)
+        cum = StaircaseTable(GridSpec(8, 1.0), ((0, "s"), (1, "s")), vals)
         assert np.array_equal(_bits(finite_difference(cum).values),
                               _bits(self._np_difference(vals, [0, 1])))
 
     def test_input_unchanged(self):
-        from stochlp.staircase import CUMULATIVE, DIFFERENCE
-
-        cum = self._table(6, self.ROLES, CUMULATIVE)
-        diff = self._table(6, self.ROLES, DIFFERENCE, seed=1)
+        cum = self._table(6, self.ROLES)
+        diff = self._table(6, self.ROLES, seed=1)
         before_cum, before_diff = cum.values.copy(), diff.values.copy()
         finite_difference(cum)
         cum.to_difference()
@@ -483,20 +469,12 @@ class TestInPlaceConversions:
         grid = GridSpec(6, 3.1)
         done = {}
         for i in ctx.post_order:
-            lam = finite_difference(bag_staircase(ctx, i, grid))
+            lam = bag_staircase(ctx, i, grid)
             kids = [done.pop(j) for j in ctx.children[i]]
             before = [t.values.copy() for t in (lam, *kids)]
             done[i] = merge_subtree(ctx, i, lam, kids)
             for t, b in zip((lam, *kids), before):
                 assert np.array_equal(_bits(t.values), _bits(b))
-
-    def test_cumulative_bag_table_rejected(self):
-        # the merge cumulates its bag operand itself, so it takes only the
-        # difference tables that finite_difference returns
-        ctx = one_edge_ctx()
-        cum = bag_staircase(ctx, 0, GridSpec(6, 0.5))
-        with pytest.raises(InputError, match="difference bag table"):
-            merge_subtree(ctx, 0, cum, [])
 
     @pytest.mark.parametrize("histogram", [True, False])
     def test_bag_table_bits(self, monkeypatch, histogram):
@@ -540,7 +518,7 @@ def _full_table_value(ctx, grid, budget):
     no bag axis sliced before the merge freezes it."""
     done = {}
     for i in ctx.post_order:
-        lam = finite_difference(bag_staircase(ctx, i, grid, budget))
+        lam = bag_staircase(ctx, i, grid, budget)
         done[i] = merge_subtree(ctx, i, lam, [done.pop(j) for j in ctx.children[i]], budget)
     return min(max(accumulate(done[ctx.td.root]), 0.0), 1.0)
 
@@ -607,7 +585,8 @@ class TestFrozenAxesNeverBuilt:
 
     def test_approx_dag_peak_memory(self):
         # the 2-diamond ladder at M=24 built 25**5-cell tables (78 MB) and
-        # read a 25**3 part of them
+        # read a 25**3 part of them; no caller holds a bag's difference table
+        # through the merge, which keeps the peak near 10.5 MB
         inst = generate("diamond-ladder", 2, dist="uniform")
         tracemalloc.start()
         try:
@@ -615,7 +594,7 @@ class TestFrozenAxesNeverBuilt:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 25e6, f"approx_dag peaked at {peak / 1e6:.1f} MB"
+        assert peak < 12e6, f"approx_dag peaked at {peak / 1e6:.1f} MB"
 
     def test_product_charged_before_it_is_allocated(self):
         from stochlp.decomposition import prepare_context
@@ -635,9 +614,9 @@ class TestFrozenAxesNeverBuilt:
             kids = [done.pop(j) for j in ctx.children[i]]
             if i == target:
                 break
-            done[i] = merge_subtree(ctx, i, finite_difference(bag_staircase(ctx, i, grid)), kids)
+            done[i] = merge_subtree(ctx, i, bag_staircase(ctx, i, grid), kids)
         budget = Budget.default(max_cells=cells - 1)
-        lam = finite_difference(bag_staircase(ctx, target, grid, budget))
+        lam = bag_staircase(ctx, target, grid, budget)
         assert 8 * cells >= 1e6 and lam.values.size < cells
         tracemalloc.start()
         try:
@@ -647,3 +626,63 @@ class TestFrozenAxesNeverBuilt:
         finally:
             tracemalloc.stop()
         assert peak < 8 * cells, f"peaked at {peak} bytes before a {8 * cells}-byte product"
+
+# approx_dag(...)[0].hex() recorded at dccfd39, keyed by (family, seed,
+# decomposition); each tuple runs over (x, M) in (1.3, 2.9) x (6, 12)
+NON_DYADIC_BITS = {
+    ("ladder", 0, "given"): (
+        "0x1.939b551966a84p-10", "0x1.65663075fde4ap-12",
+        "0x1.610813aa50c4ap-3", "0x1.2f3ddd1e154dcp-4"),
+    ("ladder", 0, "heuristic"): (
+        "0x1.3c5c8d3f2bbd4p-9", "0x1.bf93ff3839bf5p-12",
+        "0x1.98a83f5daeeb7p-3", "0x1.41de19ac941d3p-4"),
+    ("ladder", 1, "given"): (
+        "0x1.2d74dc3857b6bp-8", "0x1.31ad33eefceaep-10",
+        "0x1.3f469598c1d80p-2", "0x1.44701c17e118ep-3"),
+    ("ladder", 1, "heuristic"): (
+        "0x1.c6f47d53c5c8cp-8", "0x1.7473ce864d2dbp-10",
+        "0x1.3c90ae2da6cdep-2", "0x1.3ac8059e60384p-3"),
+    ("ladder", 2, "given"): (
+        "0x1.a7db7a8e92c99p-8", "0x1.ac0486b110d12p-10",
+        "0x1.385447a34acc6p-2", "0x1.529a96109f31fp-3"),
+    ("ladder", 2, "heuristic"): (
+        "0x1.31c49d2a91b1dp-7", "0x1.04fcc2efa6b9cp-9",
+        "0x1.3641511e8d2b2p-2", "0x1.46a9add3c0ca5p-3"),
+    ("random_tw", 0, "given"): (
+        "0x1.d7f7926fabb86p-8", "0x1.aa50c4a727ae8p-9",
+        "0x1.da12f684bda13p-3", "0x1.593c0ca4587e6p-3"),
+    ("random_tw", 0, "heuristic"): (
+        "0x1.0db20a88f4695p-7", "0x1.eba1e33452dffp-9",
+        "0x1.29161f9add3c2p-2", "0x1.8bf35ba78194dp-3"),
+    ("random_tw", 1, "given"): (
+        "0x1.3d743c668a5c0p-8", "0x1.105447a34acc7p-9",
+        "0x1.2acc60ebfbc90p-2", "0x1.a58813aa50c50p-3"),
+    ("random_tw", 1, "heuristic"): (
+        "0x1.78732eb47fd2fp-8", "0x1.38fa07b9c44d8p-9",
+        "0x1.539f140436c7fp-2", "0x1.d4a5663075fdfp-3"),
+    ("random_tw", 2, "given"): (
+        "0x1.29c9eba1e3345p-9", "0x1.01ee7113506aap-10",
+        "0x1.b93d743c668a7p-3", "0x1.3473889a83562p-3"),
+    ("random_tw", 2, "heuristic"): (
+        "0x1.7c3219849fa9bp-9", "0x1.45e1ccbad1ff3p-10",
+        "0x1.15010db20a88fp-2", "0x1.6fced636145e2p-3"),
+}
+
+
+class TestNonDyadicBits:
+    """Grid values at non-dyadic horizons, bit for bit.  The approx goldens
+    use a dyadic horizon, where every table entry is exact and no float
+    rounding shows; these values move when a float step of the merge is
+    dropped or reordered."""
+
+    def test_recorded_bits(self):
+        makers = {
+            "ladder": lambda s: gen_diamond_ladder(2, "uniform-mixed", seed=s),
+            "random_tw": lambda s: gen_random_tw(2, 6, seed=s, dist="uniform-mixed", max_edges=8),
+        }
+        for (family, seed, decomposition), want in NON_DYADIC_BITS.items():
+            inst = makers[family](seed)
+            td = inst.td if decomposition == "given" else None
+            got = tuple(approx_dag(inst.dag, td, x, m_override=M)[0].hex()
+                        for x in (1.3, 2.9) for M in (6, 12))
+            assert got == want, (family, seed, decomposition)
