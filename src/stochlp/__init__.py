@@ -1,6 +1,8 @@
 """stochlp: distribution of the longest path length in bounded-treewidth DAGs
 with random edge lengths."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     Budget,
     BudgetExceeded,
@@ -68,4 +70,7 @@ from .oracles import (
 )
 from .generate import Instance, generate, graph_text, td_text
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names bound above, without the submodules that importing them binds;
+# ``generate`` is the function, which shadows its submodule
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -445,28 +446,53 @@ class SolveReport:
     answer needed no sweep), the wall time of the whole run and the run's
     ``Budget`` counters (grid cells, peak guard regions, peak symbolic terms,
     term combinations).  Solvers add their own fields in subclasses; a
-    report holds no context, table or budget."""
+    report holds no context, table or budget.
+
+    The bag records are kept as columns: ``bag_fields`` names the record
+    fields once and ``bag_columns`` holds one ``array.array`` per field, int
+    or float, so a report costs 8 bytes per bag and field.  ``per_bag``
+    rebuilds the records as ``sweep`` returned them."""
 
     value: float
     separated_width: int
     separated_n: int
     bag_count: int
-    per_bag: list[dict] = field(default_factory=list)
+    bag_fields: list[str] = field(default_factory=list)
+    bag_columns: list[array] = field(default_factory=list)
     elapsed_ms: float
     cells_used: int
     regions_peak: int
     terms_peak: int
     work_used: int
 
+    @property
+    def per_bag(self) -> list[dict]:
+        return [dict(zip(self.bag_fields, row)) for row in zip(*self.bag_columns)]
+
     @classmethod
-    def of(cls, ctx: DecompositionContext, t0: float, budget: Budget, **fields) -> "SolveReport":
+    def of(cls, ctx: DecompositionContext, t0: float, budget: Budget,
+           per_bag: Sequence[dict] = (), **fields) -> "SolveReport":
         """Report of a run on ``ctx`` that started at ``time.perf_counter()``
-        reading ``t0`` and charged ``budget``; ``fields`` are the value and
-        the subclass fields."""
+        reading ``t0`` and charged ``budget``, with the ``sweep`` records
+        ``per_bag``; ``fields`` are the value and the subclass fields."""
+        names = list(per_bag[0]) if per_bag else []
+        if any(list(r) != names for r in per_bag):
+            raise InvariantViolation("per-bag records do not share one field list")
         return cls(separated_width=ctx.td.width, separated_n=ctx.dag.n, bag_count=ctx.b,
+                   bag_fields=names, bag_columns=[_column([r[f] for r in per_bag]) for f in names],
                    elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                    cells_used=budget.cells_used, regions_peak=budget.regions_peak,
                    terms_peak=budget.terms_peak, work_used=budget.work_used, **fields)
+
+
+def _column(values: list) -> array:
+    """One record field as an int64 or float64 array, which gives every value
+    back unchanged and of the same type."""
+    kinds = {type(v) for v in values}
+    if kinds not in ({int}, {float}):
+        raise InvariantViolation(f"per-bag field holds {sorted(k.__name__ for k in kinds)}, "
+                                 "not ints or floats alone")
+    return array("q" if kinds == {int} else "d", values)
 
 
 def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionContext:

@@ -22,6 +22,16 @@ each cell is counted on its own.  A bag's frozen source axes are still built
 in full, because ``merge_subtree`` reads their slab at M only after its float
 round trip of the bag table, whose result at M depends on the whole axis.
 
+Within one ``approx_dag`` call, bags of one shape share one bag table.  A
+bag table depends only on the bag's owned edges with their distributions, its
+source and terminal roles, its frozen terminals, M and x (``_bag_shape``), and
+every step of its build follows vertex order only.  Naming the bag's vertices
+by their rank keeps that order, so a table built for one bag holds the bits
+every bag of its shape would build; later bags get the same read-only array
+under their own axis names, and are charged the cells a build would charge,
+in the same order.  A table is held only until the last bag of its shape has
+it, and ``solve_bag`` passes it straight into ``merge_subtree``.
+
 Memory is what limits M, so no step makes a full-size temporary it can avoid.
 A conversion copies its input table once and then works on that copy in
 place: cumulating with ``cumsum(out=...)``, differencing with a backward pass
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -477,6 +488,29 @@ def accumulate(table: StaircaseTable) -> float:
     return float(table.values[idx])
 
 
+def _bag_shape(
+    ctx: DecompositionContext, i: int, fixed: Mapping[int, int]
+) -> tuple[tuple, list[int]]:
+    """(shape key, vertices in sorted order) of bag i's staircase table.
+
+    The key holds everything ``bag_staircase`` reads of the bag, with each
+    vertex replaced by its rank among the bag's vertices: the sorted owned
+    edges with their distributions, the sources, the terminals and the
+    ``fixed`` indices.  Every step of the build follows vertex order only,
+    and ranks keep that order, so bags with one key get bit-identical values
+    over axes that differ only in their vertex names.
+    """
+    edges = sorted(ctx.bag_edges[i])
+    verts = sorted({v for e in edges for v in e} | ctx.S[i] | ctx.T[i])
+    rank = {v: r for r, v in enumerate(verts)}
+    dist_of = ctx.dag.dist_of
+    key = (tuple((rank[u], rank[v], dist_of[(u, v)]) for u, v in edges),
+           tuple(sorted(rank[v] for v in ctx.S[i])),
+           tuple(sorted(rank[v] for v in ctx.T[i])),
+           tuple(sorted((rank[v], g) for v, g in fixed.items())))
+    return key, verts
+
+
 @dataclass(kw_only=True)
 class ApproxReport(SolveReport):
     m_res: int
@@ -508,12 +542,40 @@ def approx_dag(
     grid = GridSpec(M, float(x))
     budget = budget or Budget.default()
 
-    def solve_bag(i: int, kids: list[StaircaseTable]) -> StaircaseTable:
+    # bag -> (shape id, vertices in sorted order, fixed terminals)
+    shapes: dict[int, tuple[int, list[int], dict[int, int]]] = {}
+    shape_ids: dict[tuple, int] = {}
+    for i in ctx.post_order:
         # the merge reads a frozen terminal at 0 only, so build it only there;
         # one with a source role in this bag is left to the merge's role check
-        _, _, frozen_term = _merge_roles(ctx, i)
-        fixed = dict.fromkeys(frozen_term & ctx.T[i], 0)
-        return merge_subtree(ctx, i, bag_staircase(ctx, i, grid, budget, fixed), kids, budget)
+        fixed = dict.fromkeys(_merge_roles(ctx, i)[2] & ctx.T[i], 0)
+        key, verts = _bag_shape(ctx, i, fixed)
+        shapes[i] = shape_ids.setdefault(key, len(shape_ids)), verts, fixed
+    uses = Counter(sid for sid, _, _ in shapes.values())
+    # shape id -> (axes as vertex ranks, read-only values) of a table that a
+    # later bag still needs
+    shared: dict[int, tuple[tuple[Axis, ...], np.ndarray]] = {}
+
+    def bag_table(i: int) -> StaircaseTable:
+        sid, verts, fixed = shapes.pop(i)
+        uses[sid] -= 1
+        if sid in shared:
+            ranked, values = shared[sid] if uses[sid] else shared.pop(sid)
+            # the two charges bag i's own build would make, in its order
+            dist_of = ctx.dag.dist_of
+            budget.charge_cells(M ** sum(dist_of[e].kind is DistKind.UNIFORM
+                                         for e in ctx.bag_edges[i]))
+            budget.charge_cells(values.size)
+            return StaircaseTable(grid, tuple((verts[r], role) for r, role in ranked), values)
+        table = bag_staircase(ctx, i, grid, budget, fixed)
+        if uses[sid]:
+            table.values.setflags(write=False)
+            rank = {v: r for r, v in enumerate(verts)}
+            shared[sid] = tuple((rank[v], role) for v, role in table.axes), table.values
+        return table
+
+    def solve_bag(i: int, kids: list[StaircaseTable]) -> StaircaseTable:
+        return merge_subtree(ctx, i, bag_table(i), kids, budget)
 
     def describe(i: int, _) -> dict:
         return {"bag_size": len(ctx.td.bags[i]), "edges": len(ctx.bag_edges[i]),

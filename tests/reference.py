@@ -5,12 +5,14 @@ solvers, oracles and CLI never call.
 ``stochlp.decomposition._roles`` restates from edge counts;
 ``enumerate_st_paths`` lists every source-terminal path of a small graph;
 ``bag_cell_count`` counts one bag's cells at a single shift vector, snapped
-onto the grid with ``snap``; ``fraction_multiply``, ``fraction_substitute``
-and ``fraction_integrate_out`` are the symbolic operations with one reduced
-``Fraction`` step per coefficient operation, which the engine's
-reduce-once arithmetic must match term for term.  The rest are small readings
-of a ``Dag``, a ``SymbolicSum`` or a ``PiecewisePoly`` that only the tests
-take.
+onto the grid with ``snap``; ``approx_dag_unshared`` is the grid sweep that
+builds every bag's staircase table anew, and ``bag_shape`` the shape by which
+``approx_dag`` shares a bag table among bags; ``fraction_multiply``,
+``fraction_substitute`` and ``fraction_integrate_out`` are the symbolic
+operations with one reduced ``Fraction`` step per coefficient operation,
+which the engine's reduce-once arithmetic must match term for term.  The
+rest are small readings of a ``Dag``, a ``SymbolicSum`` or a
+``PiecewisePoly`` that only the tests take.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from stochlp.decomposition import DecompositionContext
+from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepare_context
 from stochlp.errors import Budget, DivergentIntegral, InputError, StochLPError
 from stochlp.graph import Dag
 from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
-from stochlp.staircase import SRC, TERM, GridSpec, _bag_threshold_rows
+from stochlp.staircase import (SRC, TERM, GridSpec, _bag_threshold_rows, _merge_roles,
+                               accumulate, bag_staircase, merge_subtree)
 from stochlp.symbolic import (
     Atom,
     SymbolicSum,
@@ -159,6 +162,37 @@ def bag_cell_count(
         if all(gpt[s] - gpt[t] >= q for (s, t), q in zip(pairs, row)):
             total += int(cnt)
     return total
+
+
+def frozen_terminals_at_zero(ctx: DecompositionContext, i: int) -> dict[int, int]:
+    """The ``fixed`` argument ``approx_dag`` gives ``bag_staircase`` for bag
+    i: every frozen terminal of the bag at grid index 0."""
+    return dict.fromkeys(_merge_roles(ctx, i)[2] & ctx.T[i], 0)
+
+
+def approx_dag_unshared(g: Dag, td: TreeDecomposition | None, x: float, m_res: int,
+                        budget: Budget) -> float:
+    """``approx_dag``'s value with one ``bag_staircase`` call per bag, so no
+    bag table is shared between bags of one shape."""
+    ctx = prepare_context(g, td)
+    grid = GridSpec(m_res, float(x))
+    done = {}
+    for i in ctx.post_order:
+        kids = [done.pop(c) for c in ctx.children[i]]
+        bag = bag_staircase(ctx, i, grid, budget, frozen_terminals_at_zero(ctx, i))
+        done[i] = merge_subtree(ctx, i, bag, kids, budget)
+    return min(max(accumulate(done[ctx.td.root]), 0.0), 1.0)
+
+
+def bag_shape(ctx: DecompositionContext, i: int) -> tuple:
+    """Bag i's owned edges with their distributions, its sources, terminals
+    and frozen terminals, each vertex named by its position in the sorted
+    list of the bag's edge endpoints, sources and terminals."""
+    names = sorted({v for e in ctx.bag_edges[i] for v in e} | ctx.S[i] | ctx.T[i])
+    pos = names.index
+    edges = sorted((pos(u), pos(v), ctx.dag.dist_of[(u, v)]) for u, v in ctx.bag_edges[i])
+    roles = (ctx.S[i], ctx.T[i], frozen_terminals_at_zero(ctx, i))
+    return (tuple(edges), *(tuple(sorted(map(pos, vs))) for vs in roles))
 
 
 def max_total_degree(s: SymbolicSum) -> int:

@@ -2,8 +2,8 @@
 
 import stochlp
 
-# the three solvers, the oracles that check them, what the CLI reads, and the
-# package's submodules; test-only references live in tests/reference.py
+# the three solvers, the oracles that check them and what the CLI reads; the
+# submodules are not exported, and test-only references live in tests/reference.py
 PUBLIC = [
     "ApproxReport", "BUILTIN_ORACLES", "Budget", "BudgetExceeded", "CycleError", "Dag",
     "DecompositionContext", "DistKind", "DistSpec", "DistributionMismatchError",
@@ -12,11 +12,10 @@ PUBLIC = [
     "SolveReport", "StaircaseTable", "StochLPError", "TaylorReport", "TdFormatError",
     "TreeDecomposition", "VolumeBracket", "accumulate", "approx_dag", "approx_taylor",
     "bag_density_exp", "bag_staircase", "bag_taylor", "binarize_td", "build_context", "choose_M",
-    "choose_tau", "decomposition", "density", "errors", "exact_exp", "exactexp",
-    "finite_difference", "format_td", "generate", "graph", "graph_text", "heuristic_td",
-    "irwin_hall", "merge_subtree", "monte_carlo", "oracles", "parse_graph", "parse_td",
+    "choose_tau", "exact_exp", "finite_difference", "format_td", "generate", "graph_text",
+    "heuristic_td", "irwin_hall", "merge_subtree", "monte_carlo", "parse_graph", "parse_td",
     "prepare_context", "resolve_oracle", "riemann_bracket", "separate", "series_parallel_exact",
-    "staircase", "static_longest_path", "symbolic", "taylor", "td_text", "validate_td",
+    "static_longest_path", "td_text", "validate_td",
 ]
 
 

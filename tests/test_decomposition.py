@@ -1,14 +1,20 @@
+import gc
 import random
 import time
+import tracemalloc
 import weakref
+from array import array
 
 import pytest
 
 from stochlp import (
+    Budget,
     Dag,
     DistKind,
     DistSpec,
     InputError,
+    InvariantViolation,
+    SolveReport,
     TdFormatError,
     TreeDecomposition,
     binarize_td,
@@ -445,6 +451,81 @@ class TestSweep:
         for r in per_bag:
             assert list(r) == ["bag", "result", "kids", "elapsed_ms"]
             assert r["result"] == r["bag"] and r["elapsed_ms"] >= 0
+
+
+def _typed(records):
+    return [[(k, type(v), v) for k, v in r.items()] for r in records]
+
+
+class TestCompactReports:
+    """A report keeps its per-bag records as one array per field and gives
+    back the records ``sweep`` built, value and type alike."""
+
+    @pytest.mark.parametrize("solver", ["approx", "exact-exp", "taylor"])
+    def test_per_bag_is_what_sweep_built(self, monkeypatch, solver):
+        from stochlp import exactexp, staircase, taylor
+
+        module, dist, run = {
+            "approx": (staircase, "uniform-mixed",
+                       lambda g, td: staircase.approx_dag(g, td, 2.3, m_override=6)),
+            "exact-exp": (exactexp, "exp", lambda g, td: exactexp.exact_exp(g, td, 2)),
+            "taylor": (taylor, "oracle:expcdf",
+                       lambda g, td: taylor.approx_taylor(g, td, 1, tau=4)),
+        }[solver]
+        inst = gen_diamond_ladder(2, dist)
+        built = []
+        real = module.sweep
+
+        def sweep(*args):
+            root, per_bag = real(*args)
+            built.append(per_bag)
+            return root, per_bag
+
+        monkeypatch.setattr(module, "sweep", sweep)
+        _, rep = run(inst.dag, inst.td)
+        assert len(built) == 1 and built[0]
+        assert _typed(rep.per_bag) == _typed(built[0])
+        assert rep.bag_fields == list(built[0][0])
+        assert all(isinstance(c, array) for c in rep.bag_columns)
+
+    def test_no_sweep_no_records(self):
+        from stochlp import approx_taylor, exact_exp
+
+        exp = parse_graph("2 1\n1 2 exp\n")
+        oracle = parse_graph("2 1\n1 2 oracle expcdf\n")
+        for _, rep in (exact_exp(exp, None, -1), approx_taylor(oracle, None, -1, tau=2)):
+            assert rep.per_bag == [] and rep.bag_fields == [] and rep.bag_columns == []
+
+    def test_records_must_share_fields_and_types(self):
+        ctx = prepare_context(parse_graph("2 1\n1 2 uniform 1\n"), None)
+        t0 = time.perf_counter()
+        for per_bag in ([{"bag": 0, "n": 1}, {"bag": 1}],
+                        [{"bag": 0, "n": 1}, {"n": 1, "bag": 1}],
+                        [{"bag": 0, "n": 1}, {"bag": 1, "n": 1.0}],
+                        [{"bag": 0, "n": True}],
+                        [{"bag": 0, "n": "one"}]):
+            with pytest.raises(InvariantViolation):
+                SolveReport.of(ctx, t0, Budget(), value=0.0, per_bag=per_bag)
+
+    def test_approx_report_retains_a_third_of_the_record_dicts(self):
+        from stochlp import approx_dag
+
+        # a list of record dicts retained 65,080 bytes here (tracemalloc,
+        # CPython 3.11); the columns hold 8 bytes per bag and field
+        inst = gen_chain(300)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, rep = approx_dag(inst.dag, inst.td, 150.3, m_override=6)
+            assert len(rep.per_bag) == 299
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del rep
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 65_080 // 3, f"the report retained {retained} bytes"
 
 
 class TestGenerators:

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from stochlp import (
 from stochlp.errors import Budget, BudgetExceeded
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
 from conftest import assert_shared_report, single_bag_context
-from reference import bag_cell_count
+from reference import approx_dag_unshared, bag_cell_count, bag_shape
 
 
 def one_edge_ctx(scale: int = 1):
@@ -626,6 +627,120 @@ class TestFrozenAxesNeverBuilt:
         finally:
             tracemalloc.stop()
         assert peak < 8 * cells, f"peaked at {peak} bytes before a {8 * cells}-byte product"
+
+
+def _shape_corpus():
+    """Instances with repeated and with distinct edge scales."""
+    out = []
+    for dist, seed in (("uniform", 0), ("uniform-mixed", 1)):
+        out += [gen_chain(9, dist, seed=seed), gen_diamond_ladder(3, dist, seed=seed),
+                gen_random_tw(2, 6, seed=seed + 2, dist=dist, max_edges=8)]
+    return out
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap ``staircase.<name>`` so that each call's arguments and result are
+    appended to the returned list."""
+    from stochlp import staircase
+
+    calls = []
+    real = getattr(staircase, name)
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(staircase, name, wrapper)
+    return calls
+
+
+class TestSharedBagTables:
+    """``approx_dag`` builds one staircase table per bag shape and hands it to
+    every bag of that shape, with no bit, cell count or budget abort moved."""
+
+    @pytest.mark.parametrize("m_res", [6, 12])
+    def test_matches_sweep_that_builds_every_bag(self, monkeypatch, m_res):
+        from stochlp.decomposition import prepare_context
+
+        builds = _record_calls(monkeypatch, "bag_staircase")
+        bags = shapes = 0
+        for inst in _shape_corpus():
+            amax = sum(d.scale for _, _, d in inst.dag.edges)
+            for td in (inst.td, None):
+                ctx = prepare_context(inst.dag, td)
+                bags += ctx.b
+                shapes += len({bag_shape(ctx, i) for i in ctx.post_order})
+                x = amax * 0.17  # values well inside (0, 1), where a moved bit shows
+                want_budget, budget = Budget(), Budget()
+                want = approx_dag_unshared(inst.dag, td, x, m_res, want_budget)
+                got, rep = approx_dag(inst.dag, td, x, m_override=m_res, budget=budget)
+                assert got.hex() == want.hex(), (inst.dag.n, td is None)
+                assert rep.cells_used == budget.cells_used == want_budget.cells_used
+        assert len(builds) == shapes < bags
+
+    def test_budget_aborts_where_every_bag_is_built(self):
+        inst = gen_diamond_ladder(3, "uniform")
+        full = Budget()
+        approx_dag_unshared(inst.dag, inst.td, 2.2, 6, full)
+        for cap in range(0, full.cells_used + 1, full.cells_used // 40):
+            outcomes = []
+            for run in (approx_dag_unshared, lambda g, td, x, m, b: approx_dag(
+                    g, td, x, m_override=m, budget=b)):
+                budget = Budget.default(max_cells=cap)
+                try:
+                    run(inst.dag, inst.td, 2.2, 6, budget)
+                    outcomes.append(("done", budget.cells_used))
+                except BudgetExceeded as exc:
+                    outcomes.append((str(exc), budget.cells_used))
+            assert outcomes[0] == outcomes[1], cap
+
+    def test_one_build_per_shape_on_long_chain(self, monkeypatch):
+        from stochlp.decomposition import prepare_context
+
+        builds = _record_calls(monkeypatch, "bag_staircase")
+        inst = gen_chain(300)
+        for td in (inst.td, None):
+            ctx = prepare_context(inst.dag, td)
+            builds.clear()
+            approx_dag(inst.dag, td, 150.3, m_override=6)
+            shapes = [bag_shape(ctx, i) for i in ctx.post_order]
+            built = [bag_shape(ctx, args[1]) for args, _ in builds]
+            assert built == list(dict.fromkeys(shapes))
+            assert len(built) <= 3 < ctx.b
+
+    def test_shared_tables_are_read_only(self, monkeypatch):
+        merged = _record_calls(monkeypatch, "merge_subtree")
+        inst = gen_chain(20)
+        approx_dag(inst.dag, inst.td, 9.7, m_override=6)
+        arrays = [args[2].values for args, _ in merged]
+        shared = [a for a in arrays if sum(b is a for b in arrays) > 1]
+        assert shared
+        for a in shared:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_no_table_outlives_the_sweep(self, monkeypatch):
+        from stochlp import staircase
+
+        builds = _record_calls(monkeypatch, "bag_staircase")
+        real_sweep = staircase.sweep
+        checked = []
+
+        def sweep(*args):
+            builds.clear()
+            out = real_sweep(*args)
+            refs = [weakref.ref(t.values) for _, t in builds]
+            builds.clear()
+            checked.append([r() is None for r in refs])
+            return out
+
+        monkeypatch.setattr(staircase, "sweep", sweep)
+        for inst in _shape_corpus():
+            approx_dag(inst.dag, inst.td, 2.2, m_override=6)
+        assert checked and all(all(dead) for dead in checked)
+
 
 # approx_dag(...)[0].hex() recorded at dccfd39, keyed by (family, seed,
 # decomposition); each tuple runs over (x, M) in (1.3, 2.9) x (6, 12)
