@@ -64,7 +64,12 @@ class TreeDecomposition:
         return len(seen) == self.b
 
     def rooted(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(parent, children, depth) arrays for the tree rooted at ``root``."""
+        """(parent, children, depth) arrays for the tree rooted at ``root``,
+        computed once per decomposition."""
+        return self._rooted
+
+    @cached_property
+    def _rooted(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
         parent: list[int | None] = [None] * self.b
         children: list[list[int]] = [[] for _ in range(self.b)]
         depth = [0] * self.b
@@ -393,6 +398,11 @@ class DecompositionContext:
     S_prime: tuple[frozenset[int], ...]
     T_prime: tuple[frozenset[int], ...]
     J: tuple[frozenset[int], ...]
+    # the merge plan of bag i: subtree roles that stay live into the parent
+    # bag, and the subtree sources (at x) and terminals (at 0) frozen there
+    kept: tuple[frozenset[int], ...]
+    frozen_S: tuple[frozenset[int], ...]
+    frozen_T: tuple[frozenset[int], ...]
     subtree_vertices: tuple[int, ...]  # |V(D_i)|
     subtree_edges: tuple[int, ...]  # |E(D_i)|
 
@@ -405,13 +415,6 @@ class DecompositionContext:
         """Width of the decomposition before separation, which turned width
         k into 3k+2."""
         return (self.td.width - 2) // 3
-
-    def kept(self, i: int) -> frozenset[int]:
-        """Variables that stay active after merging at bag i."""
-        h = self.parent[i]
-        if h is None:
-            return frozenset()
-        return (self.S_D[i] | self.T_D[i]) & self.td.bags[h]
 
 
 R = TypeVar("R")
@@ -532,6 +535,15 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
     so none lies in the subtree of i; v's bags form a subtree holding j but
     not i, so all lie strictly below i.  No bag then holds both u and v, so
     an edge uv would have no owner.
+
+    Merge plan.  The merge at bag i integrates out J_i, keeps the subtree
+    sources and terminals still in the parent bag (``kept``, empty at the
+    root) and freezes the other sources at x (``frozen_S``) and terminals
+    at 0 (``frozen_T``).  The plan needs no operand's axes: glue becomes
+    internal at this merge (the verifier checks that J is that set), so it
+    is never in S_D or T_D; and at the root every subtree source is the v-
+    of a source of the graph, whose edge v- -> v* the root owns, so S_D
+    lies inside S.
     """
     report = validate_td(g_star, td_star)
     if not report.valid:
@@ -572,6 +584,7 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
     S_p: list[frozenset[int]] = [empty] * b
     T_p: list[frozenset[int]] = [empty] * b
     J: list[frozenset[int]] = [empty] * b
+    kept: list[frozenset[int]] = [empty] * b
     subtree_vertices: list[int] = [0] * b
     subtree_edges: list[int] = [0] * b
     # internals of D_i and of U_i among the vertices of B_i, for the verifier
@@ -612,6 +625,7 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
         S_p[i] = (S[i] & T_U[i]) - bag_h
         T_p[i] = (T[i] & S_U[i]) - bag_h
         J[i] = S_p[i] | T_p[i]
+        kept[i] = (S_D[i] | T_D[i]) & bag_h
 
     ctx = DecompositionContext(
         dag=g_star,
@@ -630,6 +644,9 @@ def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionConte
         S_prime=tuple(S_p),
         T_prime=tuple(T_p),
         J=tuple(J),
+        kept=tuple(kept),
+        frozen_S=tuple(s - k for s, k in zip(S_D, kept)),
+        frozen_T=tuple(t - k for t, k in zip(T_D, kept)),
         subtree_vertices=tuple(subtree_vertices),
         subtree_edges=tuple(subtree_edges),
     )

@@ -188,9 +188,7 @@ def merge_bag(
     them share the id ``ctx.dag.n + 1``, which sorts after every real one.
     """
     taylor = taylor_tau is not None
-    kept = ctx.kept(i)
-    frozen_src = ctx.S_D[i] - kept
-    frozen_term = ctx.T_D[i] - kept
+    kept, frozen_src, frozen_term = ctx.kept[i], ctx.frozen_S[i], ctx.frozen_T[i]
     J = ctx.J[i]
     x_atom = const_atom(x)
     lower = ZERO_ATOM if taylor else None

@@ -11,16 +11,16 @@ differences put the mass at the grid origin in slot 0, so differencing and
 cumulating are exact inverses (``diff(prepend=0)`` vs ``cumsum``) and a
 single-bag run reproduces the plain cell count bit for bit.
 
-A merge freezes every axis that is neither kept nor glue: it reads a frozen
-source at grid index M and a frozen terminal at 0, and never the rest of the
-axis.  Only the bag table holds frozen axes: a variable frozen at a bag is not
-in its parent bag, so its one edge is owned by the bag itself and no child
-subtree gives it a role.  A bag's frozen terminal axes are never built
-(``bag_staircase`` with ``fixed``), which leaves every surviving cell
-bit-identical, since terminal axes are never differenced or cumulated and
-each cell is counted on its own.  A bag's frozen source axes are still built
-in full, because ``merge_subtree`` reads their slab at M only after its float
-round trip of the bag table, whose result at M depends on the whole axis.
+A merge reads a source its plan freezes at grid index M and a frozen terminal
+at 0, and never the rest of the axis.  Only the bag table holds frozen axes: a
+variable frozen at a bag is not in its parent bag, so its one edge is owned by
+the bag itself and no child subtree gives it a role.  A bag's frozen terminal
+axes are never built (``bag_staircase`` with ``fixed``), which leaves every
+surviving cell bit-identical, since terminal axes are never differenced or
+cumulated and each cell is counted on its own.  A bag's frozen source axes are
+still built in full, because ``merge_subtree`` reads their slab at M only
+after its float round trip of the bag table, whose result at M depends on the
+whole axis.
 
 Within one ``approx_dag`` call, bags of one shape share one bag table.  A
 bag table depends only on the bag's owned edges with their distributions, its
@@ -310,27 +310,6 @@ def bag_staircase(
 # subtree merging
 
 
-def _merge_roles(
-    ctx: DecompositionContext, i: int
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """(kept, frozen sources, frozen terminals) of the merge at bag i.
-
-    Kept are the subtree's sources and terminals still in the parent bag; at
-    the root, where no parent bag exists, every subtree source stays for the
-    final accumulation.  The rest of ``S_D`` and ``T_D`` is frozen.  The
-    rule reads the decomposition only, not the operands' axes, because:
-
-    - glue variables become internal at this merge (``_verify_context``
-      checks that ``J`` is exactly that set), so they are never in ``S_D`` or
-      ``T_D`` and are contracted, never frozen;
-    - at the root every subtree source is the v- of a source of the whole
-      graph, and the root owns its edge v- -> v*, so ``S_D`` lies inside
-      ``S`` and every kept root variable is an axis of the bag table.
-    """
-    kept = ctx.S_D[i] if i == ctx.td.root else ctx.kept(i)
-    return kept, ctx.S_D[i] - kept, ctx.T_D[i] - kept
-
-
 def _take_frozen(
     vals: np.ndarray, axes: Sequence[Axis], m_res: int,
     frozen_src: frozenset[int], frozen_term: frozenset[int],
@@ -392,9 +371,9 @@ def merge_subtree(
 
     Glue variables are contracted by pairing the mass increments of the side
     that is a density in the variable with the other side's value at each
-    mass interval's lower end; sources/terminals leaving scope are frozen at
-    x / 0.  At the root, the subtree sources stay unfrozen for the final
-    accumulation (``_merge_roles``).  Takes and returns staircase tables.
+    mass interval's lower end; the sources/terminals the context's merge plan
+    freezes are frozen at x / 0, except the root's sources, which stay for
+    the final accumulation.  Takes and returns staircase tables.
 
     The difference form exists only here: the bag table and the result each
     go through one float difference-and-cumulate round trip, and the value
@@ -414,7 +393,10 @@ def merge_subtree(
     bag = bag.to_cumulative()
     grid = bag.grid
     M = grid.m_res
-    kept, frozen_src, frozen_term = _merge_roles(ctx, i)
+    # at the root the sources stay for ``accumulate``: taking them at M
+    # before the result's round trip would move value bits
+    kept, frozen_src = (ctx.S_D[i], frozenset()) if i == ctx.td.root else (ctx.kept[i], ctx.frozen_S[i])
+    frozen_term = ctx.frozen_T[i]
     J = ctx.J[i]
 
     g_vals, g_names = _take_frozen(bag.values, bag.axes, M, frozen_src, frozen_term)
@@ -529,18 +511,19 @@ def approx_dag(
 
     With the formula M the output satisfies the multiplicative ratio bound;
     with an explicit ``m_override`` only the staircase sandwich property is
-    promised.
+    promised.  For x < 0 the answer is 0, after the same input checks.
     """
     g.require_homogeneous(DistKind.UNIFORM)
     if epsilon is None and m_override is None:
         raise InputError("need either epsilon or an explicit grid resolution")
     t0 = time.perf_counter()
-    if finite_horizon(x) < 0:
-        raise InputError("horizon x must be >= 0")
+    x = finite_horizon(x)
     ctx = prepare_context(g, td)
     M = m_override if m_override is not None else choose_M(ctx.k, g.n, g.m, float(epsilon))
-    grid = GridSpec(M, float(x))
+    grid = GridSpec(M, max(float(x), 0.0))
     budget = budget or Budget.default()
+    if x < 0:
+        return 0.0, ApproxReport.of(ctx, t0, budget, value=0.0, m_res=M, epsilon=epsilon)
 
     # bag -> (shape id, vertices in sorted order, fixed terminals)
     shapes: dict[int, tuple[int, list[int], dict[int, int]]] = {}
@@ -548,7 +531,7 @@ def approx_dag(
     for i in ctx.post_order:
         # the merge reads a frozen terminal at 0 only, so build it only there;
         # one with a source role in this bag is left to the merge's role check
-        fixed = dict.fromkeys(_merge_roles(ctx, i)[2] & ctx.T[i], 0)
+        fixed = dict.fromkeys(ctx.frozen_T[i] & ctx.T[i], 0)
         key, verts = _bag_shape(ctx, i, fixed)
         shapes[i] = shape_ids.setdefault(key, len(shape_ids)), verts, fixed
     uses = Counter(sid for sid, _, _ in shapes.values())

@@ -17,7 +17,7 @@ from reference import SubgraphRef, classify_subgraph_vertices, edge_pairs
 SOLVER_FIELDS = (
     "parent", "children", "post_order", "bag_edges", "S", "T", "I",
     "S_U", "T_U", "S_D", "T_D", "S_prime", "T_prime", "J",
-    "subtree_vertices", "subtree_edges",
+    "kept", "frozen_S", "frozen_T", "subtree_vertices", "subtree_edges",
 )
 # the role sets the context keeps of the vertices of each bag only
 ROLE_FIELDS = ("S_U", "T_U", "S_D", "T_D")
@@ -67,7 +67,7 @@ def reference_context(g: Dag, td: TreeDecomposition) -> dict[str, tuple]:
     out: dict[str, list] = {
         name: [empty] * b
         for name in ("S", "T", "I", "S_U", "T_U", "V_U", "S_D", "T_D", "I_D",
-                     "S_prime", "T_prime", "J")
+                     "S_prime", "T_prime", "J", "kept", "frozen_S", "frozen_T")
     }
     out["subtree_vertices"] = [0] * b
     out["subtree_edges"] = [0] * b
@@ -89,6 +89,11 @@ def reference_context(g: Dag, td: TreeDecomposition) -> dict[str, tuple]:
         out["S_prime"][i] = (out["S"][i] & out["T_U"][i]) - bag_h
         out["T_prime"][i] = (out["T"][i] & out["S_U"][i]) - bag_h
         out["J"][i] = out["S_prime"][i] | out["T_prime"][i]
+        # the merge plan: subtree roles still in the parent bag stay live,
+        # those of the bag's vertices that leave scope here are frozen
+        out["kept"][i] = (out["S_D"][i] | out["T_D"][i]) & bag_h
+        out["frozen_S"][i] = (out["S_D"][i] & td.bags[i]) - bag_h
+        out["frozen_T"][i] = (out["T_D"][i] & td.bags[i]) - bag_h
 
     ref = {name: tuple(vals) for name, vals in out.items()}
     ref.update(

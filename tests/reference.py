@@ -26,8 +26,8 @@ from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepa
 from stochlp.errors import Budget, DivergentIntegral, InputError, StochLPError
 from stochlp.graph import Dag
 from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
-from stochlp.staircase import (SRC, TERM, GridSpec, _bag_threshold_rows, _merge_roles,
-                               accumulate, bag_staircase, merge_subtree)
+from stochlp.staircase import (SRC, TERM, GridSpec, _bag_threshold_rows, accumulate,
+                               bag_staircase, merge_subtree)
 from stochlp.symbolic import (
     Atom,
     SymbolicSum,
@@ -167,7 +167,7 @@ def bag_cell_count(
 def frozen_terminals_at_zero(ctx: DecompositionContext, i: int) -> dict[int, int]:
     """The ``fixed`` argument ``approx_dag`` gives ``bag_staircase`` for bag
     i: every frozen terminal of the bag at grid index 0."""
-    return dict.fromkeys(_merge_roles(ctx, i)[2] & ctx.T[i], 0)
+    return dict.fromkeys(ctx.frozen_T[i] & ctx.T[i], 0)
 
 
 def approx_dag_unshared(g: Dag, td: TreeDecomposition | None, x: float, m_res: int,

@@ -28,7 +28,6 @@ from stochlp import (
 )
 from stochlp.decomposition import format_td, prepare_context, sweep
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
-from stochlp.staircase import _merge_roles
 
 
 class TestParseTd:
@@ -330,30 +329,41 @@ class TestContextFacts:
         for g, td in _context_corpus():
             assert prepare_context(g, td).k == td.width
 
+    def test_rooted_once_per_decomposition(self):
+        td = gen_diamond_ladder(2).td
+        assert td.rooted() is td.rooted()
+        # a disconnected decomposition raises on every call
+        split = TreeDecomposition((frozenset({0}), frozenset({1}), frozenset({2})), ((0, 1),))
+        for _ in range(2):
+            with pytest.raises(TdFormatError, match="disconnected"):
+                split.rooted()
+
     def test_merge_roles_need_no_operand_axes(self):
-        # the two facts that let the grid merge take its roles from the
-        # context alone: glue is never a subtree source or terminal, and at
-        # the root every subtree source is a source of the bag itself
+        # the two facts that let every merge take its plan from the context
+        # alone: glue is never a subtree source or terminal, and at the root
+        # every subtree source is a source of the bag itself
         for g, td in _context_corpus():
             ctx = prepare_context(g, td)
             for i in range(ctx.b):
                 assert not ctx.J[i] & (ctx.S_D[i] | ctx.T_D[i])
-            assert ctx.S_D[ctx.td.root] <= ctx.S[ctx.td.root]
+                plan = (ctx.kept[i], ctx.frozen_S[i], ctx.frozen_T[i])
+                assert not ctx.J[i] & frozenset().union(*plan)
+            root = ctx.td.root
+            assert ctx.S_D[root] <= ctx.S[root]
+            assert not ctx.kept[root] and ctx.frozen_S[root] == ctx.S_D[root]
 
     def test_frozen_variables_belong_to_their_bag(self):
         # a variable frozen at bag i is not in the parent bag, so its one edge
         # is owned by bag i: it is a source or terminal of the bag itself and
-        # no child subtree gives it a role, under the grid and symbolic rules
+        # no child subtree gives it a role; the grid merge freezes a subset
+        # (none of the root's sources), so this holds for it too
         for g, td in _context_corpus():
             ctx = prepare_context(g, td)
             for i in range(ctx.b):
-                _, grid_src, grid_term = _merge_roles(ctx, i)
-                kept = ctx.kept(i)
-                for frozen_src, frozen_term in ((grid_src, grid_term),
-                                                (ctx.S_D[i] - kept, ctx.T_D[i] - kept)):
-                    assert frozen_src <= ctx.S[i]
-                    assert frozen_term <= ctx.T[i]
-                    assert not (frozen_src | frozen_term) & (ctx.S_U[i] | ctx.T_U[i])
+                frozen_src, frozen_term = ctx.frozen_S[i], ctx.frozen_T[i]
+                assert frozen_src <= ctx.S[i]
+                assert frozen_term <= ctx.T[i]
+                assert not (frozen_src | frozen_term) & (ctx.S_U[i] | ctx.T_U[i])
 
 
 class TestContext:

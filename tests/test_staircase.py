@@ -204,7 +204,6 @@ class TestMergeAndAccumulate:
         # bag is a bug upstream; the merge must not cumulate along it anyway
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         from stochlp.decomposition import prepare_context
-        from stochlp.staircase import _merge_roles
 
         ctx = prepare_context(g, parse_td_chain())
         grid = GridSpec(4, 1.0)
@@ -218,10 +217,10 @@ class TestMergeAndAccumulate:
         with pytest.raises(InvariantViolation, match=f"child variable {v} has role"):
             merge_subtree(ctx, parent, lam, [flipped])
         # a variable frozen at the parent has no role in the uncapped subtree,
-        # so a child axis for it is rejected, not sliced
-        _, frozen_src, frozen_term = _merge_roles(ctx, parent)
-        f = min(frozen_src | frozen_term)
-        role = "s" if f in frozen_src else "t"
+        # so a child axis for it is rejected, not sliced; the parent is the
+        # root, where the grid merge freezes the terminals only
+        assert parent == ctx.td.root
+        f, role = min(ctx.frozen_T[parent]), "t"
         axes = tuple(sorted((*child.axes, (f, role))))
         pos = axes.index((f, role))
         extra = StaircaseTable(grid, axes, np.stack([child.values] * (grid.m_res + 1), axis=pos))
@@ -237,6 +236,23 @@ class TestMergeAndAccumulate:
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         v, _ = approx_dag(g, None, 0.0, m_override=8)
         assert v == pytest.approx(8.0**-2)
+
+    def test_negative_x_still_validates_inputs(self):
+        g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
+        td = TreeDecomposition((frozenset({0, 1}),), ())  # vertex 2 in no bag
+        with pytest.raises(InputError, match="condition1"):
+            approx_dag(g, td, -1, m_override=8)
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            approx_dag(g, None, -1, epsilon=0)
+        with pytest.raises(InputError, match="grid resolution must be >= 1"):
+            approx_dag(g, None, -1, m_override=0)
+        with pytest.raises(InputError, match="horizon must be finite"):
+            approx_dag(g, None, -math.inf, m_override=8)
+        b = Budget()
+        v, rep = approx_dag(g, None, -1, epsilon=0.5, budget=b)
+        assert v == 0.0 and rep.m_res == approx_dag(g, None, 1, epsilon=0.5)[1].m_res
+        assert_shared_report(rep, g, None, b)
+        assert rep.per_bag == [] and b.cells_used == 0
 
 
 def parse_td_chain():
@@ -605,7 +621,7 @@ class TestFrozenAxesNeverBuilt:
         grid = GridSpec(24, 2.0)
 
         def product_cells(i):
-            kid_vars = {v for j in ctx.children[i] for v in ctx.kept(j)}
+            kid_vars = {v for j in ctx.children[i] for v in ctx.kept[j]}
             return (grid.m_res + 1) ** len(kid_vars)
 
         target = max(ctx.post_order, key=product_cells)
