@@ -18,12 +18,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .decomposition import TreeDecomposition, parse_td, validate_td
+from .decomposition import parse_td, validate_td
 from .errors import (Budget, BudgetExceeded, DivergentIntegral, InputError,
                      InvariantViolation, StochLPError)
 from .exactexp import exact_exp
 from .generate import generate, graph_text, td_text
-from .graph import Dag, parse_graph
+from .graph import parse_graph
 from .oracles import monte_carlo, riemann_bracket, series_parallel_exact
 from .staircase import approx_dag
 from .taylor import approx_taylor
@@ -86,24 +86,11 @@ def _rational_field(q: Fraction) -> dict | None:
     return None
 
 
-def _load_graph(path: str) -> Dag:
+def _read(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise InputError(f"cannot read graph file {path}: {e}")
-    return parse_graph(text)
-
-
-def _load_td(path: str | None, g: Dag) -> TreeDecomposition | None:
-    if path is None:
-        return None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise InputError(f"cannot read decomposition file {path}: {e}")
-    td = parse_td(text)
-    label_to_internal = {label: i for i, label in enumerate(g.labels)}
-    return td.relabel(label_to_internal)
+        raise InputError(f"cannot read {what} file {path}: {e}")
 
 
 def _parse_x(raw: str) -> Fraction:
@@ -189,9 +176,14 @@ def build_parser() -> _Parser:
 
 
 def _run(args) -> dict:
+    if args.command != "gen":
+        g = parse_graph(_read(args.graph, "graph"))
+        td_path = getattr(args, "td", None)
+        td = None
+        if td_path is not None:
+            labels = {label: i for i, label in enumerate(g.labels)}
+            td = parse_td(_read(td_path, "decomposition")).relabel(labels)
     if args.command == "approx":
-        g = _load_graph(args.graph)
-        td = _load_td(args.td, g)
         if args.epsilon is None and args.grid_m is None:
             raise InputError("approx needs --epsilon or --grid-m")
         x = _float_x(args.x)
@@ -215,8 +207,6 @@ def _run(args) -> dict:
             "version": __version__,
         }
     if args.command == "exact-exp":
-        g = _load_graph(args.graph)
-        td = _load_td(args.td, g)
         x = _parse_x(args.x)
         value, rep = exact_exp(g, td, x, emit_symbolic=args.emit_symbolic)
         out = {
@@ -236,8 +226,6 @@ def _run(args) -> dict:
             out["symbolic"] = rep.symbolic
         return out
     if args.command == "taylor":
-        g = _load_graph(args.graph)
-        td = _load_td(args.td, g)
         x = _parse_x(args.x)
         if args.epsilon_additive is None and args.tau is None:
             raise InputError("taylor needs --epsilon-additive or --tau")
@@ -259,7 +247,6 @@ def _run(args) -> dict:
             "version": __version__,
         }
     if args.command == "mc":
-        g = _load_graph(args.graph)
         x = _float_x(args.x)
         est, stderr = monte_carlo(g, x, args.samples, args.seed)
         return {
@@ -272,7 +259,6 @@ def _run(args) -> dict:
             "version": __version__,
         }
     if args.command == "bracket":
-        g = _load_graph(args.graph)
         x = _float_x(args.x)
         budget = Budget.default(max_cells=args.max_cells)
         br = riemann_bracket(g, x, args.resolution, budget)
@@ -287,7 +273,6 @@ def _run(args) -> dict:
             "version": __version__,
         }
     if args.command == "sp-exact":
-        g = _load_graph(args.graph)
         x = _parse_x(args.x)
         value = series_parallel_exact(g, x)
         out = {
@@ -301,8 +286,6 @@ def _run(args) -> dict:
             out["exact"] = _rational_field(value)
         return out
     if args.command == "validate-td":
-        g = _load_graph(args.graph)
-        td = _load_td(args.td, g)
         report = validate_td(g, td)
         return {
             "command": "validate-td",

@@ -418,6 +418,7 @@ class DecompositionContext:
 
 
 R = TypeVar("R")
+Rep = TypeVar("Rep", bound="SolveReport")
 
 
 def sweep(
@@ -496,6 +497,23 @@ def _column(values: list) -> array:
         raise InvariantViolation(f"per-bag field holds {sorted(k.__name__ for k in kinds)}, "
                                  "not ints or floats alone")
     return array("q" if kinds == {int} else "d", values)
+
+
+def solve(report_cls: type[Rep], ctx: DecompositionContext, t0: float, budget: Budget,
+          x, solve_bag: Callable[[int, Sequence[R]], R], describe: Callable[[int, R], dict],
+          finish: Callable[[R], dict], **fields) -> tuple[float, Rep]:
+    """The part of a solver run that every solver shares, once its inputs
+    are checked and ``ctx`` is built: the answer 0 for x < 0, with no sweep
+    and no bag records, or else ``sweep`` and ``finish(root result)``, which
+    gives the value and the report fields that replace ``fields``.  The
+    report times the run from ``time.perf_counter()`` reading ``t0``."""
+    if x < 0:
+        per_bag, out = (), {"value": 0.0}
+    else:
+        root, per_bag = sweep(ctx, solve_bag, describe)
+        out = finish(root)
+    rep = report_cls.of(ctx, t0, budget, per_bag=per_bag, **(fields | out))
+    return rep.value, rep
 
 
 def build_context(g_star: Dag, td_star: TreeDecomposition) -> DecompositionContext:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
-                            prepare_context, sweep)
+                            prepare_context, solve)
 from .density import BagDensity, build_bag_density, describe_sum, exp_edge_factor, merge_bag
 from .errors import Budget, InputError, InvariantViolation, finite_horizon
 from .graph import Dag, DistKind
@@ -68,9 +68,6 @@ def exact_exp(
     t0 = time.perf_counter()
     budget = budget or Budget.default()
     ctx = prepare_context(g, td)
-    if xq < 0:
-        return 0.0, ExactExpReport.of(ctx, t0, budget, value=0.0, error_radius=0.0,
-                                      symbolic="0" if emit_symbolic else "")
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
 
     def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
@@ -78,11 +75,12 @@ def exact_exp(
         _check_exponent_bounds(ctx, i, out)
         return out
 
-    final, per_bag = sweep(ctx, solve_bag, describe_sum)
-    if final.free_vars():
-        raise InvariantViolation("root density still has free variables")
-    value, radius = evaluate(final)
-    value = min(max(value, 0.0), 1.0)
-    symbolic = final.canonical_text() if emit_symbolic else ""
-    return value, ExactExpReport.of(ctx, t0, budget, value=value, error_radius=radius,
-                                    symbolic=symbolic, per_bag=per_bag)
+    def finish(final: SymbolicSum) -> dict:
+        if final.free_vars():
+            raise InvariantViolation("root density still has free variables")
+        value, radius = evaluate(final)
+        return {"value": min(max(value, 0.0), 1.0), "error_radius": radius,
+                "symbolic": final.canonical_text() if emit_symbolic else ""}
+
+    return solve(ExactExpReport, ctx, t0, budget, xq, solve_bag, describe_sum, finish,
+                 error_radius=0.0, symbolic="0" if emit_symbolic else "")

@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
-                            prepare_context, sweep)
+                            prepare_context, solve)
 from .errors import Budget, InputError, InvariantViolation, finite_horizon
 from .graph import Dag, DistKind
 
@@ -516,14 +516,12 @@ def approx_dag(
     g.require_homogeneous(DistKind.UNIFORM)
     if epsilon is None and m_override is None:
         raise InputError("need either epsilon or an explicit grid resolution")
-    t0 = time.perf_counter()
     x = finite_horizon(x)
+    t0 = time.perf_counter()
+    budget = budget or Budget.default()
     ctx = prepare_context(g, td)
     M = m_override if m_override is not None else choose_M(ctx.k, g.n, g.m, float(epsilon))
     grid = GridSpec(M, max(float(x), 0.0))
-    budget = budget or Budget.default()
-    if x < 0:
-        return 0.0, ApproxReport.of(ctx, t0, budget, value=0.0, m_res=M, epsilon=epsilon)
 
     # bag -> (shape id, vertices in sorted order, fixed terminals)
     shapes: dict[int, tuple[int, list[int], dict[int, int]]] = {}
@@ -564,8 +562,8 @@ def approx_dag(
         return {"bag_size": len(ctx.td.bags[i]), "edges": len(ctx.bag_edges[i]),
                 "active_vars": len(ctx.S[i] | ctx.T[i])}
 
-    table, per_bag = sweep(ctx, solve_bag, describe)
-    value = accumulate(table)
-    value = min(max(value, 0.0), 1.0)
-    return value, ApproxReport.of(ctx, t0, budget, value=value, m_res=M, epsilon=epsilon,
-                                  per_bag=per_bag)
+    def finish(table: StaircaseTable) -> dict:
+        return {"value": min(max(accumulate(table), 0.0), 1.0)}
+
+    return solve(ApproxReport, ctx, t0, budget, x, solve_bag, describe, finish,
+                 m_res=M, epsilon=epsilon)

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
-                            prepare_context, sweep)
+                            prepare_context, solve)
 from .density import BagDensity, build_bag_density, describe_sum, merge_bag, poly_edge_factor
 from .errors import Budget, InputError, finite_horizon
 from .graph import Dag, DistKind
@@ -177,13 +177,18 @@ def approx_taylor(
     _shuffle_seed: int | None = None,
 ) -> tuple[float, TaylorReport]:
     """Taylor-truncation pipeline: returns the approximate probability and a
-    report with the compounded theoretical additive bound."""
+    report with the compounded theoretical additive bound.  For x < 0 the
+    answer is 0, after the same input checks, which read x as 0."""
     g.require_homogeneous(DistKind.ORACLE)
     if eps_additive is None and tau is None:
         raise InputError("need either an additive error target or an explicit truncation order")
     if tau is not None and tau < 0:
         raise InputError(f"truncation order must be >= 0, got {tau}")
     xq = Fraction(finite_horizon(x))
+    try:
+        xf = float(max(xq, 0))
+    except OverflowError:
+        raise InputError("horizon x is outside the floating-point range") from None
     t0 = time.perf_counter()
     budget = budget or Budget.default()
 
@@ -194,13 +199,6 @@ def approx_taylor(
     width = ctx.td.width
     names = sorted({d.name for _, _, d in g.edges if d.kind is DistKind.ORACLE})
     oracles = [oracle_of(name) for name in names]
-    if xq < 0:
-        return 0.0, TaylorReport.of(ctx, t0, budget, value=0.0, tau=tau or 0,
-                                    theoretical_bound=0.0, eps_additive=eps_additive)
-    try:
-        xf = float(xq)
-    except OverflowError:
-        raise InputError("horizon x is outside the floating-point range") from None
     if tau is None:
         # formula order; instantiated with the original treewidth per the
         # (3k+3) factor, so pass the pre-separation width
@@ -219,8 +217,9 @@ def approx_taylor(
         return merge_bag(ctx, i, bag_taylor(ctx, i, oracle_of, tau, budget), kids, xq, budget,
                          taylor_tau=tau, order_rng=rng)
 
-    final, per_bag = sweep(ctx, solve_bag, describe_sum)
-    value, _ = evaluate(final)
-    bound = total_error_bound(width, tau, xf, ctx.b)
-    return value, TaylorReport.of(ctx, t0, budget, value=value, tau=tau, theoretical_bound=bound,
-                                  eps_additive=eps_additive, per_bag=per_bag)
+    def finish(final: SymbolicSum) -> dict:
+        return {"value": evaluate(final)[0],
+                "theoretical_bound": total_error_bound(width, tau, xf, ctx.b)}
+
+    return solve(TaylorReport, ctx, t0, budget, xq, solve_bag, describe_sum, finish,
+                 tau=tau, theoretical_bound=0.0, eps_additive=eps_additive)

@@ -473,25 +473,25 @@ class TestCompactReports:
 
     @pytest.mark.parametrize("solver", ["approx", "exact-exp", "taylor"])
     def test_per_bag_is_what_sweep_built(self, monkeypatch, solver):
-        from stochlp import exactexp, staircase, taylor
+        from stochlp import decomposition, exactexp, staircase, taylor
 
-        module, dist, run = {
-            "approx": (staircase, "uniform-mixed",
+        dist, run = {
+            "approx": ("uniform-mixed",
                        lambda g, td: staircase.approx_dag(g, td, 2.3, m_override=6)),
-            "exact-exp": (exactexp, "exp", lambda g, td: exactexp.exact_exp(g, td, 2)),
-            "taylor": (taylor, "oracle:expcdf",
-                       lambda g, td: taylor.approx_taylor(g, td, 1, tau=4)),
+            "exact-exp": ("exp", lambda g, td: exactexp.exact_exp(g, td, 2)),
+            "taylor": ("oracle:expcdf", lambda g, td: taylor.approx_taylor(g, td, 1, tau=4)),
         }[solver]
         inst = gen_diamond_ladder(2, dist)
         built = []
-        real = module.sweep
+        # every solver sweeps through the driver ``decomposition.solve``
+        real = decomposition.sweep
 
         def sweep(*args):
             root, per_bag = real(*args)
             built.append(per_bag)
             return root, per_bag
 
-        monkeypatch.setattr(module, "sweep", sweep)
+        monkeypatch.setattr(decomposition, "sweep", sweep)
         _, rep = run(inst.dag, inst.td)
         assert len(built) == 1 and built[0]
         assert _typed(rep.per_bag) == _typed(built[0])
@@ -536,6 +536,37 @@ class TestCompactReports:
         finally:
             tracemalloc.stop()
         assert retained <= 65_080 // 3, f"the report retained {retained} bytes"
+
+
+class TestSolveClock:
+    """``elapsed_ms`` spans the solver's ``prepare_context`` call, whether
+    the answer comes from the sweep or from x < 0."""
+
+    SLEEP_S = 0.05
+
+    @pytest.mark.parametrize("x", [-1, 2])
+    @pytest.mark.parametrize("solver", ["approx", "exact-exp", "taylor"])
+    def test_elapsed_ms_includes_prepare_context(self, monkeypatch, solver, x):
+        from stochlp import exactexp, staircase, taylor
+
+        module, dist, run = {
+            "approx": (staircase, "uniform-mixed",
+                       lambda g, td: staircase.approx_dag(g, td, x, m_override=6)),
+            "exact-exp": (exactexp, "exp", lambda g, td: exactexp.exact_exp(g, td, x)),
+            "taylor": (taylor, "oracle:expcdf",
+                       lambda g, td: taylor.approx_taylor(g, td, x / 2, tau=4)),
+        }[solver]
+        real = module.prepare_context
+
+        def slow(*args):
+            time.sleep(self.SLEEP_S)
+            return real(*args)
+
+        monkeypatch.setattr(module, "prepare_context", slow)
+        inst = gen_diamond_ladder(2, dist)
+        _, rep = run(inst.dag, inst.td)
+        assert (rep.per_bag == []) == (x < 0)
+        assert rep.elapsed_ms >= self.SLEEP_S * 1000.0
 
 
 class TestGenerators:

@@ -738,10 +738,11 @@ class TestSharedBagTables:
                 a[...] = 0.0
 
     def test_no_table_outlives_the_sweep(self, monkeypatch):
-        from stochlp import staircase
+        from stochlp import decomposition
 
         builds = _record_calls(monkeypatch, "bag_staircase")
-        real_sweep = staircase.sweep
+        # approx_dag sweeps through the driver ``decomposition.solve``
+        real_sweep = decomposition.sweep
         checked = []
 
         def sweep(*args):
@@ -752,7 +753,7 @@ class TestSharedBagTables:
             checked.append([r() is None for r in refs])
             return out
 
-        monkeypatch.setattr(staircase, "sweep", sweep)
+        monkeypatch.setattr(decomposition, "sweep", sweep)
         for inst in _shape_corpus():
             approx_dag(inst.dag, inst.td, 2.2, m_override=6)
         assert checked and all(all(dead) for dead in checked)

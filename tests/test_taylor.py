@@ -179,6 +179,9 @@ class TestApproxTaylor:
             approx_taylor(g, td, -1, tau=4)
         with pytest.raises(InputError, match="unknown oracle"):
             approx_taylor(g, None, -1, tau=4, oracle="bogus")
+        for eps in (0, 5, float("nan")):
+            with pytest.raises(InputError, match="additive error target"):
+                approx_taylor(g, None, -1, eps_additive=eps)
         b = Budget()
         v, rep = approx_taylor(g, None, -1, eps_additive=0.1, budget=b)
         assert v == 0.0 and rep.separated_n >= g.n and rep.bag_count >= 1
