@@ -175,6 +175,19 @@ def build_parser() -> _Parser:
     return p
 
 
+# the command itself, and the flags that cannot change the answer (a budget
+# only decides whether one comes) or only choose which fields are shown
+_NOT_INPUTS = {"command", "threads", "timings", "max_cells", "emit_symbolic"}
+
+
+def _record(args, **fields) -> dict:
+    """JSON of every command but ``gen``: the command, its inputs (its own
+    flags in declaration order, less ``_NOT_INPUTS``), ``fields`` and the
+    version."""
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+    return {"command": args.command, "inputs": inputs, **fields, "version": __version__}
+
+
 def _run(args) -> dict:
     if args.command != "gen":
         g = parse_graph(_read(args.graph, "graph"))
@@ -184,118 +197,51 @@ def _run(args) -> dict:
             labels = {label: i for i, label in enumerate(g.labels)}
             td = parse_td(_read(td_path, "decomposition")).relabel(labels)
     if args.command == "approx":
-        if args.epsilon is None and args.grid_m is None:
-            raise InputError("approx needs --epsilon or --grid-m")
         x = _float_x(args.x)
         value, rep = approx_dag(g, td, x, epsilon=args.epsilon, m_override=args.grid_m,
                                 budget=Budget.default(max_cells=args.max_cells))
-        guarantee = ({"kind": "multiplicative", "epsilon": float(args.epsilon)}
-                     if args.grid_m is None else {"kind": "staircase-sandwich"})
-        return {
-            "command": "approx",
-            "inputs": {"graph": args.graph, "td": args.td, "x": args.x,
-                       "epsilon": args.epsilon, "grid_m": args.grid_m},
-            "value": value,
-            "guarantee": guarantee,
-            "M": rep.m_res,
-            "separated_width": rep.separated_width,
-            "separated_n": rep.separated_n,
-            "bag_count": rep.bag_count,
-            "cells_used": rep.cells_used,
-            "per_bag": rep.per_bag,
-            "elapsed_ms": rep.elapsed_ms,
-            "version": __version__,
-        }
+        return _record(args, value=value, guarantee=rep.guarantee, M=rep.m_res,
+                       separated_width=rep.separated_width, separated_n=rep.separated_n,
+                       bag_count=rep.bag_count, cells_used=rep.cells_used,
+                       per_bag=rep.per_bag, elapsed_ms=rep.elapsed_ms)
     if args.command == "exact-exp":
         x = _parse_x(args.x)
         value, rep = exact_exp(g, td, x, emit_symbolic=args.emit_symbolic)
-        out = {
-            "command": "exact-exp",
-            "inputs": {"graph": args.graph, "td": args.td, "x": args.x},
-            "value": value,
-            "guarantee": {"kind": "exact", "evaluation_radius": rep.error_radius},
-            "separated_width": rep.separated_width,
-            "separated_n": rep.separated_n,
-            "bag_count": rep.bag_count,
-            "regions_peak": rep.regions_peak,
-            "terms_peak": rep.terms_peak,
-            "elapsed_ms": rep.elapsed_ms,
-            "version": __version__,
-        }
-        if args.emit_symbolic:
-            out["symbolic"] = rep.symbolic
-        return out
+        symbolic = {"symbolic": rep.symbolic} if args.emit_symbolic else {}
+        return _record(args, value=value, guarantee=rep.guarantee,
+                       separated_width=rep.separated_width, separated_n=rep.separated_n,
+                       bag_count=rep.bag_count, regions_peak=rep.regions_peak,
+                       terms_peak=rep.terms_peak, elapsed_ms=rep.elapsed_ms) | symbolic
     if args.command == "taylor":
         x = _parse_x(args.x)
-        if args.epsilon_additive is None and args.tau is None:
-            raise InputError("taylor needs --epsilon-additive or --tau")
         value, rep = approx_taylor(g, td, x, eps_additive=args.epsilon_additive,
                                    tau=args.tau, oracle=args.oracle)
-        return {
-            "command": "taylor",
-            "inputs": {"graph": args.graph, "td": args.td, "x": args.x,
-                       "epsilon_additive": args.epsilon_additive, "tau": args.tau,
-                       "oracle": args.oracle},
-            "value": value,
-            "guarantee": {"kind": "additive", "bound": rep.theoretical_bound},
-            "tau": rep.tau,
-            "theoretical_bound": rep.theoretical_bound,
-            "monomials_peak": rep.terms_peak,
-            "separated_width": rep.separated_width,
-            "bag_count": rep.bag_count,
-            "elapsed_ms": rep.elapsed_ms,
-            "version": __version__,
-        }
+        return _record(args, value=value, guarantee=rep.guarantee, tau=rep.tau,
+                       theoretical_bound=rep.theoretical_bound, monomials_peak=rep.terms_peak,
+                       separated_width=rep.separated_width, bag_count=rep.bag_count,
+                       elapsed_ms=rep.elapsed_ms)
     if args.command == "mc":
         x = _float_x(args.x)
         est, stderr = monte_carlo(g, x, args.samples, args.seed)
-        return {
-            "command": "mc",
-            "inputs": {"graph": args.graph, "x": args.x, "samples": args.samples,
-                       "seed": args.seed},
-            "estimate": est,
-            "stderr": stderr,
-            "guarantee": {"kind": "statistical", "stderr": stderr},
-            "version": __version__,
-        }
+        return _record(args, estimate=est, stderr=stderr,
+                       guarantee={"kind": "statistical", "stderr": stderr})
     if args.command == "bracket":
         x = _float_x(args.x)
         budget = Budget.default(max_cells=args.max_cells)
         br = riemann_bracket(g, x, args.resolution, budget)
-        return {
-            "command": "bracket",
-            "inputs": {"graph": args.graph, "x": args.x, "resolution": args.resolution},
-            "lower": br.lower_float,
-            "upper": br.upper_float,
-            "lower_exact": _rational_field(br.lower),
-            "upper_exact": _rational_field(br.upper),
-            "guarantee": {"kind": "bracket"},
-            "version": __version__,
-        }
+        return _record(args, lower=br.lower_float, upper=br.upper_float,
+                       lower_exact=_rational_field(br.lower),
+                       upper_exact=_rational_field(br.upper), guarantee={"kind": "bracket"})
     if args.command == "sp-exact":
         x = _parse_x(args.x)
         value = series_parallel_exact(g, x)
-        out = {
-            "command": "sp-exact",
-            "inputs": {"graph": args.graph, "x": args.x},
-            "value": float(value),
-            "guarantee": {"kind": "exact"},
-            "version": __version__,
-        }
-        if isinstance(value, Fraction):
-            out["exact"] = _rational_field(value)
-        return out
+        exact = {"exact": _rational_field(value)} if isinstance(value, Fraction) else {}
+        return _record(args, value=float(value), guarantee={"kind": "exact"}) | exact
     if args.command == "validate-td":
         report = validate_td(g, td)
-        return {
-            "command": "validate-td",
-            "inputs": {"graph": args.graph, "td": args.td},
-            "valid": report.valid,
-            "condition": report.condition,
-            "witness": repr(report.witness) if report.witness is not None else None,
-            "message": report.message,
-            "version": __version__,
-        }
+        return _record(args, valid=report.valid, condition=report.condition,
+                       witness=repr(report.witness) if report.witness is not None else None,
+                       message=report.message)
     if args.command == "gen":
         inst = generate(args.shape, args.n, seed=args.seed, dist=args.dist,
                         k=args.k, max_edges=args.max_edges)

@@ -49,6 +49,10 @@ class ExactExpReport(SolveReport):
     error_radius: float
     symbolic: str
 
+    @property
+    def guarantee(self) -> dict:
+        return {"kind": "exact", "evaluation_radius": self.error_radius}
+
 
 def exact_exp(
     g: Dag,

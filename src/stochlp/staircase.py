@@ -47,6 +47,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -493,10 +494,31 @@ def _bag_shape(
     return key, verts
 
 
+def _shape_plan(ctx: DecompositionContext) -> tuple[dict, Counter]:
+    """bag -> (shape id, vertices in sorted order, fixed terminals), and the
+    number of bags of each shape id."""
+    shapes: dict[int, tuple[int, list[int], dict[int, int]]] = {}
+    shape_ids: dict[tuple, int] = {}
+    for i in ctx.post_order:
+        # the merge reads a frozen terminal at 0 only, so build it only there;
+        # one with a source role in this bag is left to the merge's role check
+        fixed = dict.fromkeys(ctx.frozen_T[i] & ctx.T[i], 0)
+        key, verts = _bag_shape(ctx, i, fixed)
+        shapes[i] = shape_ids.setdefault(key, len(shape_ids)), verts, fixed
+    return shapes, Counter(sid for sid, _, _ in shapes.values())
+
+
 @dataclass(kw_only=True)
 class ApproxReport(SolveReport):
     m_res: int
     epsilon: float | None
+    m_from_formula: bool  # False when m_override chose M
+
+    @property
+    def guarantee(self) -> dict:
+        if self.m_from_formula:
+            return {"kind": "multiplicative", "epsilon": float(self.epsilon)}
+        return {"kind": "staircase-sandwich"}
 
 
 def approx_dag(
@@ -523,21 +545,14 @@ def approx_dag(
     M = m_override if m_override is not None else choose_M(ctx.k, g.n, g.m, float(epsilon))
     grid = GridSpec(M, max(float(x), 0.0))
 
-    # bag -> (shape id, vertices in sorted order, fixed terminals)
-    shapes: dict[int, tuple[int, list[int], dict[int, int]]] = {}
-    shape_ids: dict[tuple, int] = {}
-    for i in ctx.post_order:
-        # the merge reads a frozen terminal at 0 only, so build it only there;
-        # one with a source role in this bag is left to the merge's role check
-        fixed = dict.fromkeys(ctx.frozen_T[i] & ctx.T[i], 0)
-        key, verts = _bag_shape(ctx, i, fixed)
-        shapes[i] = shape_ids.setdefault(key, len(shape_ids)), verts, fixed
-    uses = Counter(sid for sid, _, _ in shapes.values())
+    # planned when the sweep asks for its first bag table, so x < 0 plans none
+    plan = cache(partial(_shape_plan, ctx))
     # shape id -> (axes as vertex ranks, read-only values) of a table that a
     # later bag still needs
     shared: dict[int, tuple[tuple[Axis, ...], np.ndarray]] = {}
 
     def bag_table(i: int) -> StaircaseTable:
+        shapes, uses = plan()
         sid, verts, fixed = shapes.pop(i)
         uses[sid] -= 1
         if sid in shared:
@@ -566,4 +581,4 @@ def approx_dag(
         return {"value": min(max(accumulate(table), 0.0), 1.0)}
 
     return solve(ApproxReport, ctx, t0, budget, x, solve_bag, describe, finish,
-                 m_res=M, epsilon=epsilon)
+                 m_res=M, epsilon=epsilon, m_from_formula=m_override is None)

@@ -165,6 +165,10 @@ class TaylorReport(SolveReport):
     theoretical_bound: float
     eps_additive: float | None
 
+    @property
+    def guarantee(self) -> dict:
+        return {"kind": "additive", "bound": self.theoretical_bound}
+
 
 def approx_taylor(
     g: Dag,
@@ -181,7 +185,7 @@ def approx_taylor(
     answer is 0, after the same input checks, which read x as 0."""
     g.require_homogeneous(DistKind.ORACLE)
     if eps_additive is None and tau is None:
-        raise InputError("need either an additive error target or an explicit truncation order")
+        raise InputError("need either eps_additive or an explicit truncation order tau")
     if tau is not None and tau < 0:
         raise InputError(f"truncation order must be >= 0, got {tau}")
     xq = Fraction(finite_horizon(x))

@@ -5,7 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from stochlp import DivergentIntegral, InvariantViolation
+from stochlp import (DivergentIntegral, InvariantViolation, approx_dag, approx_taylor, exact_exp,
+                     parse_graph, parse_td)
 from stochlp.cli import dispatch, render_json
 
 
@@ -197,6 +198,54 @@ class TestDispatch:
         doc = json.loads(out)
         assert doc["exact"] == {"num": "1", "den": "2"}
         assert doc["value"] == 0.5
+
+
+class TestRecord:
+    """What the goldens do not cover: the oracle commands' inputs and the
+    solver guarantees the CLI copies from the reports."""
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["mc", "--x", "1", "--samples", "100", "--threads", "2"], ["graph", "x", "samples", "seed"]),
+        (["bracket", "--x", "1", "--resolution", "4", "--max-cells", "10000"],
+         ["graph", "x", "resolution"]),
+        (["sp-exact", "--x", "1"], ["graph", "x"]),
+        (["validate-td", "--td", "T"], ["graph", "td"]),
+    ])
+    def test_oracle_inputs_in_declaration_order(self, chain_files, argv, keys):
+        g, t = chain_files
+        command, *flags = argv
+        rc, out, _ = run([command, "--graph", g, *(t if f == "T" else f for f in flags)])
+        assert rc == 0
+        doc = json.loads(out)
+        assert list(doc)[:2] == ["command", "inputs"] and doc["command"] == command
+        assert list(doc["inputs"]) == keys and doc["inputs"]["graph"] == g
+
+    def test_grid_m_wins_over_epsilon(self, chain_files):
+        g, t = chain_files
+        rc, out, _ = run(["approx", "--graph", g, "--td", t, "--x", "1",
+                          "--epsilon", "0.5", "--grid-m", "8"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["guarantee"] == {"kind": "staircase-sandwich"} and doc["M"] == 8
+
+    @pytest.mark.parametrize("dist, argv, solver, kwargs", [
+        ("uniform", ["approx", "--epsilon", "0.5"], approx_dag, {"epsilon": 0.5}),
+        ("uniform", ["approx", "--grid-m", "8"], approx_dag, {"m_override": 8}),
+        ("exp", ["exact-exp"], exact_exp, {}),
+        ("oracle:expcdf", ["taylor", "--tau", "3"], approx_taylor, {"tau": 3}),
+    ])
+    def test_guarantee_is_the_reports(self, tmp_path, dist, argv, solver, kwargs):
+        g, t = tmp_path / "g.txt", tmp_path / "t.td"
+        rc, _, _ = run(["gen", "--shape", "chain", "--n", "3", "--dist", dist,
+                        "--out-graph", str(g), "--out-td", str(t)])
+        assert rc == 0
+        command, *flags = argv
+        rc, out, _ = run([command, "--graph", str(g), "--td", str(t), "--x", "0.75", *flags])
+        assert rc == 0
+        graph = parse_graph(g.read_text())
+        td = parse_td(t.read_text()).relabel({label: i for i, label in enumerate(graph.labels)})
+        _, rep = solver(graph, td, 0.75, **kwargs)
+        assert json.loads(out)["guarantee"] == rep.guarantee
 
 
 class TestDeterminism:

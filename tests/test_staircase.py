@@ -353,6 +353,37 @@ class TestApproxDag:
         v2, _ = approx_dag(inst.dag, inst.td, 1.23, m_override=8)
         assert v1 == v2
 
+    def test_negative_x_plans_no_bag_shape(self, monkeypatch):
+        def unplanned(*args, **kwargs):
+            raise AssertionError("bag shapes planned for x < 0")
+
+        monkeypatch.setattr("stochlp.staircase._bag_shape", unplanned)
+        inst = gen_diamond_ladder(2, dist="uniform")
+        v, rep = approx_dag(inst.dag, inst.td, -1, m_override=4)
+        assert v == 0.0 and rep.per_bag == []
+
+    @pytest.mark.parametrize("epsilon, m_override, guarantee", [
+        (0.5, None, {"kind": "multiplicative", "epsilon": 0.5}),
+        (None, 8, {"kind": "staircase-sandwich"}),
+        (0.5, 8, {"kind": "staircase-sandwich"}),  # the override wins
+    ])
+    def test_guarantee_says_where_m_came_from(self, epsilon, m_override, guarantee):
+        g = parse_graph("2 1\n1 2 uniform 1\n")
+        for x in (0.5, -1.0):
+            _, rep = approx_dag(g, None, x, epsilon=epsilon, m_override=m_override)
+            assert rep.m_from_formula is (m_override is None)
+            assert rep.guarantee == guarantee
+
+    @pytest.mark.xfail(strict=True, reason="the formula grid is 1/M of each edge's range "
+                       "whatever x is, so a horizon below a cell breaks the ratio")
+    def test_formula_m_keeps_ratio_at_small_horizon(self):
+        g = parse_graph("2 1\n1 2 uniform 1\n")
+        x = 1 / 128
+        v, rep = approx_dag(g, None, x, epsilon=0.5)
+        assert rep.guarantee == {"kind": "multiplicative", "epsilon": 0.5}
+        # reads 1/48 at M=48 against the exact x, a ratio of 2.67
+        assert 1.0 <= v / x <= 1.5
+
 
 class TestDegenerateShapes:
     def test_single_vertex_graph(self):
