@@ -16,6 +16,15 @@ end it reduces each pair once to a ``Fraction``.  A sum at rest holds reduced
 ``Fraction`` coefficients only.  FLINT's ``fmpq_poly`` keeps integer
 numerators for the same reason.
 
+A key at rest holds its powers and exps as sorted tuples of (variable,
+exponent) pairs.  ``multiply`` packs them, for one call only, into one
+integer per monomial with a fixed-width field per variable, so that a
+monomial product is one integer addition; it decodes each distinct product
+back into sorted tuples before it returns.  These are the packed exponent
+vectors of Monagan and Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors" (CASC 2007), as in FLINT's
+``fmpz_mpoly``.
+
 Equality is almost-everywhere equality: boundaries between regions carry no
 mass.  Substituting a value that lands exactly on a boundary resolves ties as
 if the substituted atom were infinitesimally above its value, i.e. a
@@ -31,14 +40,15 @@ from typing import Iterable, Iterator, Mapping, Union
 
 import mpmath
 
-from .errors import Budget, DivergentIntegral, InputError
+from .errors import Budget, BudgetExceeded, DivergentIntegral, InputError
 
 # atoms: ("c", Fraction) constants, ("v", int) variables
 Atom = tuple[str, object]
 Chain = tuple[Atom, ...]
 # term key: (powers, exps, e_const) with powers/exps sorted tuples of (var, n),
 # n nonzero; e_const an int when integral, else a Fraction (an int hashes
-# cheaply and equals the Fraction of the same value)
+# cheaply and equals the Fraction of the same value); every sum holds its keys
+# in this form, and only multiply packs them, within one call
 TermKey = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Union[int, Fraction]]
 # an unreduced coefficient n/d as integers, d > 0, as operations build them;
 # a Coeff is one of those or a reduced Fraction an operation passes through
@@ -47,7 +57,9 @@ Coeff = Union[Fraction, Pair]
 
 ZERO_ATOM: Atom = ("c", Fraction(0))
 
+# evaluate starts at _EVAL_DPS digits and doubles them up to _EVAL_MAX_DPS
 _EVAL_DPS = 40
+_EVAL_MAX_DPS = _EVAL_DPS * 2**8
 
 
 def const_atom(value) -> Atom:
@@ -229,9 +241,19 @@ def _accumulate(bucket: dict[TermKey, Fraction], items: Iterable[tuple[TermKey, 
         bucket[key] = coeff if old is None else old + coeff
 
 
-def _interleavings(c1: Chain, c2: Chain) -> Iterator[Chain]:
+def _interleavings(c1: Chain, c2: Chain) -> Iterable[Chain]:
     """All linear extensions of the union of two total orders; shared atoms
-    are merged, constants must come out strictly increasing."""
+    are merged, constants must come out strictly increasing.  Both chains
+    are consistent, as every sum's chains are, so an empty one leaves the
+    other as the only extension."""
+    if not c1:
+        return (c2,)
+    if not c2:
+        return (c1,)
+    return _extensions(c1, c2)
+
+
+def _extensions(c1: Chain, c2: Chain) -> Iterator[Chain]:
     pos1 = {a: i for i, a in enumerate(c1)}
     pos2 = {a: i for i, a in enumerate(c2)}
 
@@ -259,23 +281,6 @@ def _interleavings(c1: Chain, c2: Chain) -> Iterator[Chain]:
             yield chain
 
 
-def _merge_pow(p1: tuple[tuple[int, int], ...], p2: tuple[tuple[int, int], ...]
-               ) -> tuple[tuple[int, int], ...]:
-    if not p1:
-        return p2
-    if not p2:
-        return p1
-    merged = dict(p1)
-    cancelled = False
-    for v, n in p2:
-        m = merged.get(v, 0) + n
-        merged[v] = m
-        cancelled = cancelled or not m
-    if cancelled:
-        return _key_pow(merged)
-    return tuple(sorted(merged.items()))
-
-
 def _is_guard(s: SymbolicSum) -> bool:
     """Whether s is a single guard chain (possibly empty) times 1."""
     if len(s.regions) != 1:
@@ -284,8 +289,58 @@ def _is_guard(s: SymbolicSum) -> bool:
     return len(terms) == 1 and terms.get(_UNIT_KEY) == 1
 
 
-def _pairs(terms: Mapping[TermKey, Fraction]) -> dict[TermKey, Pair]:
-    return {key: (c.numerator, c.denominator) for key, c in terms.items()}
+# a packed monomial with its term's e_const and unreduced coefficient
+Packed = tuple[int, Union[int, Fraction], int, int]
+
+
+def _packing(a: SymbolicSum, b: SymbolicSum):
+    """Packed monomials for the products of ``multiply(a, b)``.
+
+    Each variable in either factor's keys gets a power field and an exp field
+    of one width, wide enough for a sum of two exponents offset by 2m, where
+    m is the factors' largest |exponent|; fields run over the variables in
+    increasing order, all powers below all exps.  The left factor's monomials
+    carry the offset in every field and the right's none, so a product's
+    packed monomial is the sum of its factors'.  Packing is one-to-one on
+    keys, so products keyed by packed monomials group and keep their first
+    order as products keyed by tuples do.  Returns the left offset, the
+    packer of one bucket and the decoder of one packed product."""
+    variables: set[int] = set()
+    top = 1
+    for s in (a, b):
+        for terms in s.regions.values():
+            for powers, exps, _ in terms:
+                for v, n in powers + exps:
+                    variables.add(v)
+                    if abs(n) > top:
+                        top = abs(n)
+    order = sorted(variables)
+    k = len(order)
+    size = ((4 * top).bit_length() + 7) // 8  # whole bytes, so to_bytes splits the fields
+    bias = 2 * top
+    power_at = {v: 8 * size * i for i, v in enumerate(order)}
+    exp_at = {v: 8 * size * (k + i) for i, v in enumerate(order)}
+    offset = sum(bias << (8 * size * i) for i in range(2 * k))
+
+    def pack(terms: Mapping[TermKey, Fraction], base: int) -> list[Packed]:
+        out = []
+        for (powers, exps, q), c in terms.items():
+            m = base
+            for v, n in powers:
+                m += n << power_at[v]
+            for v, n in exps:
+                m += n << exp_at[v]
+            out.append((m, q, c.numerator, c.denominator))
+        return out
+
+    def unpack(m: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        raw = m.to_bytes(2 * k * size, "little")
+        fields = raw if size == 1 else [int.from_bytes(raw[i:i + size], "little")
+                                        for i in range(0, len(raw), size)]
+        return (tuple([(v, n - bias) for v, n in zip(order, fields[:k]) if n != bias]),
+                tuple([(v, n - bias) for v, n in zip(order, fields[k:]) if n != bias]))
+
+    return offset, pack, unpack
 
 
 def _add(bucket: dict[TermKey, Coeff], key: TermKey, c: Coeff) -> None:
@@ -313,20 +368,22 @@ def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> Sy
     """Product of two sums; overlapping guard chains split into all linear
     extensions of their union.
 
-    Each product is an unreduced integer pair.  When one factor is a guard
-    chain times 1, the other factor's terms are the products; they are
-    reused, reduced as they are, instead of multiplied out, with the same
-    work charged."""
-    out: dict[Chain, dict[TermKey, Coeff]] = {}
+    Each product is an unreduced integer pair, keyed by its packed monomial
+    and e_const (see ``_packing``) until the end, when each distinct packed
+    monomial is decoded once.  When one factor is a guard chain times 1, the
+    other factor's terms are the products; they are reused, reduced as they
+    are, instead of multiplied out, with the same work charged."""
+    out: dict[Chain, dict] = {}
     unit_a = _is_guard(a)
     unit_b = not unit_a and _is_guard(b)
     general = not (unit_a or unit_b)
     if general:
-        pairs_b = {ch2: _pairs(terms2) for ch2, terms2 in b.regions.items()}
+        offset, pack, unpack = _packing(a, b)
+        packed_b = {ch2: pack(terms2, 0) for ch2, terms2 in b.regions.items()}
     pending_terms = 0
     for ch1, terms1 in a.regions.items():
         if general:
-            pairs1 = _pairs(terms1)
+            packed1 = pack(terms1, offset)
         for ch2, terms2 in b.regions.items():
             if budget is not None:
                 budget.charge_work(len(terms1) * len(terms2))
@@ -334,10 +391,9 @@ def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> Sy
                 prods = terms2 if unit_a else terms1
             else:
                 prods = {}
-                for (p1, e1, q1), (n1, d1) in pairs1.items():
-                    for (p2, e2, q2), (n2, d2) in pairs_b[ch2].items():
-                        key = (_merge_pow(p1, p2), _merge_pow(e1, e2), _key_const(q1 + q2))
-                        _add(prods, key, (n1 * n2, d1 * d2))
+                for m1, q1, n1, d1 in packed1:
+                    for m2, q2, n2, d2 in packed_b[ch2]:
+                        _add(prods, (m1 + m2, q1 + q2), (n1 * n2, d1 * d2))
             for chain in _interleavings(ch1, ch2):
                 bucket = out.get(chain)
                 if bucket is None:
@@ -351,6 +407,16 @@ def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> Sy
                 if pending_terms > 3 * budget.max_terms:
                     # bound transient memory before canonicalization prunes
                     budget.note_terms(pending_terms)
+    if general:
+        monomials: dict[int, tuple] = {}
+        for chain, bucket in out.items():
+            keyed = {}
+            for (m, q), c in bucket.items():
+                mono = monomials.get(m)
+                if mono is None:
+                    mono = monomials[m] = unpack(m)
+                keyed[(*mono, q if type(q) is int else _key_const(q))] = c
+            out[chain] = keyed
     return SymbolicSum._own(_reduced(out), budget=budget)
 
 
@@ -380,6 +446,18 @@ def _split(p: tuple[tuple[int, int], ...], v: int) -> tuple[tuple[tuple[int, int
     return p, 0
 
 
+def _with(p: tuple[tuple[int, int], ...], w: int, n: int) -> tuple[tuple[int, int], ...]:
+    """A key's powers (or exps) times w^n: n added to w's degree in place,
+    or (w, n) inserted in order; a degree that cancels to 0 is dropped."""
+    for i, (u, m) in enumerate(p):
+        if u >= w:
+            if u > w:
+                return p[:i] + ((w, n),) + p[i:]
+            m += n
+            return p[:i] + ((w, m),) + p[i + 1:] if m else p[:i] + p[i + 1:]
+    return p + ((w, n),)
+
+
 def _at_atom(powers: tuple[tuple[int, int], ...], exps: tuple[tuple[int, int], ...], e_const,
              coeff: Coeff, alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Coeff]:
     """Key and coefficient of the term coeff * e^e_const * powers * exps
@@ -400,9 +478,9 @@ def _at_atom(powers: tuple[tuple[int, int], ...], exps: tuple[tuple[int, int], .
         return (powers, exps, e_const), coeff
     w = atom[1]
     if alpha:
-        powers = _merge_pow(powers, ((w, alpha),))
+        powers = _with(powers, w, alpha)
     if beta:
-        exps = _merge_pow(exps, ((w, beta),))
+        exps = _with(exps, w, beta)
     return (powers, exps, e_const), coeff
 
 
@@ -532,11 +610,17 @@ def truncate_total_degree(s: SymbolicSum, tau: int) -> SymbolicSum:
 
 def evaluate(s: SymbolicSum, assignment: Mapping[int, Fraction] | None = None
              ) -> tuple[float, float]:
-    """Exact-rational accumulation grouped by total e-exponent, then one
-    extended-precision pass over the exponentials.
+    """Exact-rational accumulation grouped by total e-exponent, then
+    extended-precision passes over the exponentials.
 
-    Returns (value, error_radius).  Guard chains are evaluated strictly, so a
-    query on a region boundary reports the open-region limit.
+    Returns (value, error_radius).  The groups can cancel almost completely,
+    as in a left tail, so a pass that leaves its error term above 2^-60 of
+    the total is repeated at twice the digits; past ``_EVAL_MAX_DPS`` digits
+    the evaluation raises BudgetExceeded.  Groups with nonzero coefficients
+    never sum to exactly 0 (Lindemann-Weierstrass), so enough digits always
+    resolve the total.  The radius is the one of the last pass.  Guard
+    chains are evaluated strictly, so a query on a region boundary reports
+    the open-region limit.
     """
     assignment = {v: Fraction(q) for v, q in (assignment or {}).items()}
     missing = s.free_vars() - set(assignment)
@@ -559,14 +643,20 @@ def evaluate(s: SymbolicSum, assignment: Mapping[int, Fraction] | None = None
                 old = groups.get(q)
                 groups[q] = c if old is None else old + c
 
-    with mpmath.workdps(_EVAL_DPS):
-        total = mpmath.mpf(0)
-        magnitude = mpmath.mpf(0)
-        for q in sorted(groups):
-            term = mpmath.mpf(groups[q].numerator) / groups[q].denominator * mpmath.e ** (
-                mpmath.mpf(q.numerator) / q.denominator)
-            total += term
-            magnitude += abs(term)
-        value = float(total)
-        radius = float(magnitude * mpmath.mpf(10) ** (8 - _EVAL_DPS) + mpmath.mpf(2) ** -52 * abs(total))
-    return value, radius
+    dps = _EVAL_DPS
+    while True:
+        with mpmath.workdps(dps):
+            total = mpmath.mpf(0)
+            magnitude = mpmath.mpf(0)
+            for q in sorted(groups):
+                term = mpmath.mpf(groups[q].numerator) / groups[q].denominator * mpmath.e ** (
+                    mpmath.mpf(q.numerator) / q.denominator)
+                total += term
+                magnitude += abs(term)
+            slack = magnitude * mpmath.mpf(10) ** (8 - dps)
+            if slack <= mpmath.mpf(2) ** -60 * abs(total):
+                return float(total), float(slack + mpmath.mpf(2) ** -52 * abs(total))
+        if dps >= _EVAL_MAX_DPS:
+            raise BudgetExceeded(
+                f"evaluation: the exact groups cancel beyond {_EVAL_MAX_DPS} digits")
+        dps *= 2

@@ -36,8 +36,6 @@ from stochlp.symbolic import (
     _interleavings,
     _is_guard,
     _key_const,
-    _merge_pow,
-    _split,
     const_atom,
     var_atom,
 )
@@ -213,6 +211,22 @@ def mass(p: PiecewisePoly) -> Fraction:
         anti = (Fraction(0),) + tuple(c / (j + 1) for j, c in enumerate(p.polys[i]))
         total += _poly_eval(anti, p.breaks[i + 1]) - _poly_eval(anti, p.breaks[i])
     return total
+
+
+def _merge_pow(p1, p2):
+    """Two key tuples of (variable, exponent) multiplied: exponents added in a
+    dict, zeros dropped, then sorted."""
+    merged = dict(p1)
+    for v, n in p2:
+        merged[v] = merged.get(v, 0) + n
+    return tuple(sorted((v, n) for v, n in merged.items() if n))
+
+
+def _split(p, v):
+    """A key tuple without variable v, and v's exponent there."""
+    rest = dict(p)
+    n = rest.pop(v, 0)
+    return tuple(sorted(rest.items())), n
 
 
 def _fraction_term_mul(k1, c1, k2, c2):

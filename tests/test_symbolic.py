@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochlp.errors import Budget, DivergentIntegral, InputError
+from stochlp.errors import Budget, BudgetExceeded, DivergentIntegral, InputError
 from stochlp import symbolic as sy
 from reference import (
     fraction_integrate_out,
@@ -426,3 +428,164 @@ class TestRegionBudgets:
         b = Budget(max_regions=1)
         with pytest.raises(BudgetExceeded):
             sy.multiply(H(ZERO, v(1)), H(ZERO, v(2)), budget=b)
+
+
+# sparse variable ids with one far above the rest, as the solvers' fresh n+1
+WIDE_IDS = (0, 3, 4, 9, 17, 30, 31, 1000)
+WIDE_E_CONSTS = (0, 3, -2, F(1, 2), F(-1, 2), F(7, 3))
+WIDE_COEFFS = (F(1), F(-1), F(2, 3), F(-5, 7), F(11, 4))
+
+
+@st.composite
+def wide_sums(draw, ids=None):
+    """Sums over 3-8 sparse variable ids with powers up to 12, exps in
+    [-20, 20] and int or Fraction e_const; about half the terms repeat an
+    earlier term's exps negated, so that products cancel exps to 0."""
+    if ids is None:
+        ids = draw(st.lists(st.sampled_from(WIDE_IDS), min_size=3, max_size=8, unique=True))
+    out = sy.SymbolicSum.zero()
+    exps_seen = []
+    for _ in range(draw(st.integers(1, 6))):
+        chain_ids = draw(st.lists(st.sampled_from(ids), max_size=3, unique=True))
+        chain = tuple(v(i) for i in chain_ids)
+        if draw(st.booleans()):
+            chain = (ZERO,) + chain
+        powers = {i: draw(st.integers(0, 12)) for i in draw(st.lists(st.sampled_from(ids), unique=True))}
+        if exps_seen and draw(st.booleans()):
+            exps = {i: -n for i, n in draw(st.sampled_from(exps_seen)).items()}
+        else:
+            exps = {i: draw(st.integers(-20, 20)) for i in draw(st.lists(st.sampled_from(ids), unique=True))}
+        exps_seen.append(exps)
+        out = out + sy.SymbolicSum.term(draw(st.sampled_from(WIDE_COEFFS)), powers=powers, exps=exps,
+                                        e_const=draw(st.sampled_from(WIDE_E_CONSTS)), chain=chain)
+    return out
+
+
+class TestPackedKeys:
+    """Products, substitutions and integrals built on packed monomials and
+    tuple inserts give, term for term, what the dict-and-sort reference gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_multiply(self, data):
+        ids = data.draw(st.lists(st.sampled_from(WIDE_IDS), min_size=3, max_size=8, unique=True))
+        a, b = data.draw(wide_sums(ids)), data.draw(wide_sums(ids))
+        g = H(v(ids[0]), v(ids[-1]))
+        for x, y in ((a, b), (a, a), (b, a), (a, g), (g, b)):
+            assert_same_sum(_outcome(sy.multiply, x, y), _outcome(fraction_multiply, x, y))
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_sums(), st.data())
+    def test_substitute(self, a, data):
+        w = data.draw(st.sampled_from(WIDE_IDS))
+        for target in (ZERO, sy.const_atom(F(-3, 2)), v(data.draw(st.sampled_from(WIDE_IDS)))):
+            assert_same_sum(_outcome(sy.substitute, a, w, target),
+                            _outcome(fraction_substitute, a, w, target))
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_sums(), st.data())
+    def test_integrate_out(self, a, data):
+        # w bounded below by 0 in every region, so that an upper bound makes
+        # each integral finite
+        w = data.draw(st.sampled_from(WIDE_IDS))
+        bounded = sy.multiply(a, H(ZERO, v(w)))
+        cases = [(a, None), (bounded, sy.const_atom(F(3, 2))),
+                 (bounded, v(data.draw(st.sampled_from(WIDE_IDS))))]
+        for s, upper in cases:
+            assert_same_sum(_outcome(sy.integrate_out, s, w, upper),
+                            _outcome(fraction_integrate_out, s, w, upper))
+
+    def test_exps_cancel_and_e_const_turns_integral(self):
+        a = sy.SymbolicSum.term(F(2, 3), powers={1000: 12}, exps={3: 20, 1000: -20}, e_const=F(1, 2))
+        b = sy.SymbolicSum.term(F(3, 4), powers={3: 1}, exps={3: -20, 1000: 20}, e_const=F(1, 2))
+        (key, c), = sy.multiply(a, b).regions[()].items()
+        assert key == (((3, 1), (1000, 12)), (), 1) and type(key[2]) is int and c == F(1, 2)
+
+    @pytest.mark.parametrize("top", [63, 64, 100, 127, 128, 5000])
+    def test_wide_exponents(self, top):
+        # a field of one byte holds a sum of two exponents offset by 2m only
+        # while m < 64
+        a = sy.SymbolicSum.term(1, powers={2: top}, exps={1: -top})
+        b = sy.SymbolicSum.term(1, exps={1: top, 5: -1}) + sy.SymbolicSum.term(1, powers={2: top})
+        assert_same_sum(_outcome(sy.multiply, a, b), _outcome(fraction_multiply, a, b))
+        assert sy.multiply(a, b).regions[()] == {(((2, top),), ((5, -1),), 0): 1,
+                                                 (((2, 2 * top),), ((1, -top),), 0): 1}
+
+    def test_substitute_variable_cancels_exps(self):
+        s = sy.SymbolicSum.term(F(3, 5), powers={3: 2, 1000: 1}, exps={3: 5, 1000: -5, 30: 1})
+        for w, target in ((1000, v(3)), (3, v(1000))):
+            got = _outcome(sy.substitute, s, w, target)
+            assert_same_sum(got, _outcome(fraction_substitute, s, w, target))
+            (key,) = got[0].regions[()]
+            assert key[1] == ((30, 1),)
+
+
+def _extensions_brute(c1, c2):
+    """Every ordering of the two chains' atoms that keeps each chain's order
+    and has its constants strictly increasing."""
+    atoms = list(dict.fromkeys(c1 + c2))
+    out = []
+    for perm in itertools.permutations(atoms):
+        pos = {a: i for i, a in enumerate(perm)}
+        if any(pos[c[i]] > pos[c[i + 1]] for c in (c1, c2) for i in range(len(c) - 1)):
+            continue
+        consts = [a[1] for a in perm if a[0] == "c"]
+        if all(p < q for p, q in zip(consts, consts[1:])):
+            out.append(perm)
+    return out
+
+
+CHAIN_ATOMS = (ZERO, sy.const_atom(F(1, 2)), sy.const_atom(2), v(1), v(2), v(3), v(4))
+
+
+@st.composite
+def chains(draw):
+    """A consistent chain, possibly empty: distinct atoms, constants in
+    increasing order wherever they fall."""
+    atoms = draw(st.lists(st.sampled_from(CHAIN_ATOMS), max_size=4, unique=True))
+    consts = iter(sorted((a for a in atoms if a[0] == "c"), key=lambda a: a[1]))
+    return tuple(next(consts) if a[0] == "c" else a for a in atoms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(), chains())
+def test_interleavings_are_all_linear_extensions(c1, c2):
+    got = list(sy._interleavings(c1, c2))
+    assert sorted(got) == sorted(_extensions_brute(c1, c2))
+
+
+def test_interleavings_of_an_empty_chain():
+    c = (ZERO, v(2), sy.const_atom(2))
+    assert list(sy._interleavings((), c)) == [c]
+    assert list(sy._interleavings(c, ())) == [c]
+    assert list(sy._interleavings((), ())) == [()]
+
+
+class TestEvaluatePrecision:
+    def test_cancellation_below_the_first_precision(self):
+        # e^q - 1 - q at q = 10^-30 is about 5e-61; the groups cancel past
+        # 40 digits
+        q = F(1, 10**30)
+        s = sy.SymbolicSum.term(1, e_const=q) - sy.SymbolicSum.const(1 + q)
+        value, radius = sy.evaluate(s)
+        with mpmath.workdps(300):
+            want = mpmath.e ** (mpmath.mpf(1) / 10**30) - 1 - mpmath.mpf(1) / 10**30
+            assert value == float(want)
+            assert abs(mpmath.mpf(value) - want) <= radius
+
+    def test_first_precision_radius_is_unchanged(self):
+        # at 40 digits: the groups' absolute sum times 10^(8-40), plus 2^-52
+        # of the total
+        s = sy.SymbolicSum.const(1) - sy.SymbolicSum.term(1, e_const=-1)
+        with mpmath.workdps(40):
+            total = -mpmath.e ** -1 + 1
+            magnitude = mpmath.e ** -1 + 1
+            want = float(magnitude * mpmath.mpf(10) ** -32 + mpmath.mpf(2) ** -52 * total)
+            assert sy.evaluate(s) == (float(total), want)
+
+    def test_ceiling_raises_budget_exceeded(self):
+        # the groups of e^q - 1 - q at q = 10^-6000 cancel over 12,000 digits
+        q = F(1, 10**6000)
+        s = sy.SymbolicSum.term(1, e_const=q) - sy.SymbolicSum.const(1 + q)
+        with pytest.raises(BudgetExceeded):
+            sy.evaluate(s)
