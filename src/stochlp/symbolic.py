@@ -614,13 +614,12 @@ def evaluate(s: SymbolicSum, assignment: Mapping[int, Fraction] | None = None
     extended-precision passes over the exponentials.
 
     Returns (value, error_radius).  The groups can cancel almost completely,
-    as in a left tail, so a pass that leaves its error term above 2^-60 of
-    the total is repeated at twice the digits; past ``_EVAL_MAX_DPS`` digits
-    the evaluation raises BudgetExceeded.  Groups with nonzero coefficients
-    never sum to exactly 0 (Lindemann-Weierstrass), so enough digits always
-    resolve the total.  The radius is the one of the last pass.  Guard
-    chains are evaluated strictly, so a query on a region boundary reports
-    the open-region limit.
+    as in a left tail, so a pass is repeated at twice the digits until both
+    ends of total +- error term round to the same float, which is then the
+    correctly rounded value (0.0 when the value underflows); past
+    ``_EVAL_MAX_DPS`` digits the evaluation raises BudgetExceeded.  The
+    radius is the one of the last pass.  Guard chains are evaluated
+    strictly, so a query on a region boundary reports the open-region limit.
     """
     assignment = {v: Fraction(q) for v, q in (assignment or {}).items()}
     missing = s.free_vars() - set(assignment)
@@ -654,8 +653,9 @@ def evaluate(s: SymbolicSum, assignment: Mapping[int, Fraction] | None = None
                 total += term
                 magnitude += abs(term)
             slack = magnitude * mpmath.mpf(10) ** (8 - dps)
-            if slack <= mpmath.mpf(2) ** -60 * abs(total):
-                return float(total), float(slack + mpmath.mpf(2) ** -52 * abs(total))
+            if float(total - slack) == float(total + slack):
+                return (float(total) or 0.0,
+                        float(slack + mpmath.mpf(2) ** -52 * abs(total)))
         if dps >= _EVAL_MAX_DPS:
             raise BudgetExceeded(
                 f"evaluation: the exact groups cancel beyond {_EVAL_MAX_DPS} digits")

@@ -583,9 +583,20 @@ class TestEvaluatePrecision:
             want = float(magnitude * mpmath.mpf(10) ** -32 + mpmath.mpf(2) ** -52 * total)
             assert sy.evaluate(s) == (float(total), want)
 
+    def test_underflow_rounds_to_zero(self):
+        # 1 - e^-q at q = 10^-10300 is about 1e-10300, which is 0.0 as a
+        # float; its groups cancel over 10,300 digits, past the ceiling
+        q = F(1, 10**10300)
+        s = sy.SymbolicSum.const(1) - sy.SymbolicSum.term(1, e_const=-q)
+        value, radius = sy.evaluate(s)
+        assert value == 0.0
+        assert radius < 1e-300
+
     def test_ceiling_raises_budget_exceeded(self):
-        # the groups of e^q - 1 - q at q = 10^-6000 cancel over 12,000 digits
-        q = F(1, 10**6000)
-        s = sy.SymbolicSum.term(1, e_const=q) - sy.SymbolicSum.const(1 + q)
+        # c e^q - c (1 + q) at c = 10^12000, q = 10^-6000 is about 1/2, and
+        # its groups cancel over 12,000 digits
+        c, q = 10**12000, F(1, 10**6000)
+        s = (sy.SymbolicSum.term(c, e_const=q)
+             - sy.SymbolicSum.const(c * (1 + q)))
         with pytest.raises(BudgetExceeded):
             sy.evaluate(s)

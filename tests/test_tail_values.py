@@ -58,3 +58,12 @@ def test_tail_is_correctly_rounded(diamonds, x, approx):
     with mpmath.workdps(300):
         assert abs(mpmath.mpf(value) - want) <= report.error_radius
     assert series_parallel_exact(inst.dag, x) == float(want)
+
+
+@pytest.mark.parametrize("diamonds,x", [(1, F(1, 10**10300)), (2, F(1, 10**160))])
+def test_underflow_returns_positive_zero(diamonds, x):
+    # the value is below the smallest float, and the groups cancel over
+    # 10,300 and 640 digits
+    inst = gen_diamond_ladder(diamonds, dist="exp")
+    value, _ = exact_exp(inst.dag, inst.td, x)
+    assert value == 0.0 and math.copysign(1, value) == 1
