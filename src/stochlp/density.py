@@ -177,12 +177,13 @@ def merge_bag(
 ) -> SymbolicSum:
     """Combine a bag density with its child subtree densities.
 
-    The glue variables are integrated over the full line (or over [0, x] with
-    truncation to ``taylor_tau`` after each one, in Taylor mode); terminals
-    leaving scope are set to 0 and sources leaving scope are cumulatively
-    integrated up to x.  A terminal leaving scope has no role below the bag,
-    so it is set to 0 on the bag factor before the product with the
-    subtrees, unless a pending pair brings it in.
+    Each part eliminates before the product, on each factor holding the
+    variable: pending pairs a -> b in sorted order (a frozen source a adds
+    the guard b < x, and 0 < b in Taylor mode), then frozen terminals at 0.
+    The product integrates out the glue (over [0, x], truncated to
+    ``taylor_tau`` after each, in Taylor mode), then the other frozen sources
+    up to x.  No value moves: substitution distributes over a product, a
+    guard commutes with it, and ``substitute`` breaks ties alike on both.
 
     Every ``cumulate`` integrates its dummy out before it returns, so all of
     them share the id ``ctx.dag.n + 1``, which sorts after every real one.
@@ -216,27 +217,25 @@ def merge_bag(
         for s in shared:
             if s in gsum.free_vars():
                 gsum = cumulate(gsum, s, dummy, lower=lower, budget=budget)
-        # eliminate each frozen terminal on the one factor that holds it; one
-        # a pending pair brings in waits for the pair
-        paired = {v for pair in pend for v in pair}
-        for t in maybe_shuffled(sorted((frozen_term & gsum.free_vars()) - paired)):
-            gsum = substitute(gsum, t, Fraction(0), budget=budget)
-        cur = multiply(gsum, phi_u, budget=budget) if phi_u is not None else gsum
-        consumed: set[int] = set()
+        phi = phi_u
+        consumed = {a for a, _ in pend}
         for a, b in sorted(pend):
-            cur = substitute(cur, a, var_atom(b), budget=budget)
-            if a in J:
-                consumed.add(a)
-            elif a in frozen_src:
+            gsum = substitute(gsum, a, var_atom(b), budget=budget)
+            if phi is not None and a in phi.free_vars():  # a is glue
+                phi = substitute(phi, a, var_atom(b), budget=budget)
+            if a in frozen_src:
                 # point mass integrated cumulatively up to the horizon
-                cur = multiply(cur, SymbolicSum.guard(var_atom(b), x_atom), budget=budget)
+                gsum = multiply(gsum, SymbolicSum.guard(var_atom(b), x_atom), budget=budget)
                 if taylor:
-                    cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(b)), budget=budget)
-                consumed.add(a)
-            else:
+                    gsum = multiply(gsum, SymbolicSum.guard(ZERO_ATOM, var_atom(b)), budget=budget)
+            elif a not in J:
                 raise InvariantViolation(f"bag {i}: point-mass tail {a} has no role at the merge")
-        for t in maybe_shuffled(sorted(frozen_term & cur.free_vars())):
-            cur = substitute(cur, t, Fraction(0), budget=budget)
+        for t in maybe_shuffled(sorted(frozen_term)):
+            if t in gsum.free_vars():
+                gsum = substitute(gsum, t, Fraction(0), budget=budget)
+            if phi is not None and t in phi.free_vars():
+                phi = substitute(phi, t, Fraction(0), budget=budget)
+        cur = multiply(gsum, phi, budget=budget) if phi is not None else gsum
         for v in maybe_shuffled(sorted(J - consumed)):
             if taylor:
                 cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(v)), budget=budget)

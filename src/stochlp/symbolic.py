@@ -241,16 +241,16 @@ def _accumulate(bucket: dict[TermKey, Fraction], items: Iterable[tuple[TermKey, 
         bucket[key] = coeff if old is None else old + coeff
 
 
-def _interleavings(c1: Chain, c2: Chain) -> Iterable[Chain]:
-    """All linear extensions of the union of two total orders; shared atoms
-    are merged, constants must come out strictly increasing.  Both chains
-    are consistent, as every sum's chains are, so an empty one leaves the
-    other as the only extension."""
+def _interleavings(c1: Chain, c2: Chain) -> tuple[Chain, ...]:
+    """All linear extensions of the union of two total orders, none when the
+    orders contradict; shared atoms are merged, constants must come out
+    strictly increasing.  Both chains are consistent, as every sum's chains
+    are, so an empty one leaves the other as the only extension."""
     if not c1:
         return (c2,)
     if not c2:
         return (c1,)
-    return _extensions(c1, c2)
+    return tuple(_extensions(c1, c2))
 
 
 def _extensions(c1: Chain, c2: Chain) -> Iterator[Chain]:
@@ -356,11 +356,16 @@ def _add(bucket: dict[TermKey, Coeff], key: TermKey, c: Coeff) -> None:
 
 def _reduced(out: dict[Chain, dict[TermKey, Coeff]]) -> dict[Chain, dict[TermKey, Fraction]]:
     """``out`` with each pair made one ``Fraction`` in lowest terms, in place;
-    a ``Fraction`` an operation passed through unchanged is kept."""
+    a ``Fraction`` an operation passed through unchanged is kept.  Equal
+    pairs share one ``Fraction``, made once per call."""
+    made: dict[Pair, Fraction] = {}
     for bucket in out.values():
         for key, c in bucket.items():
             if type(c) is tuple:
-                bucket[key] = Fraction(*c)
+                q = made.get(c)
+                if q is None:
+                    q = made[c] = Fraction(*c)
+                bucket[key] = q
     return out
 
 
@@ -387,6 +392,9 @@ def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> Sy
         for ch2, terms2 in b.regions.items():
             if budget is not None:
                 budget.charge_work(len(terms1) * len(terms2))
+            chains = _interleavings(ch1, ch2)
+            if not chains:
+                continue  # contradictory orders: the products would all be dropped
             if not general:
                 prods = terms2 if unit_a else terms1
             else:
@@ -394,7 +402,7 @@ def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> Sy
                 for m1, q1, n1, d1 in packed1:
                     for m2, q2, n2, d2 in packed_b[ch2]:
                         _add(prods, (m1 + m2, q1 + q2), (n1 * n2, d1 * d2))
-            for chain in _interleavings(ch1, ch2):
+            for chain in chains:
                 bucket = out.get(chain)
                 if bucket is None:
                     out[chain] = dict(prods)

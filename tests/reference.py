@@ -10,25 +10,31 @@ builds every bag's staircase table anew, and ``bag_shape`` the shape by which
 ``approx_dag`` shares a bag table among bags; ``fraction_multiply``,
 ``fraction_substitute`` and ``fraction_integrate_out`` are the symbolic
 operations with one reduced ``Fraction`` step per coefficient operation,
-which the engine's reduce-once arithmetic must match term for term.  The
-rest are small readings of a ``Dag``, a ``SymbolicSum`` or a
-``PiecewisePoly`` that only the tests take.
+which the engine's reduce-once arithmetic must match term for term;
+``merge_bag_product_first`` is the subtree merge that forms the product of
+the bag factor and the subtree density before it substitutes the pending
+point masses and frozen terminals, which ``density.merge_bag`` must match
+bit for bit.  The rest are small readings of a ``Dag``, a ``SymbolicSum``
+or a ``PiecewisePoly`` that only the tests take.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepare_context
+from stochlp.density import BagDensity, _phi_union
 from stochlp.errors import Budget, DivergentIntegral, InputError, StochLPError
 from stochlp.graph import Dag
 from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
 from stochlp.staircase import (SRC, TERM, GridSpec, _bag_threshold_rows, accumulate,
                                bag_staircase, merge_subtree)
 from stochlp.symbolic import (
+    ZERO_ATOM,
     Atom,
     SymbolicSum,
     _accumulate,
@@ -37,6 +43,12 @@ from stochlp.symbolic import (
     _is_guard,
     _key_const,
     const_atom,
+    cumulate,
+    differentiate,
+    integrate_out,
+    multiply,
+    substitute,
+    truncate_total_degree,
     var_atom,
 )
 
@@ -354,3 +366,74 @@ def fraction_integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                     old = bucket.get(key)
                     bucket[key] = c if old is None else old + c
     return SymbolicSum._own(out, budget=budget)
+
+
+def merge_bag_product_first(
+    ctx: DecompositionContext,
+    i: int,
+    bag_density: BagDensity,
+    child_sums: Sequence[SymbolicSum],
+    x: Fraction,
+    budget: Budget,
+    taylor_tau: int | None = None,
+    order_rng: random.Random | None = None,
+) -> SymbolicSum:
+    """``density.merge_bag`` with the product first: per part, only the
+    frozen terminals that no pending pair names are set to 0 on the bag
+    factor; the pending pairs, their horizon guards and the other frozen
+    terminals are applied to the product with the subtree density."""
+    taylor = taylor_tau is not None
+    kept, frozen_src, frozen_term = ctx.kept[i], ctx.frozen_S[i], ctx.frozen_T[i]
+    J = ctx.J[i]
+    x_atom = const_atom(x)
+    lower = ZERO_ATOM if taylor else None
+    dummy = ctx.dag.n + 1
+    phi_u = _phi_union(ctx, i, child_sums, taylor, budget)
+    shared = sorted(ctx.S[i] & ctx.S_U[i])
+    if shared and phi_u is not None:
+        for s in shared:
+            if s in phi_u.free_vars():
+                phi_u = cumulate(phi_u, s, dummy, lower=lower, budget=budget)
+
+    def maybe_shuffled(vals: list[int]) -> list[int]:
+        if order_rng is not None:
+            order_rng.shuffle(vals)
+        return vals
+
+    result = SymbolicSum.zero()
+    for pend, gsum in bag_density.parts:
+        for s in shared:
+            if s in gsum.free_vars():
+                gsum = cumulate(gsum, s, dummy, lower=lower, budget=budget)
+        paired = {v for pair in pend for v in pair}
+        for t in maybe_shuffled(sorted((frozen_term & gsum.free_vars()) - paired)):
+            gsum = substitute(gsum, t, Fraction(0), budget=budget)
+        cur = multiply(gsum, phi_u, budget=budget) if phi_u is not None else gsum
+        consumed: set[int] = set()
+        for a, b in sorted(pend):
+            cur = substitute(cur, a, var_atom(b), budget=budget)
+            consumed.add(a)
+            if a in frozen_src and a not in J:
+                cur = multiply(cur, SymbolicSum.guard(var_atom(b), x_atom), budget=budget)
+                if taylor:
+                    cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(b)), budget=budget)
+        for t in maybe_shuffled(sorted(frozen_term & cur.free_vars())):
+            cur = substitute(cur, t, Fraction(0), budget=budget)
+        for v in maybe_shuffled(sorted(J - consumed)):
+            if taylor:
+                cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(v)), budget=budget)
+                cur = multiply(cur, SymbolicSum.guard(var_atom(v), x_atom), budget=budget)
+            cur = integrate_out(cur, v, budget=budget)
+            if taylor:
+                cur = truncate_total_degree(cur, taylor_tau)
+        for s in maybe_shuffled(sorted((frozen_src - consumed) & cur.free_vars())):
+            if taylor:
+                cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(s)), budget=budget)
+            cur = integrate_out(cur, s, upper=x_atom, budget=budget)
+            if taylor:
+                cur = truncate_total_degree(cur, taylor_tau)
+        result = result + cur
+    for s in shared:
+        result = differentiate(result, s)
+    assert not result.free_vars() - kept
+    return result

@@ -16,10 +16,12 @@ from stochlp import (
     parse_graph,
     series_parallel_exact,
 )
+from stochlp import exactexp, taylor
 from stochlp.exactexp import bag_density_exp, exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
 from stochlp import symbolic as sy
 from conftest import assert_shared_report, single_bag_context
+from reference import merge_bag_product_first
 
 
 class TestBagDensity:
@@ -116,23 +118,23 @@ class TestExactExp:
         assert exact_exp(diamond_exp, None, -1, emit_symbolic=True)[1].symbolic == "0"
 
     def test_budget_counters(self):
-        # terms_peak, regions_peak and work_used as recorded in the child of
-        # c5092d2 that sets frozen terminals to 0 on the bag factor before the
-        # product (c5092d2 read 1800, 80, 2020); reduce-once coefficient
-        # arithmetic left them as they were
+        # terms_peak, regions_peak and work_used since the merge substitutes
+        # point masses and frozen terminals on each factor before the product
+        # (354, 80, 1497 when it substituted them on the product; c5092d2
+        # read 1800, 80, 2020)
         inst = gen_diamond_ladder(2, dist="exp")
         b = Budget()
         exact_exp(inst.dag, inst.td, 2, budget=b)
-        assert (b.terms_peak, b.regions_peak, b.work_used) == (354, 80, 1497)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (80, 80, 694)
 
     @pytest.mark.parametrize("x", [4, 10])
     def test_budget_counters_four_diamonds(self, x):
-        # recorded as above (c5092d2 read 8400, 80, 9416): reordering the
-        # exact arithmetic does no more and no less work
+        # recorded as above (1652, 80, 6785 with the product first; c5092d2
+        # read 8400, 80, 9416): the horizon moves no counter
         inst = gen_diamond_ladder(4, dist="exp")
         b = Budget()
         exact_exp(inst.dag, inst.td, x, budget=b)
-        assert (b.terms_peak, b.regions_peak, b.work_used) == (1652, 80, 6785)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (168, 80, 1916)
 
     def test_symbolic_text_mixed_e_const(self):
         # integral and fractional constant exponents in one sum; its terms
@@ -142,7 +144,9 @@ class TestExactExp:
         assert rep.symbolic == ("[0 < 7/16] 9242619913/15728640*e^(-7/16) + "
                                 "-141095542514485/154618822656*e^(-7/8) + 1")
 
-    @pytest.mark.parametrize("limit", [{"max_terms": 100}, {"max_work": 100}])
+    # both limits sit below the peaks test_budget_counters pins (80 terms,
+    # 694 work)
+    @pytest.mark.parametrize("limit", [{"max_terms": 60}, {"max_work": 100}])
     def test_budget_abort(self, limit):
         inst = gen_diamond_ladder(2, dist="exp")
         with pytest.raises(BudgetExceeded):
@@ -200,6 +204,44 @@ class TestExactExp:
             vals[x] = (v, 1 - math.exp(-xf) * (1 + xf))
         for v, want in vals.values():
             assert v == pytest.approx(want, abs=1e-12)
+
+
+class TestMergeAgainstProductFirst:
+    """The merge substitutes point masses and frozen terminals on each factor
+    before their product; the product-first merge of tests/reference.py must
+    give the same bits and the same symbolic text, from a peak no lower."""
+
+    @staticmethod
+    def both(monkeypatch, solver, merge_owner, *args, **kwargs):
+        def run():
+            b = Budget()
+            v, rep = solver(*args, budget=b, **kwargs)
+            return v.hex(), getattr(rep, "symbolic", ""), b.terms_peak
+
+        new = run()
+        with monkeypatch.context() as m:
+            m.setattr(merge_owner, "merge_bag", merge_bag_product_first)
+            old = run()
+        return new, old
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (5, 1), (5, 3), (6, 3), (6, 5), (7, 2), (7, 4)])
+    def test_exact_exp(self, monkeypatch, n, seed):
+        inst = gen_random_tw(2, n, seed=seed, dist="exp", max_edges=9)
+        for td in (inst.td, heuristic_td(inst.dag)):
+            for x in (F(1), F(5, 2)):
+                for order in (None, 1):
+                    new, old = self.both(monkeypatch, exact_exp, exactexp, inst.dag, td, x,
+                                         emit_symbolic=True, _shuffle_seed=order)
+                    assert new[:2] == old[:2], (td, x, order)
+                    assert new[2] <= old[2], (td, x, order)
+
+    def test_taylor(self, monkeypatch):
+        inst = gen_diamond_ladder(2, dist="oracle:expcdf")
+        for td in (inst.td, None):
+            for x in (F(1, 2), F(1)):
+                new, old = self.both(monkeypatch, taylor.approx_taylor, taylor, inst.dag, td, x,
+                                     tau=4)
+                assert new[0] == old[0], (td, x)
 
 
 class TestPublicMergeOps:

@@ -189,14 +189,15 @@ class TestApproxTaylor:
         assert rep.per_bag == []
 
     def test_budget_counters(self):
-        # terms_peak, regions_peak and work_used as recorded in the child of
-        # c5092d2 that sets frozen terminals to 0 on the bag factor before the
-        # product (c5092d2 read 3600, 40, 10688)
+        # terms_peak, regions_peak and work_used since the merge substitutes
+        # point masses and frozen terminals on each factor before the product
+        # (1440, 12, 10688 when it substituted them on the product; c5092d2
+        # read 3600, 40, 10688)
         g = parse_graph("4 4\n1 2 oracle expcdf\n1 3 oracle expcdf\n"
                         "2 4 oracle expcdf\n3 4 oracle expcdf\n")
         b = Budget()
         _, rep = approx_taylor(g, None, 1, tau=4, budget=b)
-        assert (b.terms_peak, b.regions_peak, b.work_used) == (1440, 12, 10688)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (720, 8, 7815)
         assert rep.terms_peak == b.terms_peak
 
     def test_rejects_exp_edges(self):
