@@ -28,7 +28,8 @@ from typing import Mapping, Sequence
 
 from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepare_context
 from stochlp.density import BagDensity, _phi_union
-from stochlp.errors import Budget, DivergentIntegral, InputError, StochLPError
+from stochlp.errors import (Budget, DivergentIntegral, InputError, InvariantViolation,
+                            StochLPError)
 from stochlp.graph import Dag
 from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
 from stochlp.staircase import (SRC, TERM, GridSpec, _bag_threshold_rows, accumulate,
@@ -378,10 +379,11 @@ def merge_bag_product_first(
     taylor_tau: int | None = None,
     order_rng: random.Random | None = None,
 ) -> SymbolicSum:
-    """``density.merge_bag`` with the product first: per part, only the
-    frozen terminals that no pending pair names are set to 0 on the bag
-    factor; the pending pairs, their horizon guards and the other frozen
-    terminals are applied to the product with the subtree density."""
+    """``density.merge_bag`` as it was with the product first, copied
+    unchanged: per part, only the frozen terminals that no pending pair
+    names are set to 0 on the bag factor; the pending pairs, their horizon
+    guards and the other frozen terminals are applied to the product with
+    the subtree density."""
     taylor = taylor_tau is not None
     kept, frozen_src, frozen_term = ctx.kept[i], ctx.frozen_S[i], ctx.frozen_T[i]
     J = ctx.J[i]
@@ -412,11 +414,16 @@ def merge_bag_product_first(
         consumed: set[int] = set()
         for a, b in sorted(pend):
             cur = substitute(cur, a, var_atom(b), budget=budget)
-            consumed.add(a)
-            if a in frozen_src and a not in J:
+            if a in J:
+                consumed.add(a)
+            elif a in frozen_src:
+                # point mass integrated cumulatively up to the horizon
                 cur = multiply(cur, SymbolicSum.guard(var_atom(b), x_atom), budget=budget)
                 if taylor:
                     cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(b)), budget=budget)
+                consumed.add(a)
+            else:
+                raise InvariantViolation(f"bag {i}: point-mass tail {a} has no role at the merge")
         for t in maybe_shuffled(sorted(frozen_term & cur.free_vars())):
             cur = substitute(cur, t, Fraction(0), budget=budget)
         for v in maybe_shuffled(sorted(J - consumed)):
@@ -435,5 +442,7 @@ def merge_bag_product_first(
         result = result + cur
     for s in shared:
         result = differentiate(result, s)
-    assert not result.free_vars() - kept
+    stray = result.free_vars() - kept
+    if stray:
+        raise InvariantViolation(f"bag {i}: variables {sorted(stray)} survived the merge")
     return result
