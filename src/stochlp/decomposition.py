@@ -52,16 +52,14 @@ class TreeDecomposition:
         return tuple(tuple(sorted(a)) for a in adj)
 
     def is_tree(self) -> bool:
+        """b - 1 edges, and the cached rooted walk reaches every bag."""
         if len(self.tree_edges) != self.b - 1:
             return False
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for j in self.adjacency[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.b
+        try:
+            self.rooted()
+        except TdFormatError:
+            return False
+        return True
 
     def rooted(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(parent, children, depth) arrays for the tree rooted at ``root``,

@@ -4,8 +4,8 @@ contracts glue variables and freezes variables leaving scope.
 
 Zero-length edges contribute pure step factors whose differentiated point
 masses are carried as pending substitution pairs (a, b), meaning a delta
-factor delta(z_a - z_b).  Such pairs are consumed either when the tail
-variable is integrated inside its own bag or at that bag's merge; they never
+factor delta(z_a - z_b).  Such pairs are consumed either when one of their
+variables is eliminated inside its own bag or at that bag's merge; they never
 survive past it.
 """
 
@@ -79,9 +79,15 @@ def poly_edge_factor(u: int, v: int, coeffs: Sequence[Fraction]) -> SymbolicSum:
 def build_bag_density(
     ctx: DecompositionContext, i: int, factor: FactorFn, budget: Budget
 ) -> BagDensity:
-    """Instantiate the repeated-integral formula on bag i: differentiate each
-    tail's successor-factor group, multiply the groups, and integrate out the
-    bag's internal variables."""
+    """Instantiate the repeated-integral formula on bag i in one pass over its
+    tails, in increasing id: differentiate each tail's successor-factor group
+    and multiply it onto every branch.  An internal tail u is eliminated on
+    each new product at once: substituted along its first pending pair (the
+    other pairs renamed), or else integrated out.
+
+    This is bucket elimination and changes no function: ids are topological
+    and an internal vertex has all its in-edges in the bag, so once u's own
+    group is in, no later group, guard or pending pair names u."""
     g = ctx.dag
     edges = sorted(ctx.bag_edges[i])
     out_of: dict[int, list[tuple[int, DistKind]]] = {}
@@ -107,8 +113,23 @@ def build_bag_density(
         ordinary = differentiate(full, u)
 
         new: dict[frozenset[Pending], SymbolicSum] = {}
+        internal = u in ctx.I[i]
 
         def put(pend: frozenset[Pending], s: SymbolicSum) -> None:
+            mine = sorted(p for p in pend if u in p)
+            if internal and mine:
+                a, b = mine[0]
+                other = b if u == a else a
+                s = substitute(s, u, var_atom(other), budget=budget)
+                remapped = set()
+                for p in pend - {(a, b)}:
+                    x, y = (other if w == u else w for w in p)
+                    if x == y:
+                        raise InvariantViolation("degenerate point-mass pair")
+                    remapped.add((x, y))
+                pend = frozenset(remapped)
+            elif internal:
+                s = integrate_out(s, u, budget=budget)
             if s.is_zero():
                 return
             new[pend] = (new[pend] + s) if pend in new else s
@@ -117,35 +138,7 @@ def build_bag_density(
             if not ordinary.is_zero():
                 put(pend, multiply(ssum, ordinary, budget=budget))
             if zero_targets:
-                pair = (u, zero_targets[0])
-                put(pend | {pair}, multiply(ssum, group, budget=budget))
-        branches = new
-
-    # integrate the bag's internal variables, consuming point masses on the way
-    for u in sorted(ctx.I[i], reverse=True):
-        new = {}
-        for pend, ssum in branches.items():
-            mine = sorted(p for p in pend if u in p)
-            if mine:
-                a, b = mine[0]
-                other = b if u == a else a
-                ssum = substitute(ssum, u, var_atom(other), budget=budget)
-                remapped = set()
-                for p in pend:
-                    if p == (a, b):
-                        continue
-                    x, y = p
-                    x = other if x == u else x
-                    y = other if y == u else y
-                    if x == y:
-                        raise InvariantViolation("degenerate point-mass pair")
-                    remapped.add((x, y))
-                pend = frozenset(remapped)
-            else:
-                ssum = integrate_out(ssum, u, budget=budget)
-            if ssum.is_zero():
-                continue
-            new[pend] = (new[pend] + ssum) if pend in new else ssum
+                put(pend | {(u, zero_targets[0])}, multiply(ssum, group, budget=budget))
         branches = new
 
     active = ctx.S[i] | ctx.T[i]

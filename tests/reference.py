@@ -14,8 +14,11 @@ which the engine's reduce-once arithmetic must match term for term;
 ``merge_bag_product_first`` is the subtree merge that forms the product of
 the bag factor and the subtree density before it substitutes the pending
 point masses and frozen terminals, which ``density.merge_bag`` must match
-bit for bit.  The rest are small readings of a ``Dag``, a ``SymbolicSum``
-or a ``PiecewisePoly`` that only the tests take.
+bit for bit; ``build_bag_density_two_pass`` is the bag density that
+multiplies every tail's group before it eliminates any internal vertex,
+whose functions ``density.build_bag_density`` must match.  The rest are
+small readings of a ``Dag``, a ``SymbolicSum`` or a ``PiecewisePoly`` that
+only the tests take.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepare_context
-from stochlp.density import BagDensity, _phi_union
+from stochlp.density import BagDensity, FactorFn, Pending, _phi_union
 from stochlp.errors import (Budget, DivergentIntegral, InputError, InvariantViolation,
                             StochLPError)
-from stochlp.graph import Dag
+from stochlp.graph import Dag, DistKind
 from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
 from stochlp.staircase import (SRC, TERM, GridSpec, _bag_threshold_rows, accumulate,
                                bag_staircase, merge_subtree)
@@ -446,3 +449,86 @@ def merge_bag_product_first(
     if stray:
         raise InvariantViolation(f"bag {i}: variables {sorted(stray)} survived the merge")
     return result
+
+
+def build_bag_density_two_pass(
+    ctx: DecompositionContext, i: int, factor: FactorFn, budget: Budget
+) -> BagDensity:
+    """``density.build_bag_density`` as it was in two passes, copied
+    unchanged: multiply every tail's group onto the branches first, then
+    eliminate the internal variables in decreasing id."""
+    g = ctx.dag
+    edges = sorted(ctx.bag_edges[i])
+    out_of: dict[int, list[tuple[int, DistKind]]] = {}
+    for u, v in edges:
+        out_of.setdefault(u, []).append((v, g.dist_of[(u, v)].kind))
+
+    branches: dict[frozenset[Pending], SymbolicSum] = {frozenset(): SymbolicSum.one()}
+    for u in sorted(ctx.S[i] | ctx.I[i]):
+        succ = out_of.get(u, [])
+        if not succ:
+            raise InvariantViolation(f"bag {i}: vertex {u} classified active without out-edges")
+        zero_targets = [v for v, kind in succ if kind is DistKind.ZERO]
+        if len(zero_targets) > 1:
+            raise InvariantViolation(f"bag {i}: vertex {u} has several zero out-edges")
+        real = [v for v, kind in succ if kind is not DistKind.ZERO]
+
+        group = SymbolicSum.one()
+        for v in real:
+            group = multiply(group, factor(u, v), budget=budget)
+        full = group
+        for v in zero_targets:
+            full = multiply(full, SymbolicSum.guard(var_atom(v), var_atom(u)), budget=budget)
+        ordinary = differentiate(full, u)
+
+        new: dict[frozenset[Pending], SymbolicSum] = {}
+
+        def put(pend: frozenset[Pending], s: SymbolicSum) -> None:
+            if s.is_zero():
+                return
+            new[pend] = (new[pend] + s) if pend in new else s
+
+        for pend, ssum in branches.items():
+            if not ordinary.is_zero():
+                put(pend, multiply(ssum, ordinary, budget=budget))
+            if zero_targets:
+                pair = (u, zero_targets[0])
+                put(pend | {pair}, multiply(ssum, group, budget=budget))
+        branches = new
+
+    # integrate the bag's internal variables, consuming point masses on the way
+    for u in sorted(ctx.I[i], reverse=True):
+        new = {}
+        for pend, ssum in branches.items():
+            mine = sorted(p for p in pend if u in p)
+            if mine:
+                a, b = mine[0]
+                other = b if u == a else a
+                ssum = substitute(ssum, u, var_atom(other), budget=budget)
+                remapped = set()
+                for p in pend:
+                    if p == (a, b):
+                        continue
+                    x, y = p
+                    x = other if x == u else x
+                    y = other if y == u else y
+                    if x == y:
+                        raise InvariantViolation("degenerate point-mass pair")
+                    remapped.add((x, y))
+                pend = frozenset(remapped)
+            else:
+                ssum = integrate_out(ssum, u, budget=budget)
+            if ssum.is_zero():
+                continue
+            new[pend] = (new[pend] + ssum) if pend in new else ssum
+        branches = new
+
+    active = ctx.S[i] | ctx.T[i]
+    for pend, ssum in branches.items():
+        loose = (ssum.free_vars() | {v for p in pend for v in p}) - active
+        if loose:
+            raise InvariantViolation(f"bag {i}: variables {sorted(loose)} escaped classification")
+        for a, _ in pend:
+            if a not in ctx.S[i]:
+                raise InvariantViolation(f"bag {i}: pending pair tail {a} is not a bag source")
+    return BagDensity(tuple(sorted(branches.items(), key=lambda kv: sorted(kv[0]))))

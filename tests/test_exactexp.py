@@ -17,11 +17,12 @@ from stochlp import (
     series_parallel_exact,
 )
 from stochlp import exactexp, taylor
+from stochlp.decomposition import prepare_context
 from stochlp.exactexp import bag_density_exp, exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
 from stochlp import symbolic as sy
 from conftest import assert_shared_report, single_bag_context
-from reference import merge_bag_product_first
+from reference import build_bag_density_two_pass, merge_bag_product_first
 
 
 class TestBagDensity:
@@ -118,23 +119,25 @@ class TestExactExp:
         assert exact_exp(diamond_exp, None, -1, emit_symbolic=True)[1].symbolic == "0"
 
     def test_budget_counters(self):
-        # terms_peak, regions_peak and work_used since the merge substitutes
-        # point masses and frozen terminals on each factor before the product
-        # (354, 80, 1497 when it substituted them on the product; c5092d2
-        # read 1800, 80, 2020)
+        # terms_peak, regions_peak and work_used since the bag density
+        # eliminates each internal vertex right after its own tail group
+        # (80, 80, 694 when it integrated them after every group was in; 354,
+        # 80, 1497 when the merge substituted on the product; c5092d2 read
+        # 1800, 80, 2020)
         inst = gen_diamond_ladder(2, dist="exp")
         b = Budget()
         exact_exp(inst.dag, inst.td, 2, budget=b)
-        assert (b.terms_peak, b.regions_peak, b.work_used) == (80, 80, 694)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (36, 8, 326)
 
     @pytest.mark.parametrize("x", [4, 10])
     def test_budget_counters_four_diamonds(self, x):
-        # recorded as above (1652, 80, 6785 with the product first; c5092d2
-        # read 8400, 80, 9416): the horizon moves no counter
+        # recorded as above (168, 80, 1916 with the internals integrated
+        # after every group; 1652, 80, 6785 with the merge product first;
+        # c5092d2 read 8400, 80, 9416): the horizon moves no counter
         inst = gen_diamond_ladder(4, dist="exp")
         b = Budget()
         exact_exp(inst.dag, inst.td, x, budget=b)
-        assert (b.terms_peak, b.regions_peak, b.work_used) == (168, 80, 1916)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (168, 8, 1444)
 
     def test_symbolic_text_mixed_e_const(self):
         # integral and fractional constant exponents in one sum; its terms
@@ -144,9 +147,9 @@ class TestExactExp:
         assert rep.symbolic == ("[0 < 7/16] 9242619913/15728640*e^(-7/16) + "
                                 "-141095542514485/154618822656*e^(-7/8) + 1")
 
-    # both limits sit below the peaks test_budget_counters pins (80 terms,
-    # 694 work)
-    @pytest.mark.parametrize("limit", [{"max_terms": 60}, {"max_work": 100}])
+    # both limits sit below the peaks test_budget_counters pins (36 terms,
+    # 326 work)
+    @pytest.mark.parametrize("limit", [{"max_terms": 30}, {"max_work": 100}])
     def test_budget_abort(self, limit):
         inst = gen_diamond_ladder(2, dist="exp")
         with pytest.raises(BudgetExceeded):
@@ -206,6 +209,27 @@ class TestExactExp:
             assert v == pytest.approx(want, abs=1e-12)
 
 
+class TestMonotone:
+    """Properties of a distribution function that need no reference value:
+    F is nondecreasing in the horizon, and an extra edge only adds paths, so
+    it never raises F.  Values are correctly rounded and rounding is
+    monotone, so both hold bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_horizon_and_extra_edge(self, seed):
+        rng = random.Random(seed)
+        inst = gen_random_tw(2, rng.randint(4, 6), seed=seed, dist="exp", max_edges=6)
+        g = inst.dag
+        xs = sorted({F(rng.randint(1, 96), 16) for _ in range(5)} | {F(1, 64)})
+        vals = [exact_exp(g, inst.td, x)[0] for x in xs]
+        assert vals == sorted(vals), xs
+        u, v = rng.choice([(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                           if (u, v) not in g.dist_of])
+        more = Dag(g.n, g.edges + ((u, v, DistSpec.exponential()),))
+        for x, val in zip(xs, vals):
+            assert exact_exp(more, None, x)[0] <= val, (u, v, x)
+
+
 class TestMergeAgainstProductFirst:
     """The merge substitutes point masses and frozen terminals on each factor
     before their product; the product-first merge of tests/reference.py must
@@ -242,6 +266,63 @@ class TestMergeAgainstProductFirst:
                 new, old = self.both(monkeypatch, taylor.approx_taylor, taylor, inst.dag, td, x,
                                      tau=4)
                 assert new[0] == old[0], (td, x)
+
+
+class TestBuildAgainstTwoPass:
+    """The bag density eliminates each internal vertex right after its own
+    tail group; the two-pass build of tests/reference.py, which eliminates
+    only after every group is in, must give the same pending-pair keys, parts
+    of equal value, the same bits and symbolic text, and peaks no lower."""
+
+    @staticmethod
+    def both(monkeypatch, run):
+        new = run()
+        with monkeypatch.context() as m:
+            m.setattr(exactexp, "build_bag_density", build_bag_density_two_pass)
+            m.setattr(taylor, "build_bag_density", build_bag_density_two_pass)
+            old = run()
+        return new, old
+
+    def solve(self, monkeypatch, solver, *args, **kwargs):
+        def run():
+            b = Budget()
+            v, rep = solver(*args, budget=b, **kwargs)
+            return v.hex(), getattr(rep, "symbolic", ""), b.terms_peak, b.work_used
+
+        new, old = self.both(monkeypatch, run)
+        assert new[:2] == old[:2]
+        assert new[2] <= old[2] and new[3] <= old[3]
+
+    def bags(self, monkeypatch, ctx, bag_density, rng):
+        for i in ctx.post_order:
+            new, old = self.both(monkeypatch, lambda: bag_density(ctx, i).parts)
+            assert [pend for pend, _ in new] == [pend for pend, _ in old], i
+            for (_, a), (_, b) in zip(new, old):
+                free = sorted(a.free_vars() | b.free_vars())
+                for k in range(3):
+                    vals = [F(rng.randint(1, 10**6), 10**5) for _ in free]
+                    if k:  # decreasing in id, so that every edge guard holds
+                        vals.sort(reverse=True)
+                    point = dict(zip(free, vals))
+                    assert sy.evaluate(a, point)[0] == sy.evaluate(b, point)[0], (i, point)
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (5, 1), (5, 3), (6, 3), (6, 5), (7, 2), (7, 4)])
+    def test_exact_exp(self, monkeypatch, n, seed):
+        inst = gen_random_tw(2, n, seed=seed, dist="exp", max_edges=9)
+        rng = random.Random(seed)
+        for td in (inst.td, heuristic_td(inst.dag)):
+            self.bags(monkeypatch, prepare_context(inst.dag, td), bag_density_exp, rng)
+            for x in (F(1), F(5, 2)):
+                self.solve(monkeypatch, exact_exp, inst.dag, td, x, emit_symbolic=True)
+
+    def test_taylor(self, monkeypatch):
+        inst = gen_diamond_ladder(2, dist="oracle:expcdf")
+        rng = random.Random(0)
+        for td in (inst.td, None):
+            self.bags(monkeypatch, prepare_context(inst.dag, td),
+                      lambda ctx, i: taylor.bag_taylor(ctx, i, taylor.resolve_oracle, 4), rng)
+            for x in (F(1, 2), F(1)):
+                self.solve(monkeypatch, taylor.approx_taylor, inst.dag, td, x, tau=4)
 
 
 class TestPublicMergeOps:
