@@ -14,7 +14,8 @@ An operation builds each coefficient it changes as an unreduced integer pair
 (numerator, positive denominator) and adds the pairs without a gcd; at its
 end it reduces each pair once to a ``Fraction``.  A sum at rest holds reduced
 ``Fraction`` coefficients only.  FLINT's ``fmpq_poly`` keeps integer
-numerators for the same reason.
+numerators for the same reason.  ``integrate_out`` integrates each group of a
+region's terms that share all but one power at once, in per-term order.
 
 A key at rest holds its powers and exps as sorted tuples of (variable,
 exponent) pairs.  ``multiply`` packs them, for one call only, into one
@@ -527,19 +528,6 @@ def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
     return SymbolicSum._own(_reduced(out), budget=budget)
 
 
-def _antiderivative(alpha: int, beta: int) -> tuple[tuple[Pair, int, int], ...]:
-    """Terms (coeff, alpha', beta') of the antiderivative of z^alpha e^(beta z),
-    each coeff a pair in lowest terms."""
-    if beta == 0:
-        return (((1, alpha + 1), alpha + 1, 0),)
-    out = [(Fraction(1, beta), alpha, beta)]
-    fall = 1
-    for i in range(1, alpha + 1):
-        fall *= alpha - i + 1
-        out.append((Fraction((-1) ** i * fall, beta ** (i + 1)), alpha - i, beta))
-    return tuple(((c.numerator, c.denominator), a, b) for c, a, b in out)
-
-
 def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                   budget: Budget | None = None) -> SymbolicSum:
     """Integrate variable v over the full line within each region.
@@ -547,13 +535,14 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
     The bounds of v are its neighbors in the guard chain (infinite when
     absent); a non-vanishing tail at an infinite bound raises
     DivergentIntegral.  Pass ``upper`` to integrate cumulatively up to an
-    atom instead: the sum is first multiplied by the guard v < upper.
+    atom instead: the sum is first multiplied by the guard v < upper.  A
+    region's terms that differ only in v's power, P(v) e^(beta v), are
+    integrated at once as Q(v) e^(beta v), Q' + beta Q = P, in per-term order.
     """
     if upper is not None:
         s = multiply(s, SymbolicSum.guard(var_atom(v), upper), budget=budget)
     va = var_atom(v)
     out: dict[Chain, dict[TermKey, Coeff]] = {}
-    antiderivatives: dict[tuple[int, int], tuple[tuple[Pair, int, int], ...]] = {}
     for chain, terms in s.regions.items():
         if va not in chain:
             # an unguarded variable integrated over the whole line diverges
@@ -561,26 +550,37 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
         idx = chain.index(va)
         lo: Atom | None = chain[idx - 1] if idx > 0 else None
         hi: Atom | None = chain[idx + 1] if idx + 1 < len(chain) else None
-        rest = chain[:idx] + chain[idx + 1:]
-        bucket = out.setdefault(rest, {})
+        bucket = out.setdefault(chain[:idx] + chain[idx + 1:], {})
+        groups: dict[tuple, dict[int, Fraction]] = {}
+        walk = []
         for (powers, exps, e_const), coeff in terms.items():
-            n, d = coeff.numerator, coeff.denominator
             powers, alpha = _split(powers, v)
             exps, beta = _split(exps, v)
-            anti = antiderivatives.get((alpha, beta))
-            if anti is None:
-                anti = antiderivatives[alpha, beta] = _antiderivative(alpha, beta)
+            walk.append(((powers, exps, e_const, beta), alpha))
+            groups.setdefault(walk[-1][0], {})[alpha] = coeff
+        for group, p in groups.items():
+            beta = group[3]
+            if beta:  # q_j = (p_j - (j+1) q_(j+1)) / beta from the top power down
+                q = groups[group] = {}
+                for j in range(max(p), -1, -1):
+                    q[j] = (p.get(j, 0) - (j + 1) * q.get(j + 1, 0)) / beta
+            else:  # Q is the integral of P
+                groups[group] = {j + 1: c / (j + 1) for j, c in p.items()}
+        top: dict[tuple, int] = {}  # per group, the highest power of Q emitted
+        for group, alpha in walk:
+            powers, exps, e_const, beta = group
+            done, q = top.get(group, -1), groups[group]
+            top[group] = max(alpha, done)
             for bound, sign in ((hi, 1), (lo, -1)):
                 if bound is None:
                     # value at an infinite end must vanish
                     if beta == 0 or (sign > 0 and beta > 0) or (sign < 0 and beta < 0):
-                        raise DivergentIntegral(
-                            f"non-vanishing tail integrating z{v} (alpha={alpha}, beta={beta})"
-                        )
+                        raise DivergentIntegral(f"non-vanishing tail integrating z{v} "
+                                                f"(alpha={alpha}, beta={beta})")
                     continue  # vanishing exponential tail contributes 0
-                for (n_a, d_a), a_pow, b_exp in anti:
-                    key, c = _at_atom(powers, exps, e_const, (sign * n * n_a, d * d_a),
-                                      a_pow, b_exp, bound)
+                for j in range(alpha, done, -1) if beta else (alpha + 1,):
+                    key, c = _at_atom(powers, exps, e_const,
+                                      (sign * q[j].numerator, q[j].denominator), j, beta, bound)
                     _add(bucket, key, c)
     return SymbolicSum._own(_reduced(out), budget=budget)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -165,6 +166,35 @@ class TestExactExp:
         for x in (F(1), F(5, 2)):
             vals = {exact_exp(inst.dag, td, x, _shuffle_seed=s)[0] for td in tds for s in range(3)}
             assert len(vals) == 1, (x, vals)
+
+    def test_values_bit_identical_across_roots(self):
+        # any root of either decomposition computes the same exact groups, so
+        # the correctly rounded value has one bit pattern (0x1.4146d032dd9cbp-11)
+        inst = gen_diamond_ladder(4, dist="exp")
+        tds = (inst.td, heuristic_td(inst.dag))
+        assert [td.b for td in tds] == [8, 13]
+        vals = {exact_exp(inst.dag, dataclasses.replace(td, root=r), F(4))[0]
+                for td in tds for r in range(td.b)}
+        assert len(vals) == 1, vals
+
+    def test_pair_denominators_stay_small(self, monkeypatch):
+        # sums of unreduced pairs multiply denominators until the operation
+        # reduces them; integrating each polynomial group at once, rather
+        # than each term, keeps the largest below 16,384 bits on this query
+        # (208,962 bits with one antiderivative per term)
+        widest = 0
+        add = sy._add
+
+        def recording_add(bucket, key, c):
+            nonlocal widest
+            add(bucket, key, c)
+            if type(bucket[key]) is tuple:
+                widest = max(widest, bucket[key][1].bit_length())
+
+        monkeypatch.setattr(sy, "_add", recording_add)
+        inst = gen_diamond_ladder(16, dist="exp")
+        exact_exp(inst.dag, inst.td, F(16))
+        assert 0 < widest <= 16_384
 
     def test_decomposition_independence(self):
         for seed in (0, 2, 5):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stochlp.errors import Budget, BudgetExceeded, DivergentIntegral, InputError
 from stochlp import symbolic as sy
@@ -414,6 +414,17 @@ class TestReduceOnce:
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_sums())
+    # on 0 < z1 < z2, terms that differ only in z1's power: z1^0, z1^1 and
+    # z1^3 times e^(-z1 + 2 z2), then z1^2 and z1^1 with no exponential, then
+    # z2 e^(-z1); emitting each group's terms together would reorder them
+    @example(sy.SymbolicSum({(ZERO, v(1), v(2)): {
+        ((), ((1, -1), (2, 2)), 0): F(1, 2),
+        (((1, 1),), ((1, -1), (2, 2)), 0): F(-2, 3),
+        (((1, 3),), ((1, -1), (2, 2)), 0): F(5, 4),
+        (((1, 2),), (), 0): F(3, 7),
+        (((1, 1),), (), 0): F(-1, 5),
+        (((2, 1),), ((1, -1),), 0): F(2),
+    }}))
     def test_integrate_out(self, a):
         for upper in (None,) + ATOMS:
             for w in (1, 2):
