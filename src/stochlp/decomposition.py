@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -96,7 +97,12 @@ class TreeDecomposition:
                     raise TdFormatError(f"decomposition mentions unknown vertex {v}")
                 out.add(mapping[v])
             new_bags.append(frozenset(out))
-        return TreeDecomposition(tuple(new_bags), self.tree_edges, self.root)
+        td = TreeDecomposition(tuple(new_bags), self.tree_edges, self.root)
+        # same tree and root: the walks already cached on self hold for td
+        for name in ("adjacency", "_rooted"):
+            if name in self.__dict__:
+                td.__dict__[name] = self.__dict__[name]
+        return td
 
 
 def parse_td(text: str) -> TreeDecomposition:
@@ -413,6 +419,45 @@ class DecompositionContext:
         """Width of the decomposition before separation, which turned width
         k into 3k+2."""
         return (self.td.width - 2) // 3
+
+
+def _bag_shape(
+    ctx: DecompositionContext, i: int, fixed: Mapping[int, int]
+) -> tuple[tuple, list[int]]:
+    """(shape key, vertices in sorted order) of bag i.
+
+    The key holds everything a solver's bag build reads of the bag, with each
+    vertex replaced by its rank among the bag's vertices: the sorted owned
+    edges with their distributions, the sources, the terminals and the
+    ``fixed`` grid indices (``{}`` outside the grid solver).  The internal
+    vertices are the other edge ends.  Every step of a bag build follows
+    vertex order only, and ranks keep that order, so bags with one key give
+    the same result up to the names of their vertices.
+    """
+    edges = sorted(ctx.bag_edges[i])
+    verts = sorted({v for e in edges for v in e} | ctx.S[i] | ctx.T[i])
+    rank = {v: r for r, v in enumerate(verts)}
+    dist_of = ctx.dag.dist_of
+    key = (tuple((rank[u], rank[v], dist_of[(u, v)]) for u, v in edges),
+           tuple(sorted(rank[v] for v in ctx.S[i])),
+           tuple(sorted(rank[v] for v in ctx.T[i])),
+           tuple(sorted((rank[v], g) for v, g in fixed.items())))
+    return key, verts
+
+
+def shape_plan(
+    ctx: DecompositionContext, fixed: Callable[[int], dict[int, int]] = lambda i: {}
+) -> tuple[dict[int, tuple[int, list[int], dict[int, int]]], Counter]:
+    """bag -> (shape id, vertices in sorted order, ``fixed(bag)``), and the
+    number of bags of each shape id, for a solver that builds one bag result
+    per shape and hands it to every bag of that shape."""
+    shapes: dict[int, tuple[int, list[int], dict[int, int]]] = {}
+    shape_ids: dict[tuple, int] = {}
+    for i in ctx.post_order:
+        f = fixed(i)
+        key, verts = _bag_shape(ctx, i, f)
+        shapes[i] = shape_ids.setdefault(key, len(shape_ids)), verts, f
+    return shapes, Counter(sid for sid, _, _ in shapes.values())
 
 
 R = TypeVar("R")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .decomposition import DecompositionContext
 from .errors import Budget, InvariantViolation
@@ -27,6 +27,7 @@ from .symbolic import (
     differentiate,
     integrate_out,
     multiply,
+    rename,
     substitute,
     truncate_total_degree,
     var_atom,
@@ -43,6 +44,12 @@ class BagDensity:
     terminals."""
 
     parts: tuple[tuple[frozenset[Pending], SymbolicSum], ...]
+
+    def renamed(self, names: Mapping[int, int]) -> "BagDensity":
+        """This density with each variable v, pending pairs included, named
+        ``names[v]``; the map keeps vertex order, so parts keep their order."""
+        return BagDensity(tuple((frozenset((names[a], names[b]) for a, b in pend),
+                                 rename(s, names)) for pend, s in self.parts))
 
 
 def exp_edge_factor(u: int, v: int) -> SymbolicSum:

@@ -24,13 +24,14 @@ whole axis.
 
 Within one ``approx_dag`` call, bags of one shape share one bag table.  A
 bag table depends only on the bag's owned edges with their distributions, its
-source and terminal roles, its frozen terminals, M and x (``_bag_shape``), and
-every step of its build follows vertex order only.  Naming the bag's vertices
-by their rank keeps that order, so a table built for one bag holds the bits
-every bag of its shape would build; later bags get the same read-only array
-under their own axis names, and are charged the cells a build would charge,
-in the same order.  A table is held only until the last bag of its shape has
-it, and ``solve_bag`` passes it straight into ``merge_subtree``.
+source and terminal roles, its frozen terminals, M and x (the shape key of
+``decomposition.shape_plan``), and every step of its build follows vertex
+order only.  Naming the bag's vertices by their rank keeps that order, so a
+table built for one bag holds the bits every bag of its shape would build;
+later bags get the same read-only array under their own axis names, and are
+charged the cells a build would charge, in the same order.  A table is held
+only until the last bag of its shape has it, and ``solve_bag`` passes it
+straight into ``merge_subtree``.
 
 Memory is what limits M, so no step makes a full-size temporary it can avoid.
 A conversion copies its input table once and then works on that copy in
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -53,7 +53,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
-                            prepare_context, solve)
+                            prepare_context, shape_plan, solve)
 from .errors import Budget, InputError, InvariantViolation, finite_horizon
 from .graph import Dag, DistKind
 
@@ -471,41 +471,11 @@ def accumulate(table: StaircaseTable) -> float:
     return float(table.values[idx])
 
 
-def _bag_shape(
-    ctx: DecompositionContext, i: int, fixed: Mapping[int, int]
-) -> tuple[tuple, list[int]]:
-    """(shape key, vertices in sorted order) of bag i's staircase table.
-
-    The key holds everything ``bag_staircase`` reads of the bag, with each
-    vertex replaced by its rank among the bag's vertices: the sorted owned
-    edges with their distributions, the sources, the terminals and the
-    ``fixed`` indices.  Every step of the build follows vertex order only,
-    and ranks keep that order, so bags with one key get bit-identical values
-    over axes that differ only in their vertex names.
-    """
-    edges = sorted(ctx.bag_edges[i])
-    verts = sorted({v for e in edges for v in e} | ctx.S[i] | ctx.T[i])
-    rank = {v: r for r, v in enumerate(verts)}
-    dist_of = ctx.dag.dist_of
-    key = (tuple((rank[u], rank[v], dist_of[(u, v)]) for u, v in edges),
-           tuple(sorted(rank[v] for v in ctx.S[i])),
-           tuple(sorted(rank[v] for v in ctx.T[i])),
-           tuple(sorted((rank[v], g) for v, g in fixed.items())))
-    return key, verts
-
-
-def _shape_plan(ctx: DecompositionContext) -> tuple[dict, Counter]:
-    """bag -> (shape id, vertices in sorted order, fixed terminals), and the
-    number of bags of each shape id."""
-    shapes: dict[int, tuple[int, list[int], dict[int, int]]] = {}
-    shape_ids: dict[tuple, int] = {}
-    for i in ctx.post_order:
-        # the merge reads a frozen terminal at 0 only, so build it only there;
-        # one with a source role in this bag is left to the merge's role check
-        fixed = dict.fromkeys(ctx.frozen_T[i] & ctx.T[i], 0)
-        key, verts = _bag_shape(ctx, i, fixed)
-        shapes[i] = shape_ids.setdefault(key, len(shape_ids)), verts, fixed
-    return shapes, Counter(sid for sid, _, _ in shapes.values())
+def _fixed_terminals(ctx: DecompositionContext, i: int) -> dict[int, int]:
+    """The merge reads a frozen terminal at 0 only, so bag i's table is built
+    only there; one with a source role in this bag is left to the merge's
+    role check."""
+    return dict.fromkeys(ctx.frozen_T[i] & ctx.T[i], 0)
 
 
 @dataclass(kw_only=True)
@@ -546,7 +516,7 @@ def approx_dag(
     grid = GridSpec(M, max(float(x), 0.0))
 
     # planned when the sweep asks for its first bag table, so x < 0 plans none
-    plan = cache(partial(_shape_plan, ctx))
+    plan = cache(partial(shape_plan, ctx, partial(_fixed_terminals, ctx)))
     # shape id -> (axes as vertex ranks, read-only values) of a table that a
     # later bag still needs
     shared: dict[int, tuple[tuple[Axis, ...], np.ndarray]] = {}

@@ -15,7 +15,14 @@ An operation builds each coefficient it changes as an unreduced integer pair
 end it reduces each pair once to a ``Fraction``.  A sum at rest holds reduced
 ``Fraction`` coefficients only.  FLINT's ``fmpq_poly`` keeps integer
 numerators for the same reason.  ``integrate_out`` integrates each group of a
-region's terms that share all but one power at once, in per-term order.
+region's terms that share all but one power at once, in per-term order; it
+keeps the coefficients q_j of each group's antiderivative as reduced integer
+pairs, one gcd each, and places each bound once per term, not once per power.
+
+A sum caches its free variables on the first ``free_vars`` call, since it
+never changes.  ``rename`` renames variables by an order-keeping map, which
+moves no key out of order, so a bag density built once serves every bag of
+its shape.
 
 A key at rest holds its powers and exps as sorted tuples of (variable,
 exponent) pairs.  ``multiply`` packs them, for one call only, into one
@@ -37,6 +44,7 @@ solvers perform.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
 import mpmath
@@ -108,10 +116,11 @@ class SymbolicSum:
     coefficient.  Buckets are never changed once a sum holds them.
     """
 
-    __slots__ = ("regions",)
+    __slots__ = ("regions", "_free")
 
     def __init__(self, regions: Mapping[Chain, Mapping[TermKey, Fraction]] | None = None):
         self.regions: dict[Chain, dict[TermKey, Fraction]] = {}
+        self._free: frozenset[int] | None = None
         for chain, terms in (regions or {}).items():
             if not _chain_consistent(chain):
                 continue
@@ -134,6 +143,7 @@ class SymbolicSum:
                 del regions[chain]
         s = object.__new__(cls)
         s.regions = regions
+        s._free = None
         if budget is not None:
             budget.note_regions(len(regions))
             budget.note_terms(s.term_count())
@@ -176,13 +186,17 @@ class SymbolicSum:
         return sum(len(t) for t in self.regions.values())
 
     def free_vars(self) -> frozenset[int]:
-        out: set[int] = set()
-        for chain, terms in self.regions.items():
-            out.update(v for kind, v in chain if kind == "v")
-            for powers, exps, _ in terms:
-                out.update(v for v, _ in powers)
-                out.update(v for v, _ in exps)
-        return frozenset(out)
+        """The variables the sum names, found on the first call and kept,
+        since a sum never changes."""
+        if self._free is None:
+            out: set[int] = set()
+            for chain, terms in self.regions.items():
+                out.update(v for kind, v in chain if kind == "v")
+                for powers, exps, _ in terms:
+                    out.update(v for v, _ in powers)
+                    out.update(v for v, _ in exps)
+            self._free = frozenset(out)
+        return self._free
 
     def canonical_text(self) -> str:
         """Deterministic text form (sorted regions and terms) for golden tests."""
@@ -467,6 +481,15 @@ def _with(p: tuple[tuple[int, int], ...], w: int, n: int) -> tuple[tuple[int, in
     return p + ((w, n),)
 
 
+def _shifted(e_const, beta: int, num: int, den: int) -> Union[int, Fraction]:
+    """A key's e_const plus beta * num/den, in one reduction, or none when
+    all is integral."""
+    e_num, e_den = e_const.numerator, e_const.denominator
+    if den == e_den == 1:
+        return e_num + beta * num
+    return _key_const(Fraction(e_num * den + beta * num * e_den, e_den * den))
+
+
 def _at_atom(powers: tuple[tuple[int, int], ...], exps: tuple[tuple[int, int], ...], e_const,
              coeff: Coeff, alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Coeff]:
     """Key and coefficient of the term coeff * e^e_const * powers * exps
@@ -477,10 +500,7 @@ def _at_atom(powers: tuple[tuple[int, int], ...], exps: tuple[tuple[int, int], .
         value = atom[1]
         num, den = value.numerator, value.denominator
         if beta:
-            # the new e_const in one reduction, or none when all is integral
-            e_num, e_den = e_const.numerator, e_const.denominator
-            e_const = e_num + beta * num if den == e_den == 1 else \
-                _key_const(Fraction(e_num * den + beta * num * e_den, e_den * den))
+            e_const = _shifted(e_const, beta, num, den)
         if alpha:
             n, d = coeff if type(coeff) is tuple else (coeff.numerator, coeff.denominator)
             coeff = (n * num**alpha, d * den**alpha)
@@ -528,6 +548,54 @@ def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
     return SymbolicSum._own(_reduced(out), budget=budget)
 
 
+def rename(s: SymbolicSum, names: Mapping[int, int]) -> SymbolicSum:
+    """s with each variable v named ``names[v]``.  The map must keep the
+    order of the variables, so every key stays sorted and every chain keeps
+    its order: regions, terms and coefficients come out as they were, in the
+    same order, and no arithmetic is done."""
+    order = sorted(names)
+    if any(names[a] >= names[b] for a, b in zip(order, order[1:])):
+        raise InputError("rename must keep the order of the variables")
+
+    def key(p: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+        return tuple([(names[w], n) for w, n in p])
+
+    out = {}
+    for chain, terms in s.regions.items():
+        out[tuple([a if a[0] == "c" else ("v", names[a[1]]) for a in chain])] = {
+            (key(powers), key(exps), q): c for (powers, exps, q), c in terms.items()}
+    r = SymbolicSum._own(out)
+    if s._free is not None:
+        r._free = frozenset(names[w] for w in s._free)
+    return r
+
+
+def _q_pairs(p: Mapping[int, Fraction], beta: int) -> dict[int, Pair]:
+    """The coefficients q_j of Q with Q' + beta Q = P, P = sum of p_j v^j, as
+    reduced pairs (numerator, positive denominator), one gcd each: Q is the
+    integral of P when beta = 0, else q_j = (p_j - (j+1) q_(j+1)) / beta from
+    the top power down."""
+    q: dict[int, Pair] = {}
+    if not beta:
+        for j, c in p.items():
+            num, den = c.numerator, c.denominator * (j + 1)
+            g = gcd(num, den)
+            q[j + 1] = (num // g, den // g)
+        return q
+    n, d = 0, 1  # q_(j+1)
+    for j in range(max(p), -1, -1):
+        c = p.get(j)
+        if c is None:
+            num, den = -(j + 1) * n, d * beta
+        else:
+            num, den = c.numerator * d - (j + 1) * n * c.denominator, c.denominator * d * beta
+        if beta < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        n, d = q[j] = (num // g, den // g)
+    return q
+
+
 def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                   budget: Budget | None = None) -> SymbolicSum:
     """Integrate variable v over the full line within each region.
@@ -551,7 +619,7 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
         lo: Atom | None = chain[idx - 1] if idx > 0 else None
         hi: Atom | None = chain[idx + 1] if idx + 1 < len(chain) else None
         bucket = out.setdefault(chain[:idx] + chain[idx + 1:], {})
-        groups: dict[tuple, dict[int, Fraction]] = {}
+        groups: dict[tuple, dict] = {}
         walk = []
         for (powers, exps, e_const), coeff in terms.items():
             powers, alpha = _split(powers, v)
@@ -559,18 +627,13 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
             walk.append(((powers, exps, e_const, beta), alpha))
             groups.setdefault(walk[-1][0], {})[alpha] = coeff
         for group, p in groups.items():
-            beta = group[3]
-            if beta:  # q_j = (p_j - (j+1) q_(j+1)) / beta from the top power down
-                q = groups[group] = {}
-                for j in range(max(p), -1, -1):
-                    q[j] = (p.get(j, 0) - (j + 1) * q.get(j + 1, 0)) / beta
-            else:  # Q is the integral of P
-                groups[group] = {j + 1: c / (j + 1) for j, c in p.items()}
+            groups[group] = _q_pairs(p, group[3])
         top: dict[tuple, int] = {}  # per group, the highest power of Q emitted
         for group, alpha in walk:
             powers, exps, e_const, beta = group
             done, q = top.get(group, -1), groups[group]
             top[group] = max(alpha, done)
+            js = range(alpha, done, -1) if beta else (alpha + 1,)
             for bound, sign in ((hi, 1), (lo, -1)):
                 if bound is None:
                     # value at an infinite end must vanish
@@ -578,10 +641,20 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                         raise DivergentIntegral(f"non-vanishing tail integrating z{v} "
                                                 f"(alpha={alpha}, beta={beta})")
                     continue  # vanishing exponential tail contributes 0
-                for j in range(alpha, done, -1) if beta else (alpha + 1,):
-                    key, c = _at_atom(powers, exps, e_const,
-                                      (sign * q[j].numerator, q[j].denominator), j, beta, bound)
-                    _add(bucket, key, c)
+                if bound[0] == "c":
+                    # every power lands on one key, and v^j at the bound scales the pair
+                    num, den = bound[1].numerator, bound[1].denominator
+                    key = (powers, exps, _shifted(e_const, beta, num, den) if beta else e_const)
+                    for j in js:
+                        n, d = q[j]
+                        _add(bucket, key, (sign * n * num**j, d * den**j))
+                else:
+                    w = bound[1]
+                    placed = _with(exps, w, beta) if beta else exps
+                    for j in js:
+                        n, d = q[j]
+                        _add(bucket, (_with(powers, w, j) if j else powers, placed, e_const),
+                             (sign * n, d))
     return SymbolicSum._own(_reduced(out), budget=budget)
 
 

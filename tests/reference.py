@@ -7,10 +7,13 @@ solvers, oracles and CLI never call.
 ``bag_cell_count`` counts one bag's cells at a single shift vector, snapped
 onto the grid with ``snap``; ``approx_dag_unshared`` is the grid sweep that
 builds every bag's staircase table anew, and ``bag_shape`` the shape by which
-``approx_dag`` shares a bag table among bags; ``fraction_multiply``,
-``fraction_substitute`` and ``fraction_integrate_out`` are the symbolic
-operations with one reduced ``Fraction`` step per coefficient operation,
-which the engine's reduce-once arithmetic must match term for term;
+``approx_dag`` shares a bag table among bags; ``exact_exp_unshared`` is the
+exact-exponential sweep that builds every bag's density anew;
+``fraction_multiply``, ``fraction_substitute`` and ``fraction_integrate_out``
+are the symbolic operations with one reduced ``Fraction`` step per
+coefficient operation, which the engine's reduce-once arithmetic must match
+term for term, and ``fraction_q`` the ``Fraction`` recurrence whose reduced
+pairs ``integrate_out`` computes with one gcd each;
 ``merge_bag_product_first`` is the subtree merge that forms the product of
 the bag factor and the subtree density before it substitutes the pending
 point masses and frozen terminals, which ``density.merge_bag`` must match
@@ -25,14 +28,17 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepare_context
-from stochlp.density import BagDensity, FactorFn, Pending, _phi_union
+from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepare_context, solve
+from stochlp.density import (BagDensity, FactorFn, Pending, _phi_union, describe_sum,
+                             merge_bag)
 from stochlp.errors import (Budget, DivergentIntegral, InputError, InvariantViolation,
                             StochLPError)
+from stochlp.exactexp import ExactExpReport, bag_density_exp
 from stochlp.graph import Dag, DistKind
 from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
 from stochlp.staircase import (SRC, TERM, GridSpec, _bag_threshold_rows, accumulate,
@@ -49,6 +55,7 @@ from stochlp.symbolic import (
     const_atom,
     cumulate,
     differentiate,
+    evaluate,
     integrate_out,
     multiply,
     substitute,
@@ -198,6 +205,27 @@ def approx_dag_unshared(g: Dag, td: TreeDecomposition | None, x: float, m_res: i
     return min(max(accumulate(done[ctx.td.root]), 0.0), 1.0)
 
 
+def exact_exp_unshared(g: Dag, td: TreeDecomposition | None, x, budget: Budget
+                       ) -> tuple[float, ExactExpReport]:
+    """``exact_exp``'s value and report, symbolic text included, with one
+    ``bag_density_exp`` call per bag, so no bag density is shared between
+    bags of one shape."""
+    t0 = time.perf_counter()
+    xq = Fraction(x)
+    ctx = prepare_context(g, td)
+
+    def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
+        return merge_bag(ctx, i, bag_density_exp(ctx, i, budget), kids, xq, budget)
+
+    def finish(final: SymbolicSum) -> dict:
+        value, radius = evaluate(final)
+        return {"value": min(max(value, 0.0), 1.0), "error_radius": radius,
+                "symbolic": final.canonical_text()}
+
+    return solve(ExactExpReport, ctx, t0, budget, xq, solve_bag, describe_sum, finish,
+                 error_radius=0.0, symbolic="0")
+
+
 def bag_shape(ctx: DecompositionContext, i: int) -> tuple:
     """Bag i's owned edges with their distributions, its sources, terminals
     and frozen terminals, each vertex named by its position in the sorted
@@ -337,6 +365,18 @@ def _fraction_antiderivative(alpha: int, beta: int) -> list[tuple[Fraction, int,
         fall *= alpha - i + 1
         out.append((Fraction((-1) ** i * fall, beta ** (i + 1)), alpha - i, beta))
     return out
+
+
+def fraction_q(p: Mapping[int, Fraction], beta: int) -> dict[int, Fraction]:
+    """The coefficients of Q with Q' + beta Q = P, P = sum of p_j v^j, by the
+    recurrence on reduced ``Fraction`` steps: the integral of P when beta = 0,
+    else q_j = (p_j - (j+1) q_(j+1)) / beta from the top power down."""
+    if not beta:
+        return {j + 1: Fraction(c) / (j + 1) for j, c in p.items()}
+    q: dict[int, Fraction] = {}
+    for j in range(max(p), -1, -1):
+        q[j] = (p.get(j, 0) - (j + 1) * q.get(j + 1, 0)) / beta
+    return q
 
 
 def fraction_integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,

@@ -53,3 +53,26 @@ def test_stderr_only_warns_outside_unit_interval(name, monkeypatch):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         dispatch(CASES[name])
     assert err.getvalue() == STDERR.get(name, "")
+
+
+def test_relabel_reuses_the_rooted_walk(monkeypatch):
+    # one walk for the parsed decomposition, whose relabelled copy keeps it,
+    # and one for the separated decomposition that build_context roots
+    from functools import cached_property
+
+    from stochlp.decomposition import TreeDecomposition
+
+    walk = TreeDecomposition.__dict__["_rooted"].func
+    calls = []
+
+    def counted(td):
+        calls.append(td)
+        return walk(td)
+
+    prop = cached_property(counted)
+    prop.__set_name__(TreeDecomposition, "_rooted")
+    monkeypatch.setattr(TreeDecomposition, "_rooted", prop)
+    monkeypatch.chdir(GOLDEN)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert dispatch(CASES["exact-exp-given"]) == 0
+    assert len(calls) == 2

@@ -23,7 +23,7 @@ from stochlp.exactexp import bag_density_exp, exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
 from stochlp import symbolic as sy
 from conftest import assert_shared_report, single_bag_context
-from reference import build_bag_density_two_pass, merge_bag_product_first
+from reference import build_bag_density_two_pass, exact_exp_unshared, merge_bag_product_first
 
 
 class TestBagDensity:
@@ -258,6 +258,87 @@ class TestMonotone:
         more = Dag(g.n, g.edges + ((u, v, DistSpec.exponential()),))
         for x, val in zip(xs, vals):
             assert exact_exp(more, None, x)[0] <= val, (u, v, x)
+
+
+def _exp_shape_corpus():
+    """(name, dag, decomposition, horizon): the exp ladders with 4 and 8
+    diamonds on their given and heuristic decompositions, and random partial
+    2-trees on 6 vertices, seeds 0-3, on their given ones."""
+    for d in (4, 8):
+        inst = gen_diamond_ladder(d, dist="exp")
+        yield f"ladder-{d}", inst.dag, inst.td, F(d)
+        yield f"ladder-{d}/heuristic", inst.dag, heuristic_td(inst.dag), F(d)
+    for seed in range(4):
+        inst = gen_random_tw(2, 6, seed=seed, dist="exp")
+        yield f"random-tw-6/seed={seed}", inst.dag, inst.td, F(2)
+
+
+def _timeless(rep) -> dict:
+    """A report's fields and bag records without their timings."""
+    out = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
+           if f.name not in ("elapsed_ms", "bag_columns")}
+    out["per_bag"] = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in rep.per_bag]
+    return out
+
+
+class TestSharedBagDensities:
+    """``exact_exp`` builds one bag density per bag shape and hands every
+    later bag of that shape a renamed copy, with no bit, term order or
+    budget counter moved."""
+
+    def test_each_bag_gets_what_its_own_build_gives(self, monkeypatch):
+        handed, built = [], []
+        merge, build = exactexp.merge_bag, exactexp.bag_density_exp
+
+        def recording_merge(ctx, i, density, *args, **kwargs):
+            handed.append((ctx, i, density))
+            return merge(ctx, i, density, *args, **kwargs)
+
+        def recording_build(ctx, i, *args, **kwargs):
+            built.append(i)
+            return build(ctx, i, *args, **kwargs)
+
+        monkeypatch.setattr(exactexp, "merge_bag", recording_merge)
+        monkeypatch.setattr(exactexp, "bag_density_exp", recording_build)
+
+        def listed(density):
+            return [(pend, list(s.regions.items())) for pend, s in density.parts]
+
+        counts = {}
+        for name, g, td, x in _exp_shape_corpus():
+            handed.clear()
+            built.clear()
+            exact_exp(g, td, x)
+            ctx = handed[0][0]
+            assert [i for _, i, _ in handed] == list(ctx.post_order)
+            for _, i, density in handed:
+                assert listed(density) == listed(build(ctx, i)), (name, i)
+            counts[name] = len(built), ctx.b
+        assert counts == {
+            "ladder-4": (3, 8), "ladder-4/heuristic": (3, 13),
+            "ladder-8": (3, 16), "ladder-8/heuristic": (3, 25),
+            "random-tw-6/seed=0": (2, 4), "random-tw-6/seed=1": (3, 5),
+            "random-tw-6/seed=2": (3, 5), "random-tw-6/seed=3": (2, 4),
+        }
+
+    def test_matches_sweep_that_builds_every_bag(self):
+        for name, g, td, x in _exp_shape_corpus():
+            want_budget, budget = Budget(), Budget()
+            want, want_rep = exact_exp_unshared(g, td, x, want_budget)
+            got, rep = exact_exp(g, td, x, budget=budget, emit_symbolic=True)
+            assert got.hex() == want.hex(), name
+            assert _timeless(rep) == _timeless(want_rep), name
+            assert (budget.work_used, budget.terms_peak, budget.regions_peak) == \
+                (want_budget.work_used, want_budget.terms_peak, want_budget.regions_peak), name
+
+    def test_negative_x_plans_no_bag_shape(self, monkeypatch):
+        def unplanned(*args, **kwargs):
+            raise AssertionError("bag shapes planned for x < 0")
+
+        monkeypatch.setattr("stochlp.decomposition._bag_shape", unplanned)
+        inst = gen_diamond_ladder(2, dist="exp")
+        v, rep = exact_exp(inst.dag, inst.td, -1)
+        assert v == 0.0 and rep.per_bag == []
 
 
 class TestMergeAgainstProductFirst:

@@ -357,7 +357,7 @@ class TestApproxDag:
         def unplanned(*args, **kwargs):
             raise AssertionError("bag shapes planned for x < 0")
 
-        monkeypatch.setattr("stochlp.staircase._bag_shape", unplanned)
+        monkeypatch.setattr("stochlp.decomposition._bag_shape", unplanned)
         inst = gen_diamond_ladder(2, dist="uniform")
         v, rep = approx_dag(inst.dag, inst.td, -1, m_override=4)
         assert v == 0.0 and rep.per_bag == []

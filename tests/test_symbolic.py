@@ -12,6 +12,7 @@ from stochlp import symbolic as sy
 from reference import (
     fraction_integrate_out,
     fraction_multiply,
+    fraction_q,
     fraction_substitute,
     max_total_degree,
 )
@@ -430,6 +431,45 @@ class TestReduceOnce:
             for w in (1, 2):
                 assert_same_sum(_outcome(sy.integrate_out, a, w, upper),
                                 _outcome(fraction_integrate_out, a, w, upper))
+
+
+class TestQPairs:
+    """``integrate_out``'s q_j as reduced integer pairs, one gcd each, are
+    the numerators and denominators of the ``Fraction`` recurrence."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(0, 7), st.fractions(max_denominator=60), min_size=1),
+           st.integers(-5, 5))
+    # a zero coefficient, gaps below it and above it, both signs of beta
+    @example({0: F(1, 3), 2: F(0), 5: F(-7, 4)}, -3)
+    @example({0: F(1, 3), 2: F(0), 5: F(-7, 4)}, 2)
+    @example({1: F(0), 4: F(9, 2)}, 0)
+    def test_pairs_match_fraction_recurrence(self, p, beta):
+        want = {j: (q.numerator, q.denominator) for j, q in fraction_q(p, beta).items()}
+        assert sy._q_pairs(p, beta) == want
+
+
+class TestRename:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_sums())
+    def test_order_keeping_map_changes_only_names(self, a):
+        free = sorted(a.free_vars())
+        names = {w: 10 + 3 * r for r, w in enumerate(free)}
+        renamed = sy.rename(a, names)
+        assert renamed.free_vars() == frozenset(names.values())
+        back = sy.rename(renamed, {n: w for w, n in names.items()})
+        assert list(back.regions.items()) == list(a.regions.items())
+        assert [list(t) for t in renamed.regions.values()] == \
+            [[(tuple((names[w], n) for w, n in pw), tuple((names[w], n) for w, n in ex), q)
+              for pw, ex, q in t] for t in a.regions.values()]
+        point = {w: F(r + 1, 4) for r, w in enumerate(free)}
+        assert sy.evaluate(renamed, {names[w]: q for w, q in point.items()}) == \
+            sy.evaluate(a, point)
+
+    def test_rejects_map_that_reorders(self):
+        s = sy.multiply(H(v(1), v(2)), sy.SymbolicSum.term(1, powers={1: 1}))
+        with pytest.raises(InputError):
+            sy.rename(s, {1: 5, 2: 4})
 
 
 class TestRegionBudgets:
