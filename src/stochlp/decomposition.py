@@ -424,16 +424,10 @@ class DecompositionContext:
 def _bag_shape(
     ctx: DecompositionContext, i: int, fixed: Mapping[int, int]
 ) -> tuple[tuple, list[int]]:
-    """(shape key, vertices in sorted order) of bag i.
-
-    The key holds everything a solver's bag build reads of the bag, with each
-    vertex replaced by its rank among the bag's vertices: the sorted owned
-    edges with their distributions, the sources, the terminals and the
-    ``fixed`` grid indices (``{}`` outside the grid solver).  The internal
-    vertices are the other edge ends.  Every step of a bag build follows
-    vertex order only, and ranks keep that order, so bags with one key give
-    the same result up to the names of their vertices.
-    """
+    """(shape key, vertices in sorted order) of bag i for ``by_shape``: the
+    sorted owned edges with their distributions, the sources, the terminals
+    and the ``fixed`` grid indices, each vertex named by its rank among the
+    bag's vertices (the edge ends, sources and terminals)."""
     edges = sorted(ctx.bag_edges[i])
     verts = sorted({v for e in edges for v in e} | ctx.S[i] | ctx.T[i])
     rank = {v: r for r, v in enumerate(verts)}
@@ -443,21 +437,6 @@ def _bag_shape(
            tuple(sorted(rank[v] for v in ctx.T[i])),
            tuple(sorted((rank[v], g) for v, g in fixed.items())))
     return key, verts
-
-
-def shape_plan(
-    ctx: DecompositionContext, fixed: Callable[[int], dict[int, int]] = lambda i: {}
-) -> tuple[dict[int, tuple[int, list[int], dict[int, int]]], Counter]:
-    """bag -> (shape id, vertices in sorted order, ``fixed(bag)``), and the
-    number of bags of each shape id, for a solver that builds one bag result
-    per shape and hands it to every bag of that shape."""
-    shapes: dict[int, tuple[int, list[int], dict[int, int]]] = {}
-    shape_ids: dict[tuple, int] = {}
-    for i in ctx.post_order:
-        f = fixed(i)
-        key, verts = _bag_shape(ctx, i, f)
-        shapes[i] = shape_ids.setdefault(key, len(shape_ids)), verts, f
-    return shapes, Counter(sid for sid, _, _ in shapes.values())
 
 
 R = TypeVar("R")
@@ -484,6 +463,51 @@ def sweep(
         per_bag.append({"bag": i, **describe(i, out),
                         "elapsed_ms": (time.perf_counter() - t0) * 1000.0})
     return results[ctx.td.root], per_bag
+
+
+def by_shape(ctx: DecompositionContext, budget: Budget, build: Callable[[int], R],
+             rename: Callable[[R, dict[int, int]], R],
+             fixed: Callable[[int], Mapping[int, int]] = lambda i: {}) -> Callable[[int], R]:
+    """``bag(i)``: bag i's result for ``sweep``, built once per bag shape.
+
+    All three solvers take their bag results from here.  A bag build reads
+    only what ``_bag_shape`` keys (with ``fixed(i)`` as the fixed grid
+    indices) and follows vertex order only, so bags of one key build the
+    same result up to the names of their vertices.  The first bag of a shape
+    gets ``build(i)`` and each later bag ``rename(result, names)``, where
+    ``names`` maps the first bag's vertices to its own in sorted order: the
+    same bits, regions and terms, in the same order.  The ``Budget`` records
+    the charges of that first build and makes them again, one at a time, for
+    each later bag, so every counter and every budget abort lands where
+    building every bag puts it.  A result is held only until the last bag of
+    its shape has it.  The shapes are planned on the first call, so a run
+    that sweeps no bag (x < 0) plans none.
+    """
+    plan: dict[int, tuple[int, list[int]]] = {}  # bag -> (shape id, vertices)
+    left: Counter = Counter()  # shape id -> bags still to come
+    held: dict[int, tuple[list[int], R, list]] = {}  # shape id -> (vertices, result, charges)
+
+    def bag(i: int) -> R:
+        if not left:
+            ids: dict[tuple, int] = {}  # a key hashes its whole tuple, so hash it once
+            for j in ctx.post_order:
+                key, verts = _bag_shape(ctx, j, fixed(j))
+                plan[j] = ids.setdefault(key, len(ids)), verts
+            left.update(sid for sid, _ in plan.values())
+        sid, verts = plan.pop(i)
+        left[sid] -= 1
+        if sid in held:
+            first, out, charges = held[sid] if left[sid] else held.pop(sid)
+            budget.replay(charges)
+            return rename(out, dict(zip(first, verts)))
+        if not left[sid]:
+            return build(i)
+        with budget.recording() as charges:
+            out = build(i)
+        held[sid] = verts, out, charges
+        return out
+
+    return bag
 
 
 @dataclass(kw_only=True)

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import ClassVar, Iterator
 
 
 class StochLPError(Exception):
@@ -96,6 +98,7 @@ class Budget:
     regions_peak: int = 0
     terms_peak: int = 0
     work_used: int = 0
+    _charges: ClassVar[list | None] = None  # (method, amount) per charge while recording
 
     @classmethod
     def default(cls, max_cells: int | None = None) -> "Budget":
@@ -110,7 +113,23 @@ class Budget:
             b.max_cells = max_cells
         return b
 
+    @contextmanager
+    def recording(self) -> Iterator[list]:
+        """Yield the list of cell and work charges made in the block, for ``replay``."""
+        self._charges = charges = []
+        try:
+            yield charges
+        finally:
+            self._charges = None
+
+    def replay(self, charges: list) -> None:
+        """Make the recorded ``charges`` again, one at a time and in order."""
+        for charge, amount in charges:
+            charge(self, amount)
+
     def charge_cells(self, amount: int) -> None:
+        if self._charges is not None:
+            self._charges.append((Budget.charge_cells, amount))
         self.cells_used += amount
         if self.cells_used > self.max_cells:
             raise BudgetExceeded(
@@ -135,6 +154,8 @@ class Budget:
             )
 
     def charge_work(self, amount: int) -> None:
+        if self._charges is not None:
+            self._charges.append((Budget.charge_work, amount))
         self.work_used += amount
         if self.work_used > self.max_work:
             raise BudgetExceeded(

@@ -2,16 +2,8 @@
 standard-exponential edge lengths, by symbolic integration over a separated
 binarized tree decomposition.
 
-Within one ``exact_exp`` call, bags of one shape share one bag density.  A
-bag density depends only on the bag's owned edges with their distributions
-and on its sources and terminals (its internal vertices are the other edge
-ends), which is the shape key of ``decomposition.shape_plan`` with no fixed
-terminals, and every step of its build follows vertex order only.  So the
-first bag of each shape builds its density through ``bag_density_exp``, and
-each later bag gets a copy with every variable and pending pair renamed by
-an order-keeping map (``symbolic.rename``): the same parts, regions and
-terms in the same order, charged the work its own build would charge.  A
-density is held only until the last bag of its shape has it.
+Within one ``exact_exp`` call, bags of one shape share one bag density,
+renamed for each later bag (``decomposition.by_shape``).
 """
 
 from __future__ import annotations
@@ -20,10 +12,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
-                            prepare_context, shape_plan, solve)
+                            by_shape, prepare_context, solve)
 from .density import BagDensity, build_bag_density, describe_sum, exp_edge_factor, merge_bag
 from .errors import Budget, InputError, InvariantViolation, finite_horizon
 from .graph import Dag, DistKind
@@ -87,25 +78,8 @@ def exact_exp(
     ctx = prepare_context(g, td)
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
 
-    # planned when the sweep asks for its first bag density, so x < 0 plans none
-    plan = cache(partial(shape_plan, ctx))
-    # shape id -> (vertices in sorted order, density, work charged) of the
-    # first bag of a shape that a later bag still needs
-    shared: dict[int, tuple[list[int], BagDensity, int]] = {}
-
-    def bag_density(i: int) -> BagDensity:
-        shapes, uses = plan()
-        sid, verts, _ = shapes.pop(i)
-        uses[sid] -= 1
-        if sid in shared:
-            first, density, work = shared[sid] if uses[sid] else shared.pop(sid)
-            budget.charge_work(work)  # what bag i's own build would charge
-            return density.renamed(dict(zip(first, verts)))
-        work = budget.work_used
-        density = bag_density_exp(ctx, i, budget)
-        if uses[sid]:
-            shared[sid] = verts, density, budget.work_used - work
-        return density
+    bag_density = by_shape(ctx, budget, lambda i: bag_density_exp(ctx, i, budget),
+                           BagDensity.renamed)
 
     def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
         out = merge_bag(ctx, i, bag_density(i), kids, xq, budget, order_rng=rng)

@@ -22,16 +22,10 @@ still built in full, because ``merge_subtree`` reads their slab at M only
 after its float round trip of the bag table, whose result at M depends on the
 whole axis.
 
-Within one ``approx_dag`` call, bags of one shape share one bag table.  A
-bag table depends only on the bag's owned edges with their distributions, its
-source and terminal roles, its frozen terminals, M and x (the shape key of
-``decomposition.shape_plan``), and every step of its build follows vertex
-order only.  Naming the bag's vertices by their rank keeps that order, so a
-table built for one bag holds the bits every bag of its shape would build;
-later bags get the same read-only array under their own axis names, and are
-charged the cells a build would charge, in the same order.  A table is held
-only until the last bag of its shape has it, and ``solve_bag`` passes it
-straight into ``merge_subtree``.
+Within one ``approx_dag`` call, bags of one shape share one read-only bag
+table under their own axis names (``decomposition.by_shape``; the shape
+includes the frozen terminals), which ``solve_bag`` passes straight into
+``merge_subtree``.
 
 Memory is what limits M, so no step makes a full-size temporary it can avoid.
 A conversion copies its input table once and then works on that copy in
@@ -47,13 +41,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
-                            prepare_context, shape_plan, solve)
+                            by_shape, prepare_context, solve)
 from .errors import Budget, InputError, InvariantViolation, finite_horizon
 from .graph import Dag, DistKind
 
@@ -515,30 +509,16 @@ def approx_dag(
     M = m_override if m_override is not None else choose_M(ctx.k, g.n, g.m, float(epsilon))
     grid = GridSpec(M, max(float(x), 0.0))
 
-    # planned when the sweep asks for its first bag table, so x < 0 plans none
-    plan = cache(partial(shape_plan, ctx, partial(_fixed_terminals, ctx)))
-    # shape id -> (axes as vertex ranks, read-only values) of a table that a
-    # later bag still needs
-    shared: dict[int, tuple[tuple[Axis, ...], np.ndarray]] = {}
-
-    def bag_table(i: int) -> StaircaseTable:
-        shapes, uses = plan()
-        sid, verts, fixed = shapes.pop(i)
-        uses[sid] -= 1
-        if sid in shared:
-            ranked, values = shared[sid] if uses[sid] else shared.pop(sid)
-            # the two charges bag i's own build would make, in its order
-            dist_of = ctx.dag.dist_of
-            budget.charge_cells(M ** sum(dist_of[e].kind is DistKind.UNIFORM
-                                         for e in ctx.bag_edges[i]))
-            budget.charge_cells(values.size)
-            return StaircaseTable(grid, tuple((verts[r], role) for r, role in ranked), values)
-        table = bag_staircase(ctx, i, grid, budget, fixed)
-        if uses[sid]:
-            table.values.setflags(write=False)
-            rank = {v: r for r, v in enumerate(verts)}
-            shared[sid] = tuple((rank[v], role) for v, role in table.axes), table.values
+    def build(i: int) -> StaircaseTable:
+        table = bag_staircase(ctx, i, grid, budget, _fixed_terminals(ctx, i))
+        table.values.setflags(write=False)  # later bags of its shape share the array
         return table
+
+    def rename(table: StaircaseTable, names: dict[int, int]) -> StaircaseTable:
+        return StaircaseTable(grid, tuple((names[v], role) for v, role in table.axes),
+                              table.values)
+
+    bag_table = by_shape(ctx, budget, build, rename, partial(_fixed_terminals, ctx))
 
     def solve_bag(i: int, kids: list[StaircaseTable]) -> StaircaseTable:
         return merge_subtree(ctx, i, bag_table(i), kids, budget)

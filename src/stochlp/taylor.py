@@ -15,11 +15,11 @@ import mpmath
 import numpy as np
 
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
-                            prepare_context, solve)
+                            by_shape, prepare_context, solve)
 from .density import BagDensity, build_bag_density, describe_sum, merge_bag, poly_edge_factor
 from .errors import Budget, InputError, finite_horizon
 from .graph import Dag, DistKind
-from .symbolic import SymbolicSum, evaluate
+from .symbolic import SymbolicSum, evaluate, truncate_total_degree
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,6 @@ def bag_taylor(
         return poly_edge_factor(u, v, polys[orc.name])
 
     den = build_bag_density(ctx, i, factor, budget)
-    from .symbolic import truncate_total_degree
-
     parts = tuple((pend, truncate_total_degree(s, tau)) for pend, s in den.parts)
     return BagDensity(parts)
 
@@ -216,10 +214,12 @@ def approx_taylor(
         check_oracle(orc, xf, tau)
 
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
+    bag_density = by_shape(ctx, budget, lambda i: bag_taylor(ctx, i, oracle_of, tau, budget),
+                           BagDensity.renamed)
 
     def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
-        return merge_bag(ctx, i, bag_taylor(ctx, i, oracle_of, tau, budget), kids, xq, budget,
-                         taylor_tau=tau, order_rng=rng)
+        return merge_bag(ctx, i, bag_density(i), kids, xq, budget, taylor_tau=tau,
+                         order_rng=rng)
 
     def finish(final: SymbolicSum) -> dict:
         return {"value": evaluate(final)[0],

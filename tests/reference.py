@@ -5,10 +5,10 @@ solvers, oracles and CLI never call.
 ``stochlp.decomposition._roles`` restates from edge counts;
 ``enumerate_st_paths`` lists every source-terminal path of a small graph;
 ``bag_cell_count`` counts one bag's cells at a single shift vector, snapped
-onto the grid with ``snap``; ``approx_dag_unshared`` is the grid sweep that
-builds every bag's staircase table anew, and ``bag_shape`` the shape by which
-``approx_dag`` shares a bag table among bags; ``exact_exp_unshared`` is the
-exact-exponential sweep that builds every bag's density anew;
+onto the grid with ``snap``; ``approx_dag_unshared`` and
+``exact_exp_unshared`` are the grid and exact-exponential sweeps that build
+every bag's result anew, with no ``decomposition.by_shape``, and
+``bag_shape`` restates the grid's key of ``decomposition._bag_shape``;
 ``fraction_multiply``, ``fraction_substitute`` and ``fraction_integrate_out``
 are the symbolic operations with one reduced ``Fraction`` step per
 coefficient operation, which the engine's reduce-once arithmetic must match

@@ -17,8 +17,11 @@ from stochlp import (
     SolveReport,
     TdFormatError,
     TreeDecomposition,
+    approx_dag,
+    approx_taylor,
     binarize_td,
     build_context,
+    exact_exp,
     heuristic_td,
     parse_graph,
     parse_td,
@@ -461,6 +464,23 @@ class TestSweep:
         for r in per_bag:
             assert list(r) == ["bag", "result", "kids", "elapsed_ms"]
             assert r["result"] == r["bag"] and r["elapsed_ms"] >= 0
+
+
+class TestByShape:
+    @pytest.mark.parametrize("solver", ["approx_dag", "exact_exp", "approx_taylor"])
+    def test_negative_x_plans_no_bag_shape(self, monkeypatch, solver):
+        def unplanned(*args, **kwargs):
+            raise AssertionError("bag shapes planned for x < 0")
+
+        monkeypatch.setattr("stochlp.decomposition._bag_shape", unplanned)
+        dist, run = {
+            "approx_dag": ("uniform", lambda g, td: approx_dag(g, td, -1, m_override=4)),
+            "exact_exp": ("exp", lambda g, td: exact_exp(g, td, -1)),
+            "approx_taylor": ("oracle:expcdf", lambda g, td: approx_taylor(g, td, -1, tau=4)),
+        }[solver]
+        inst = gen_diamond_ladder(2, dist=dist)
+        v, rep = run(inst.dag, inst.td)
+        assert v == 0.0 and rep.per_bag == []
 
 
 def _typed(records):

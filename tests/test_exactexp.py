@@ -23,7 +23,8 @@ from stochlp.exactexp import bag_density_exp, exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
 from stochlp import symbolic as sy
 from conftest import assert_shared_report, single_bag_context
-from reference import build_bag_density_two_pass, exact_exp_unshared, merge_bag_product_first
+from reference import (bag_shape, build_bag_density_two_pass, exact_exp_unshared,
+                       merge_bag_product_first)
 
 
 class TestBagDensity:
@@ -331,14 +332,79 @@ class TestSharedBagDensities:
             assert (budget.work_used, budget.terms_peak, budget.regions_peak) == \
                 (want_budget.work_used, want_budget.terms_peak, want_budget.regions_peak), name
 
-    def test_negative_x_plans_no_bag_shape(self, monkeypatch):
-        def unplanned(*args, **kwargs):
-            raise AssertionError("bag shapes planned for x < 0")
 
-        monkeypatch.setattr("stochlp.decomposition._bag_shape", unplanned)
-        inst = gen_diamond_ladder(2, dist="exp")
-        v, rep = exact_exp(inst.dag, inst.td, -1)
-        assert v == 0.0 and rep.per_bag == []
+def _taylor_shape_corpus():
+    """(name, dag, decomposition, horizon, truncation order): the Taylor
+    ladders with 2 and 4 diamonds on their given and heuristic
+    decompositions, and random partial 2-trees on 6 vertices, seeds 0-3, on
+    their given ones (at order 3, which halves their cost)."""
+    for d in (2, 4):
+        inst = gen_diamond_ladder(d, dist="oracle:expcdf")
+        yield f"ladder-{d}", inst.dag, inst.td, F(1, 2), 4
+        yield f"ladder-{d}/heuristic", inst.dag, heuristic_td(inst.dag), F(1), 4
+    for seed in range(4):
+        inst = gen_random_tw(2, 6, seed=seed, dist="oracle:expcdf")
+        yield f"random-tw-6/seed={seed}", inst.dag, inst.td, F(1), 3
+
+
+class TestSharedTaylorDensities:
+    """``approx_taylor`` builds one truncated bag density per bag shape and
+    hands every later bag of that shape a renamed copy, as ``exact_exp``
+    does, with no bit, term order or budget counter moved."""
+
+    def test_each_bag_gets_what_its_own_build_gives(self, monkeypatch):
+        handed, built = [], []
+        merge, build = taylor.merge_bag, taylor.bag_taylor
+
+        def recording_merge(ctx, i, density, *args, **kwargs):
+            handed.append((ctx, i, density))
+            return merge(ctx, i, density, *args, **kwargs)
+
+        def recording_build(ctx, i, *args, **kwargs):
+            built.append(i)
+            return build(ctx, i, *args, **kwargs)
+
+        monkeypatch.setattr(taylor, "merge_bag", recording_merge)
+        monkeypatch.setattr(taylor, "bag_taylor", recording_build)
+
+        def listed(density):
+            return [(pend, list(s.regions.items())) for pend, s in density.parts]
+
+        counts = {}
+        for name, g, td, x, tau in _taylor_shape_corpus():
+            handed.clear()
+            built.clear()
+            taylor.approx_taylor(g, td, x, tau=tau)
+            ctx = handed[0][0]
+            assert [i for _, i, _ in handed] == list(ctx.post_order)
+            for _, i, density in handed:
+                fresh = build(ctx, i, taylor.resolve_oracle, tau)
+                assert listed(density) == listed(fresh), (name, i)
+            # the first bag of each shape is the one built
+            shapes = [bag_shape(ctx, i)[:3] for i in ctx.post_order]
+            assert [bag_shape(ctx, i)[:3] for i in built] == list(dict.fromkeys(shapes)), name
+            counts[name] = len(built), ctx.b
+        assert counts == {
+            "ladder-2": (3, 4), "ladder-2/heuristic": (3, 7),
+            "ladder-4": (3, 8), "ladder-4/heuristic": (3, 13),
+            "random-tw-6/seed=0": (2, 4), "random-tw-6/seed=1": (3, 5),
+            "random-tw-6/seed=2": (3, 5), "random-tw-6/seed=3": (2, 4),
+        }
+
+    def test_matches_sweep_that_builds_every_bag(self, monkeypatch):
+        def run(g, td, x, tau):
+            budget = Budget()
+            v, rep = taylor.approx_taylor(g, td, x, tau=tau, budget=budget)
+            return v.hex(), _timeless(rep), \
+                (budget.work_used, budget.terms_peak, budget.regions_peak)
+
+        for name, g, td, x, tau in _taylor_shape_corpus():
+            got = run(g, td, x, tau)
+            with monkeypatch.context() as m:
+                # every bag calls bag_taylor: no result is shared
+                m.setattr(taylor, "by_shape", lambda ctx, budget, build, rename: build)
+                want = run(g, td, x, tau)
+            assert got == want, name
 
 
 class TestMergeAgainstProductFirst:

@@ -27,9 +27,10 @@ from stochlp import (
     riemann_bracket,
 )
 from stochlp.errors import Budget, BudgetExceeded
+from stochlp.exactexp import exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
 from conftest import assert_shared_report, single_bag_context
-from reference import approx_dag_unshared, bag_cell_count, bag_shape
+from reference import approx_dag_unshared, bag_cell_count, bag_shape, exact_exp_unshared
 
 
 def one_edge_ctx(scale: int = 1):
@@ -352,15 +353,6 @@ class TestApproxDag:
         v1, _ = approx_dag(inst.dag, inst.td, 1.23, m_override=8)
         v2, _ = approx_dag(inst.dag, inst.td, 1.23, m_override=8)
         assert v1 == v2
-
-    def test_negative_x_plans_no_bag_shape(self, monkeypatch):
-        def unplanned(*args, **kwargs):
-            raise AssertionError("bag shapes planned for x < 0")
-
-        monkeypatch.setattr("stochlp.decomposition._bag_shape", unplanned)
-        inst = gen_diamond_ladder(2, dist="uniform")
-        v, rep = approx_dag(inst.dag, inst.td, -1, m_override=4)
-        assert v == 0.0 and rep.per_bag == []
 
     @pytest.mark.parametrize("epsilon, m_override, guarantee", [
         (0.5, None, {"kind": "multiplicative", "epsilon": 0.5}),
@@ -727,20 +719,30 @@ class TestSharedBagTables:
         assert len(builds) == shapes < bags
 
     def test_budget_aborts_where_every_bag_is_built(self):
-        inst = gen_diamond_ladder(3, "uniform")
-        full = Budget()
-        approx_dag_unshared(inst.dag, inst.td, 2.2, 6, full)
-        for cap in range(0, full.cells_used + 1, full.cells_used // 40):
-            outcomes = []
-            for run in (approx_dag_unshared, lambda g, td, x, m, b: approx_dag(
-                    g, td, x, m_override=m, budget=b)):
-                budget = Budget.default(max_cells=cap)
-                try:
-                    run(inst.dag, inst.td, 2.2, 6, budget)
-                    outcomes.append(("done", budget.cells_used))
-                except BudgetExceeded as exc:
-                    outcomes.append((str(exc), budget.cells_used))
-            assert outcomes[0] == outcomes[1], cap
+        # (sweep that builds every bag, shared sweep, capped counter, caps):
+        # grid cells on a uniform ladder, and exact-exp work on an exp ladder,
+        # whose one bag build makes many work charges
+        uni, exp = gen_diamond_ladder(3, "uniform"), gen_diamond_ladder(4, dist="exp")
+        cases = [
+            (lambda b: approx_dag_unshared(uni.dag, uni.td, 2.2, 6, b),
+             lambda b: approx_dag(uni.dag, uni.td, 2.2, m_override=6, budget=b), "cells", 40),
+            (lambda b: exact_exp_unshared(exp.dag, exp.td, Fraction(4), b),
+             lambda b: exact_exp(exp.dag, exp.td, Fraction(4), budget=b), "work", 200),
+        ]
+        for unshared, shared, counter, steps in cases:
+            full = Budget()
+            unshared(full)
+            used = getattr(full, f"{counter}_used")
+            for cap in range(0, used + 1, used // steps):
+                outcomes = []
+                for run in (unshared, shared):
+                    budget = Budget(**{f"max_{counter}": cap})
+                    try:
+                        run(budget)
+                        outcomes.append(("done", budget.cells_used, budget.work_used))
+                    except BudgetExceeded as exc:
+                        outcomes.append((str(exc), budget.cells_used, budget.work_used))
+                assert outcomes[0] == outcomes[1], (counter, cap)
 
     def test_one_build_per_shape_on_long_chain(self, monkeypatch):
         from stochlp.decomposition import prepare_context
