@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .decomposition import TreeDecomposition, validate_td
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .graph import Dag, DistKind, DistSpec
 
 
@@ -109,7 +109,7 @@ def gen_random_tw(k: int, n: int, seed: int = 0, dist: str = "uniform",
     td = TreeDecomposition(tuple(bags), tuple(tree))
     report = validate_td(dag, td)
     if not report.valid:
-        raise AssertionError(f"generator emitted invalid decomposition: {report.message}")
+        raise InvariantViolation(f"generator emitted invalid decomposition: {report.message}")
     return Instance(dag, td)
 
 

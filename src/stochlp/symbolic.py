@@ -10,14 +10,18 @@ otherwise; the two hash and compare alike, so only the cost of hashing
 differs.  Operations that would create incomparable atoms split into all
 linear extensions, so chains stay total.
 
-An operation builds each coefficient it changes as an unreduced integer pair
-(numerator, positive denominator) and adds the pairs without a gcd; at its
-end it reduces each pair once to a ``Fraction``.  A sum at rest holds reduced
-``Fraction`` coefficients only.  FLINT's ``fmpq_poly`` keeps integer
-numerators for the same reason.  ``integrate_out`` integrates each group of a
-region's terms that share all but one power at once, in per-term order; it
-keeps the coefficients q_j of each group's antiderivative as reduced integer
-pairs, one gcd each, and places each bound once per term, not once per power.
+Coefficients: a sum at rest holds nonzero reduced ``Fraction``s only, since
+the public constructor drops zeros.  An operation builds each coefficient it
+changes as an unreduced integer pair (numerator, positive denominator) and
+adds the pairs without a gcd, passing the others through as the nonzero
+``Fraction``s they are; so within an operation only a pair can be zero.
+``SymbolicSum._own`` settles both in one pass over each bucket: it reduces
+each nonzero pair once to a ``Fraction`` and drops the zero pairs and the
+buckets left empty.  FLINT's ``fmpq_poly`` keeps integer numerators for the
+same reason.  ``integrate_out`` integrates each group of a region's terms
+that share all but one power at once, in per-term order; it keeps the
+coefficients q_j of each group's antiderivative as reduced integer pairs, one
+gcd each, and places each bound once per term, not once per power.
 
 A sum caches its free variables on the first ``free_vars`` call, since it
 never changes.  ``rename`` renames variables by an order-keeping map, which
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import mpmath
 
@@ -110,10 +114,8 @@ class SymbolicSum:
     The public constructor copies the mapping it is given, dropping
     inconsistent chains, zero coefficients and regions left empty; it adds
     nothing up.  Every operation merges its terms into one fresh bucket per
-    guard chain, adding unreduced integer pairs per term key, then reduces
-    each coefficient once to a ``Fraction`` and hands those buckets to
-    ``_own``, which keeps them and rebuilds only a bucket holding a zero
-    coefficient.  Buckets are never changed once a sum holds them.
+    guard chain and hands those buckets to ``_own``.  Buckets are never
+    changed once a sum holds them.
     """
 
     __slots__ = ("regions", "_free")
@@ -129,14 +131,29 @@ class SymbolicSum:
                 self.regions[chain] = kept
 
     @classmethod
-    def _own(cls, regions: dict[Chain, dict[TermKey, Fraction]],
+    def _own(cls, regions: dict[Chain, dict[TermKey, Coeff]],
              budget: Budget | None = None) -> "SymbolicSum":
         """Sum holding ``regions`` itself: consistent chains, buckets no
-        caller keeps.  Drops zero coefficients and empty buckets in place of
-        a copy, so region and term order match the public constructor."""
-        dirty = [chain for chain, terms in regions.items() if not terms or not all(terms.values())]
-        for chain in dirty:
-            kept = {key: coeff for key, coeff in regions[chain].items() if coeff}
+        caller keeps.  Settles the coefficients in one pass over each bucket
+        (see the module docstring), equal pairs sharing one ``Fraction``;
+        region and term order match the public constructor's."""
+        made: dict[Pair, Fraction] = {}
+        dirty = []
+        for chain, bucket in regions.items():
+            zero = not bucket
+            for key, c in bucket.items():
+                if type(c) is tuple:
+                    if c[0]:
+                        q = made.get(c)
+                        if q is None:
+                            q = made[c] = Fraction(*c)
+                        bucket[key] = q
+                    else:
+                        zero = True
+            if zero:
+                dirty.append((chain, bucket))
+        for chain, bucket in dirty:
+            kept = {key: c for key, c in bucket.items() if type(c) is not tuple}
             if kept:
                 regions[chain] = kept
             else:
@@ -234,26 +251,21 @@ class SymbolicSum:
             if bucket is None:
                 merged[chain] = dict(terms)
             else:
-                _accumulate(bucket, terms.items())
+                for key, c in terms.items():
+                    _add(bucket, key, c)
         return SymbolicSum._own(merged)
 
     def scale(self, c) -> "SymbolicSum":
         q = Fraction(c)
+        n, d = q.numerator, q.denominator
         return SymbolicSum._own({
-            chain: {key: coeff * q for key, coeff in terms.items()}
+            chain: {key: (coeff.numerator * n, coeff.denominator * d)
+                    for key, coeff in terms.items()}
             for chain, terms in self.regions.items()
         })
 
     def __sub__(self, other: "SymbolicSum") -> "SymbolicSum":
         return self + other.scale(-1)
-
-
-def _accumulate(bucket: dict[TermKey, Fraction], items: Iterable[tuple[TermKey, Fraction]]) -> None:
-    """Add each (key, coeff) into ``bucket``; a new key stores coeff as is."""
-    get = bucket.get
-    for key, coeff in items:
-        old = get(key)
-        bucket[key] = coeff if old is None else old + coeff
 
 
 def _interleavings(c1: Chain, c2: Chain) -> tuple[Chain, ...]:
@@ -369,21 +381,6 @@ def _add(bucket: dict[TermKey, Coeff], key: TermKey, c: Coeff) -> None:
     bucket[key] = (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
 
 
-def _reduced(out: dict[Chain, dict[TermKey, Coeff]]) -> dict[Chain, dict[TermKey, Fraction]]:
-    """``out`` with each pair made one ``Fraction`` in lowest terms, in place;
-    a ``Fraction`` an operation passed through unchanged is kept.  Equal
-    pairs share one ``Fraction``, made once per call."""
-    made: dict[Pair, Fraction] = {}
-    for bucket in out.values():
-        for key, c in bucket.items():
-            if type(c) is tuple:
-                q = made.get(c)
-                if q is None:
-                    q = made[c] = Fraction(*c)
-                bucket[key] = q
-    return out
-
-
 def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> SymbolicSum:
     """Product of two sums; overlapping guard chains split into all linear
     extensions of their union.
@@ -440,7 +437,7 @@ def multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = None) -> Sy
                     mono = monomials[m] = unpack(m)
                 keyed[(*mono, q if type(q) is int else _key_const(q))] = c
             out[chain] = keyed
-    return SymbolicSum._own(_reduced(out), budget=budget)
+    return SymbolicSum._own(out, budget=budget)
 
 
 def differentiate(s: SymbolicSum, v: int) -> SymbolicSum:
@@ -458,7 +455,7 @@ def differentiate(s: SymbolicSum, v: int) -> SymbolicSum:
                      (coeff.numerator * alpha, coeff.denominator))
             if beta:
                 _add(bucket, (powers, exps, e_const), (coeff.numerator * beta, coeff.denominator))
-    return SymbolicSum._own(_reduced(out))
+    return SymbolicSum._own(out)
 
 
 def _split(p: tuple[tuple[int, int], ...], v: int) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -491,7 +488,7 @@ def _shifted(e_const, beta: int, num: int, den: int) -> Union[int, Fraction]:
 
 
 def _at_atom(powers: tuple[tuple[int, int], ...], exps: tuple[tuple[int, int], ...], e_const,
-             coeff: Coeff, alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Coeff]:
+             coeff: Fraction, alpha: int, beta: int, atom: Atom) -> tuple[TermKey, Coeff]:
     """Key and coefficient of the term coeff * e^e_const * powers * exps
     times z^alpha * e^(beta*z), with z put at ``atom``.  ``powers`` and
     ``exps`` are key tuples over the other variables; a coefficient that
@@ -502,8 +499,7 @@ def _at_atom(powers: tuple[tuple[int, int], ...], exps: tuple[tuple[int, int], .
         if beta:
             e_const = _shifted(e_const, beta, num, den)
         if alpha:
-            n, d = coeff if type(coeff) is tuple else (coeff.numerator, coeff.denominator)
-            coeff = (n * num**alpha, d * den**alpha)
+            coeff = (coeff.numerator * num**alpha, coeff.denominator * den**alpha)
         return (powers, exps, e_const), coeff
     w = atom[1]
     if alpha:
@@ -545,7 +541,7 @@ def substitute(s: SymbolicSum, v: int, value: Union[Fraction, int, Atom],
             exps, beta = _split(exps, v)
             key, c = _at_atom(powers, exps, e_const, coeff, alpha, beta, target)
             _add(bucket, key, c)
-    return SymbolicSum._own(_reduced(out), budget=budget)
+    return SymbolicSum._own(out, budget=budget)
 
 
 def rename(s: SymbolicSum, names: Mapping[int, int]) -> SymbolicSum:
@@ -655,7 +651,7 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                         n, d = q[j]
                         _add(bucket, (_with(powers, w, j) if j else powers, placed, e_const),
                              (sign * n, d))
-    return SymbolicSum._own(_reduced(out), budget=budget)
+    return SymbolicSum._own(out, budget=budget)
 
 
 def cumulate(s: SymbolicSum, v: int, fresh: int, lower: Atom | None = None,

@@ -9,11 +9,13 @@ onto the grid with ``snap``; ``approx_dag_unshared`` and
 ``exact_exp_unshared`` are the grid and exact-exponential sweeps that build
 every bag's result anew, with no ``decomposition.by_shape``, and
 ``bag_shape`` restates the grid's key of ``decomposition._bag_shape``;
-``fraction_multiply``, ``fraction_substitute`` and ``fraction_integrate_out``
-are the symbolic operations with one reduced ``Fraction`` step per
-coefficient operation, which the engine's reduce-once arithmetic must match
-term for term, and ``fraction_q`` the ``Fraction`` recurrence whose reduced
-pairs ``integrate_out`` computes with one gcd each;
+``fraction_add``, ``fraction_scale``, ``fraction_multiply``,
+``fraction_substitute`` and ``fraction_integrate_out`` are the symbolic
+operations with one reduced ``Fraction`` step per coefficient operation,
+which the engine's reduce-once arithmetic must match term for term; they drop
+their own zero ``Fraction``s, since ``SymbolicSum._own`` drops only zero
+pairs; ``fraction_q`` is the ``Fraction`` recurrence whose reduced pairs
+``integrate_out`` computes with one gcd each;
 ``merge_bag_product_first`` is the subtree merge that forms the product of
 the bag factor and the subtree density before it substitutes the pending
 point masses and frozen terminals, which ``density.merge_bag`` must match
@@ -47,7 +49,6 @@ from stochlp.symbolic import (
     ZERO_ATOM,
     Atom,
     SymbolicSum,
-    _accumulate,
     _chain_consistent,
     _interleavings,
     _is_guard,
@@ -273,6 +274,34 @@ def _split(p, v):
     return tuple(sorted(rest.items())), n
 
 
+def _fraction_accumulate(bucket: dict, items) -> None:
+    for key, c in items:
+        old = bucket.get(key)
+        bucket[key] = c if old is None else old + c
+
+
+def _fraction_own(out: dict, budget: Budget | None = None) -> SymbolicSum:
+    """``SymbolicSum._own`` of ``out`` with its zero ``Fraction``s dropped
+    first, as an operation's zero pairs would be."""
+    return SymbolicSum._own({chain: {key: c for key, c in terms.items() if c}
+                             for chain, terms in out.items()}, budget=budget)
+
+
+def fraction_add(a: SymbolicSum, b: SymbolicSum) -> SymbolicSum:
+    """``SymbolicSum.__add__`` with a reduced ``Fraction`` per sum."""
+    out = {chain: dict(terms) for chain, terms in a.regions.items()}
+    for chain, terms in b.regions.items():
+        _fraction_accumulate(out.setdefault(chain, {}), terms.items())
+    return _fraction_own(out)
+
+
+def fraction_scale(a: SymbolicSum, c) -> SymbolicSum:
+    """``SymbolicSum.scale`` with a reduced ``Fraction`` per product."""
+    q = Fraction(c)
+    return _fraction_own({chain: {key: coeff * q for key, coeff in terms.items()}
+                          for chain, terms in a.regions.items()})
+
+
 def _fraction_term_mul(k1, c1, k2, c2):
     p1, e1, q1 = k1
     p2, e2, q2 = k2
@@ -303,13 +332,13 @@ def fraction_multiply(a: SymbolicSum, b: SymbolicSum, budget: Budget | None = No
                 if bucket is None:
                     out[chain] = dict(prods)
                 else:
-                    _accumulate(bucket, prods.items())
+                    _fraction_accumulate(bucket, prods.items())
                 pending_terms += len(terms1) * len(terms2)
             if budget is not None:
                 budget.note_regions(len(out))
                 if pending_terms > 3 * budget.max_terms:
                     budget.note_terms(pending_terms)
-    return SymbolicSum._own(out, budget=budget)
+    return _fraction_own(out, budget=budget)
 
 
 def _fraction_at_atom(powers, exps, e_const, coeff: Fraction, alpha: int, beta: int, atom: Atom):
@@ -353,7 +382,7 @@ def fraction_substitute(s: SymbolicSum, v: int, value, budget: Budget | None = N
             key, c = _fraction_at_atom(powers, exps, e_const, coeff, alpha, beta, target)
             old = bucket.get(key)
             bucket[key] = c if old is None else old + c
-    return SymbolicSum._own(out, budget=budget)
+    return _fraction_own(out, budget=budget)
 
 
 def _fraction_antiderivative(alpha: int, beta: int) -> list[tuple[Fraction, int, int]]:
@@ -409,7 +438,7 @@ def fraction_integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
                                                a_pow, b_exp, bound)
                     old = bucket.get(key)
                     bucket[key] = c if old is None else old + c
-    return SymbolicSum._own(out, budget=budget)
+    return _fraction_own(out, budget=budget)
 
 
 def merge_bag_product_first(

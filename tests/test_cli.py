@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import sys
@@ -8,6 +9,7 @@ import pytest
 from stochlp import (DivergentIntegral, InvariantViolation, approx_dag, approx_taylor, exact_exp,
                      parse_graph, parse_td)
 from stochlp.cli import dispatch, render_json
+from stochlp.decomposition import TdReport
 
 
 def run(argv):
@@ -149,6 +151,17 @@ class TestDispatch:
         rc, out, err = run(["exact-exp", "--graph", g, "--td", t, "--x", "1"])
         assert rc == 3 and "internal error" in err
         assert json.loads(out) == {"error": "bag 0: check failed", "kind": "internal"}
+
+    def test_gen_invalid_decomposition_exit_3(self, tmp_path, monkeypatch):
+        # the package attribute stochlp.generate is the function, so fetch the module
+        generate_module = importlib.import_module("stochlp.generate")
+        monkeypatch.setattr(generate_module, "validate_td",
+                            lambda dag, td: TdReport(False, message="bag 9: broken"))
+        rc, out, err = run(["gen", "--shape", "random-tw", "--n", "6",
+                            "--out-graph", str(tmp_path / "g.txt"), "--out-td", str(tmp_path / "t.td")])
+        assert rc == 3 and "internal error" in err
+        assert json.loads(out) == {"error": "generator emitted invalid decomposition: bag 9: broken",
+                                   "kind": "internal"}
 
     @pytest.mark.parametrize("command, dist, extra, x, want", [
         ("approx", "uniform", ["--grid-m", "4"], "1e400", "input"),

@@ -10,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from stochlp.errors import Budget, BudgetExceeded, DivergentIntegral, InputError
 from stochlp import symbolic as sy
 from reference import (
+    fraction_add,
     fraction_integrate_out,
     fraction_multiply,
     fraction_q,
+    fraction_scale,
     fraction_substitute,
     max_total_degree,
 )
@@ -376,13 +378,21 @@ def _outcome(op, *args):
     return out, budget
 
 
+def _plain(op, *args):
+    """``_outcome`` of an operation that takes no budget."""
+    return op(*args), Budget()
+
+
 def assert_same_sum(got, want):
     """Same regions and terms in the same order, with the same key types and
-    budget counters, and every coefficient a Fraction in lowest terms."""
+    budget counters, every coefficient a nonzero Fraction in lowest terms and
+    no region empty."""
     (g, g_budget), (w, w_budget) = got, want
     if w is None:
         assert g is None
         return
+    for s in (g, w):
+        assert all(terms and all(terms.values()) for terms in s.regions.values())
 
     def listed(s):
         return [(chain, [(key, type(key[2]), c) for key, c in terms.items()])
@@ -396,9 +406,39 @@ def assert_same_sum(got, want):
             assert type(c) is F and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
 
 
+# two terms on 0 < z1 and two unguarded
+TWO_REGIONS = sy.SymbolicSum({
+    (ZERO, v(1)): {(((1, 1),), (), 0): F(2, 3), ((), ((1, -1),), 0): F(-1, 4)},
+    (): {((), (), 0): F(5), (((2, 1),), (), 0): F(1, 6)},
+})
+# the negation of TWO_REGIONS's region 0 < z1
+GUARDED_NEGATED = sy.SymbolicSum({
+    (ZERO, v(1)): {(((1, 1),), (), 0): F(-2, 3), ((), ((1, -1),), 0): F(1, 4)},
+})
+
+
 class TestReduceOnce:
     """Unreduced integer pairs, reduced once per operation, give exactly what
     one reduced Fraction per step gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_sums(), mixed_sums())
+    # everything cancels; one region empties while the other survives; a
+    # bucket keeps one of its three terms
+    @example(TWO_REGIONS, TWO_REGIONS.scale(-1))
+    @example(TWO_REGIONS, GUARDED_NEGATED)
+    @example(GUARDED_NEGATED + sy.SymbolicSum.term(F(3, 4), powers={1: 2}, chain=(ZERO, v(1))),
+             TWO_REGIONS)
+    def test_add(self, a, b):
+        for x, y in ((a, b), (b, a), (a, a.scale(-1))):
+            assert_same_sum(_plain(sy.SymbolicSum.__add__, x, y), _plain(fraction_add, x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_sums(), st.sampled_from(SCALES + (F(0), F(-1), 3)))
+    # a zero scale cancels every term
+    @example(TWO_REGIONS, 0)
+    def test_scale(self, a, c):
+        assert_same_sum(_plain(sy.SymbolicSum.scale, a, c), _plain(fraction_scale, a, c))
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_sums(), mixed_sums(), guards())
