@@ -28,11 +28,12 @@ includes the frozen terminals), which ``solve_bag`` passes straight into
 ``merge_subtree``.
 
 Memory is what limits M, so no step makes a full-size temporary it can avoid.
-A conversion copies its input table once and then works on that copy in
-place: cumulating with ``cumsum(out=...)``, differencing with a backward pass
-through a scratch buffer of at most ``DIFF_CHUNK_CELLS`` cells.  It never
-mutates its input, and it does the same float operations as ``np.cumsum`` and
-``np.diff(prepend=0)``, so every value is unchanged bit for bit.
+A conversion writes its first source axis from the input straight into a new
+array and converts the later source axes in place: cumulating with
+``cumsum(out=...)``, differencing with a backward pass through a scratch
+buffer of at most ``DIFF_CHUNK_CELLS`` cells.  It never writes its input, and
+it does the same float operations as ``np.cumsum`` and ``np.diff(prepend=0)``,
+so every value is unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ class StaircaseTable:
     over grid points of the active shift variables.  ``to_difference`` takes
     iterated backward differences along every source axis, with slot 0
     carrying the value at the axis origin, and ``to_cumulative`` sums them
-    back.  Each copies the values once, converts the float64 copy in place
-    and leaves this table unchanged.
+    back.  Each writes the first source axis into a new float64 array,
+    converts the later ones in place and leaves this table unchanged; a
+    table with no source axis is copied.
     """
 
     grid: GridSpec
@@ -102,14 +104,23 @@ class StaircaseTable:
         return [i for i, (_, role) in enumerate(self.axes) if role == SRC]
 
     def to_cumulative(self) -> "StaircaseTable":
-        vals = np.array(self.values, dtype=np.float64, order="C")
-        for ax in self.source_axes():
+        src = self.source_axes()
+        if not src:
+            return StaircaseTable(self.grid, self.axes, self.values.astype(np.float64, order="C"))
+        vals = np.cumsum(self.values, src[0], np.float64, out=np.empty(self.values.shape))
+        for ax in src[1:]:
             np.cumsum(vals, axis=ax, out=vals)
         return StaircaseTable(self.grid, self.axes, vals)
 
     def to_difference(self) -> "StaircaseTable":
-        vals = np.array(self.values, dtype=np.float64, order="C")
-        for ax in self.source_axes():
+        src = self.source_axes()
+        if not src:
+            return StaircaseTable(self.grid, self.axes, self.values.astype(np.float64, order="C"))
+        vals, lead = np.empty(self.values.shape), (slice(None),) * src[0]
+        vals[lead + (0,)] = self.values[lead + (0,)]
+        np.subtract(self.values[lead + (slice(1, None),)], self.values[lead + (slice(None, -1),)],
+                    dtype=np.float64, out=vals[lead + (slice(1, None),)])
+        for ax in src[1:]:
             _difference_in_place(vals, ax)
         return StaircaseTable(self.grid, self.axes, vals)
 
@@ -147,8 +158,8 @@ def finite_difference(table: StaircaseTable) -> StaircaseTable:
 def choose_M(k: int, n: int, m: int, epsilon: float) -> int:
     """Grid resolution from the approximation-ratio formula, with the ratio
     target clamped into (0, 1]."""
-    if not epsilon > 0:  # also rejects NaN
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # also rejects NaN
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     eps = min(float(epsilon), 1.0)
     M = math.ceil(Fraction((6 * k + 6) * m * n) / Fraction(eps))
     if M > 2**53:
@@ -211,15 +222,23 @@ def _bag_threshold_rows(
     if not pairs:
         return [], np.zeros((1, 0), dtype=np.int64), np.array([ncorners], dtype=np.int64)
 
-    # threshold: minimal d with corner_length <= x*d, using the same float
-    # comparisons the evaluation grid would use
-    xd = grid.x * np.arange(-M, M + 2, dtype=np.float64)
-    q_cols = []
-    for p in pairs:
-        q_cols.append(np.searchsorted(xd, pair_vals[p].astype(np.float64), side="left") - M)
-    Q = np.stack(q_cols, axis=1)
-    rows, counts = np.unique(Q, axis=0, return_counts=True)
-    return pairs, rows, counts
+    # threshold: minimal d with corner_length <= x*d, by the evaluation grid's
+    # own float comparisons (an x*d that overflows to inf compares right)
+    with np.errstate(over="ignore"):
+        xd = grid.x * np.arange(-M, M + 2, dtype=np.float64)
+    Q = np.stack([np.searchsorted(xd, pair_vals[p].astype(np.float64), side="left") - M
+                  for p in pairs], axis=1)
+    return (pairs, *_unique_rows(Q))
+
+
+def _unique_rows(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(Q, axis=0, return_counts=True)`` for a 2-d int64 array:
+    the distinct rows in signed lexicographic order, and their counts."""
+    Q = Q[np.lexsort(Q.T[::-1])]
+    start = np.ones(len(Q), dtype=bool)
+    start[1:] = (Q[1:] != Q[:-1]).any(axis=1)
+    first = np.flatnonzero(start)
+    return Q[first], np.diff(first, append=len(Q))
 
 
 def bag_staircase(
@@ -266,28 +285,22 @@ def bag_staircase(
 
     # dominance count: a grid point admits the corners whose threshold row it
     # dominates, so histogram the rows on compressed coordinates, prefix-sum,
-    # and gather at each grid point's difference vector.  The output table is
-    # the only full-size array: the small histogram is divided before the
-    # gather, and cells outside the region are zeroed in place.
+    # and gather at each grid point's difference vector.  Each histogram axis
+    # has an empty slot 0, where a difference below every threshold lands and
+    # reads +0.0.  The output table is the only full-size array: the small
+    # histogram is divided before the gather.
     uniq = [np.unique(rows[:, p]) for p in range(len(pairs))]
-    hist_size = 1
-    for u in uniq:
-        hist_size *= len(u)
-    if hist_size <= DENSE_HISTOGRAM_CELLS:
-        hist = np.zeros([len(u) for u in uniq], dtype=np.int64)
-        coords = tuple(np.searchsorted(uniq[p], rows[:, p]) for p in range(len(pairs)))
-        np.add.at(hist, coords, counts)
+    dims = [len(u) + 1 for u in uniq]
+    if math.prod(dims) <= DENSE_HISTOGRAM_CELLS:
+        hist = np.zeros(dims, dtype=np.int64)
+        # the rows are distinct, so no two of them share a slot
+        hist[tuple(np.searchsorted(uniq[p], rows[:, p]) + 1 for p in range(len(pairs)))] = counts
         for ax in range(len(pairs)):
             np.cumsum(hist, axis=ax, out=hist)
-        gather, outside = [], []
-        for p, (s, t) in enumerate(pairs):
-            pos = np.searchsorted(uniq[p], at[s] - at[t], side="right") - 1
-            outside.append(pos < 0)
-            gather.append(np.broadcast_to(np.maximum(pos, 0), shape))
+        gather = [np.broadcast_to(np.searchsorted(uniq[p], at[s] - at[t], side="right"), shape)
+                  for p, (s, t) in enumerate(pairs)]
         # a table with no axis left gathers a scalar
         values = np.asarray((hist / total)[tuple(gather)])
-        for mask in outside:
-            np.copyto(values, 0.0, where=mask)
     else:
         # integer counts below 2**53 add up exactly in float64, so dividing
         # the sum in place gives the bits of the int64 sum divided

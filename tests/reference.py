@@ -16,6 +16,8 @@ which the engine's reduce-once arithmetic must match term for term; they drop
 their own zero ``Fraction``s, since ``SymbolicSum._own`` drops only zero
 pairs; ``fraction_q`` is the ``Fraction`` recurrence whose reduced pairs
 ``integrate_out`` computes with one gcd each;
+``unique_rows`` is ``np.unique(axis=0)``, the threshold-row grouping that
+``staircase._unique_rows`` restates with one sort;
 ``merge_bag_product_first`` is the subtree merge that forms the product of
 the bag factor and the subtree density before it substitutes the pending
 point masses and frozen terminals, which ``density.merge_bag`` must match
@@ -34,6 +36,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepare_context, solve
 from stochlp.density import (BagDensity, FactorFn, Pending, _phi_union, describe_sum,
@@ -190,6 +194,12 @@ def frozen_terminals_at_zero(ctx: DecompositionContext, i: int) -> dict[int, int
     """The ``fixed`` argument ``approx_dag`` gives ``bag_staircase`` for bag
     i: every frozen terminal of the bag at grid index 0."""
     return dict.fromkeys(ctx.frozen_T[i] & ctx.T[i], 0)
+
+
+def unique_rows(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, and how often
+    each occurs."""
+    return np.unique(Q, axis=0, return_counts=True)
 
 
 def approx_dag_unshared(g: Dag, td: TreeDecomposition | None, x: float, m_res: int,

@@ -111,6 +111,7 @@ class TestDispatch:
         ["approx", "--epsilon", "nan"],
         ["taylor", "--tau", "-1"],
         ["taylor", "--tau", "-2"],
+        ["approx", "--epsilon", "inf"],
     ])
     def test_bad_solver_parameter_is_input_error(self, tmp_path, argv):
         command, *flags = argv

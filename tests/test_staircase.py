@@ -1,11 +1,13 @@
 import math
 import random
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stochlp import (
     Dag,
@@ -25,12 +27,14 @@ from stochlp import (
     merge_subtree,
     parse_graph,
     riemann_bracket,
+    series_parallel_exact,
 )
 from stochlp.errors import Budget, BudgetExceeded
 from stochlp.exactexp import exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
 from conftest import assert_shared_report, single_bag_context
-from reference import approx_dag_unshared, bag_cell_count, bag_shape, exact_exp_unshared
+from reference import (approx_dag_unshared, bag_cell_count, bag_shape, exact_exp_unshared,
+                       unique_rows)
 
 
 def one_edge_ctx(scale: int = 1):
@@ -233,6 +237,14 @@ class TestMergeAndAccumulate:
         v, _ = approx_dag(g, None, 2.0, m_override=8)
         assert v == 1.0
 
+    def test_huge_finite_horizon_warns_nothing(self):
+        # x*d overflows to inf in the threshold grid, which compares right
+        for inst in (gen_chain(4), gen_diamond_ladder(1, dist="uniform-mixed")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v, _ = approx_dag(inst.dag, inst.td, 1e308, m_override=8)
+            assert v == 1.0
+
     def test_x_zero_counts_origin_cells(self):
         g = parse_graph("3 2\n1 2 uniform 1\n2 3 uniform 1\n")
         v, _ = approx_dag(g, None, 0.0, m_override=8)
@@ -411,6 +423,26 @@ class TestDominanceCountFallback:
                 assert np.array_equal(a.values, b.values)
 
 
+class TestUniqueRows:
+    """``_unique_rows`` groups threshold rows as ``np.unique(axis=0)`` does:
+    the same rows in the same signed order and the same counts, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda p: st.lists(
+        st.lists(st.integers(-4, 4) | st.integers(-2**62, 2**62), min_size=p, max_size=p),
+        min_size=1, max_size=40)))
+    @example([[5, -2, 0]])  # a single row
+    @example([[-1, 2]] * 6)  # every row equal
+    @example([[0], [-1], [1], [-1], [-2**62]])  # negative thresholds in one column
+    def test_matches_np_unique(self, rows):
+        from stochlp.staircase import _unique_rows
+
+        Q = np.array(rows, dtype=np.int64)
+        for got, want in zip(_unique_rows(Q), unique_rows(Q)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -437,8 +469,9 @@ def _reference_bag_values(ctx, i, grid):
 
 
 class TestInPlaceConversions:
-    """Conversions copy once and work in place: the bits of np.diff and
-    np.cumsum, and the input table untouched."""
+    """Conversions write the first source axis into a new array and convert
+    the later ones in place: the bits of np.diff and np.cumsum, and the input
+    table untouched."""
 
     ROLES = ("s", "t", "s", "s", "t")
 
@@ -501,6 +534,26 @@ class TestInPlaceConversions:
         assert np.array_equal(_bits(cum.values), _bits(before_cum))
         assert np.array_equal(_bits(diff.values), _bits(before_diff))
 
+    @pytest.mark.parametrize("kind", ["read-only", "no source axis", "non-contiguous"])
+    def test_input_kinds(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "read-only":
+            roles, vals = self.ROLES, rng.random((6,) * len(self.ROLES))
+            vals.setflags(write=False)
+        elif kind == "no source axis":
+            roles, vals = ("t", "t"), rng.random((6, 6))
+        else:
+            roles, vals = ("s", "t", "s"), rng.random((6, 6, 6)).transpose(2, 0, 1)
+        table = StaircaseTable(GridSpec(5, 1.0), tuple(enumerate(roles)), vals)
+        src = [ax for ax, r in enumerate(roles) if r == "s"]
+        before = vals.copy()
+        for got, want in ((table.to_difference(), self._np_difference(vals, src)),
+                          (table.to_cumulative(), self._np_cumulative(vals, src))):
+            assert np.array_equal(_bits(got.values), _bits(want))
+            assert got.values.flags.c_contiguous and got.values.flags.writeable
+            assert not np.shares_memory(got.values, vals)
+        assert np.array_equal(_bits(vals), _bits(before))
+
     def test_merge_leaves_operands_unchanged(self):
         from stochlp.decomposition import prepare_context
 
@@ -551,6 +604,58 @@ class TestInPlaceConversions:
         assert lam.values.ndim == 5
         ratio = peak / lam.values.nbytes
         assert ratio <= 2.2, f"build plus difference peaked at {ratio:.2f}x the table"
+
+
+def _random_series_parallel(seed: int, n: int) -> Dag:
+    """A random two-terminal series-parallel DAG (a partial 2-tree) on n
+    vertices: each new vertex subdivides an edge or adds a two-edge path
+    beside it.  Uniform edges of scale 1-3, ids in topological order."""
+    rng = random.Random(seed)
+    edges = [(0, 1)]
+    for w in range(2, n):
+        u, v = edges[rng.randrange(len(edges))]
+        if rng.random() < 0.5:
+            edges.remove((u, v))
+        edges += [(u, w), (w, v)]
+    order, indeg = [], {v: sum(1 for _, b in edges if b == v) for v in range(n)}
+    ready = [v for v in range(n) if indeg[v] == 0]
+    while ready:
+        u = ready.pop()
+        order.append(u)
+        for a, b in edges:
+            if a == u:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    ready.append(b)
+    pos = {v: k for k, v in enumerate(order)}
+    return Dag(n=n, edges=tuple((pos[u], pos[v], DistSpec.uniform(rng.randint(1, 3)))
+                                for u, v in sorted(edges)))
+
+
+def _reversed(g: Dag) -> Dag:
+    """Every edge turned around, vertex v renamed n-1-v (a topological order)."""
+    return Dag(n=g.n, edges=tuple((g.n - 1 - v, g.n - 1 - u, d) for u, v, d in g.edges))
+
+
+class TestReversedDag:
+    """The longest path of the reversed DAG has the same law, so the grid
+    value on it keeps the criterion-4 sandwich against the exact value:
+    F(x) <= v <= F(x (1 + (w+1) n* / M))."""
+
+    def test_sandwich_on_reversed_series_parallel(self):
+        checks = 0
+        for seed in range(8):
+            g = _reversed(_random_series_parallel(seed, 4 + seed % 4))
+            amax = sum(d.scale for _, _, d in g.edges)
+            for x in (amax * 0.17, amax * 0.29):
+                for M in (8, 16):
+                    v, rep = approx_dag(g, None, x, m_override=M)
+                    lo = float(series_parallel_exact(g, Fraction(x)))
+                    infl = x * (1 + (rep.separated_width + 1) * rep.separated_n / M)
+                    hi = float(series_parallel_exact(g, Fraction(infl)))
+                    assert lo - 1e-12 <= v <= hi + 1e-12, (seed, x, M, lo, v, hi)
+                    checks += 1
+        assert checks == 32
 
 
 def _full_table_value(ctx, grid, budget):
