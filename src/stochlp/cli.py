@@ -222,7 +222,7 @@ def _run(args) -> dict:
                        elapsed_ms=rep.elapsed_ms)
     if args.command == "mc":
         x = _float_x(args.x)
-        est, stderr = monte_carlo(g, x, args.samples, args.seed)
+        est, stderr = monte_carlo(g, x, args.samples, args.seed, Budget.default())
         return _record(args, estimate=est, stderr=stderr,
                        guarantee={"kind": "statistical", "stderr": stderr})
     if args.command == "bracket":

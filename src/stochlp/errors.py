@@ -85,9 +85,10 @@ class Budget:
     """Mutable resource accounting for one solver run.
 
     ``max_cells`` bounds grid-corner evaluations (FPTAS and Riemann
-    bracketing); ``max_regions``/``max_terms`` bound the symbolic calculus and
-    ``max_work`` its term-combination work.  The STOCHLP_BUDGET environment
-    variable, when set, overrides all four in ``Budget.default``.
+    bracketing) and Monte Carlo samples; ``max_regions``/``max_terms`` bound
+    the symbolic calculus and ``max_work`` its term-combination work.  The
+    STOCHLP_BUDGET environment variable, when set, overrides all four in
+    ``Budget.default``.
     """
 
     max_cells: int = _DEFAULT_MAX_CELLS
@@ -134,7 +135,7 @@ class Budget:
         if self.cells_used > self.max_cells:
             raise BudgetExceeded(
                 f"cell budget exceeded: {self.cells_used} > {self.max_cells} "
-                f"corner evaluations; raise --max-cells or shrink M"
+                f"corner evaluations or samples; raise --max-cells or shrink M or --samples"
             )
 
     def note_regions(self, count: int) -> None:

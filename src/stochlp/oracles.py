@@ -1,27 +1,30 @@
 """Independent ground-truth generators: Monte Carlo estimation, rigorous
 Riemann volume brackets for the uniform case, exact series-parallel
-composition (piecewise polynomials for uniform lengths, symbolic
-polynomial-exponential sums for exponential lengths), and the closed form for
-unit-uniform chains.
+composition, and the closed form for unit-uniform chains.
 
 These paths deliberately share no code with the tree-decomposition solvers:
 the bracket evaluates whole-graph longest paths per grid corner, and the
-series-parallel composer works by graph reduction.
+series-parallel composer works by graph reduction over its own algebra of
+exact terms c (t - a)_+^j e^(-q (t - a)): parallel edges multiply their
+distribution functions, series edges convolve one's density with the other's
+distribution function in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, Mapping
 
+import mpmath
 import numpy as np
+from mpmath.ctx_iv import MPIntervalContext
 
-from .errors import Budget, InputError, NotSeriesParallelError, finite_horizon
+from .errors import (Budget, BudgetExceeded, InputError, InvariantViolation,
+                     NotSeriesParallelError, finite_horizon)
 from .graph import Dag, DistKind, static_longest_path
-from . import symbolic as sy
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
@@ -51,16 +54,20 @@ def _count_at_most(best, x: float, size: int) -> int:
     return int(np.count_nonzero(np.broadcast_to(best <= x, size)))
 
 
-def monte_carlo(g: Dag, x: float, samples: int, seed: int = 0) -> tuple[float, float]:
+def monte_carlo(g: Dag, x: float, samples: int, seed: int = 0,
+                budget: Budget | None = None) -> tuple[float, float]:
     """Estimate Pr[longest path length <= x] by direct simulation.
 
     Deterministic given the seed: a counter-based generator is keyed by
     (seed, chunk index) over fixed-size chunks, so the result is independent
-    of any surrounding parallelism.
+    of any surrounding parallelism.  With a ``budget``, each sample is charged
+    as one cell before any is drawn.
     """
     finite_horizon(x)
     if samples < 1:
         raise InputError("need at least one sample")
+    if budget is not None:
+        budget.charge_cells(samples)
     samplers = [_sampler_for(d) for _, _, d in g.edges]
     hits = 0
     done = 0
@@ -161,205 +168,139 @@ def irwin_hall(m: int, x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise polynomials (uniform series-parallel algebra)
+# Truncated-power terms (series-parallel algebra)
 
 
 @dataclass(frozen=True)
 class PiecewisePoly:
-    """Piecewise polynomial on [breaks[0], inf), zero below breaks[0].
+    """A function of t as a sum of exact terms c (t - a)_+^j e^(-q (t - a)),
+    held as ``terms[(a, j, q)] = c`` with c a nonzero ``Fraction``.
 
-    ``polys[i]`` holds coefficients (ascending powers) on
-    [breaks[i], breaks[i+1]); the last entry extends to infinity.
+    A uniform edge of range a is (t)_+/a - (t - a)_+/a, and uniform
+    compositions keep q = 0: piecewise polynomials with breaks at the shifts
+    a.  An Exp(1) edge is (t)_+^0 - (t)_+^0 e^(-t), and exponential
+    compositions keep a = 0.
     """
 
-    breaks: tuple[Fraction, ...]
-    polys: tuple[tuple[Fraction, ...], ...]
+    terms: Mapping[tuple, Fraction]
 
-    def __post_init__(self) -> None:
-        if len(self.breaks) != len(self.polys) or not self.breaks:
-            raise InputError("breaks and polys must align")
-        if list(self.breaks) != sorted(set(self.breaks)):
-            raise InputError("breaks must strictly increase")
-
-    def __call__(self, t) -> Fraction:
+    def __call__(self, t) -> Fraction | float:
+        """The value at t from the terms with a < t, their rational
+        coefficients grouped by the exponent q (t - a): the exact
+        ``Fraction`` when every exponent is 0, else the correctly rounded
+        float."""
         tq = Fraction(t)
-        if tq < self.breaks[0]:
-            return Fraction(0)
-        i = bisect_right(self.breaks, tq) - 1
-        return _poly_eval(self.polys[i], tq)
-
-    def support_end(self) -> Fraction:
-        """First point after which the function is constant (requires a
-        constant tail piece)."""
-        tail = _poly_trim(self.polys[-1])
-        if len(tail) > 1:
-            raise InputError("unbounded final piece")
-        return self.breaks[-1]
+        groups = _collect((q * (tq - a), c * (tq - a) ** j)
+                          for (a, j, q), c in self.terms.items() if a < tq)
+        if set(groups) <= {0}:
+            return Fraction(groups.get(0, 0))
+        return _rounded_exp_sum(groups)
 
     def derivative(self) -> "PiecewisePoly":
-        return PiecewisePoly(self.breaks, tuple(_poly_deriv(p) for p in self.polys))
+        """Termwise derivative; ``InvariantViolation`` when the function
+        jumps, i.e. when its j = 0 coefficients at some shift a do not sum
+        to 0."""
+        jumps = _collect((a, c) for (a, j, _), c in self.terms.items() if not j)
+        if jumps:
+            raise InvariantViolation(f"a distribution function jumps at {sorted(jumps)}")
+        return PiecewisePoly(_collect(
+            [((a, j - 1, q), j * c) for (a, j, q), c in self.terms.items() if j]
+            + [((a, j, q), -q * c) for (a, j, q), c in self.terms.items() if q]))
 
     def product(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        cuts = sorted(set(self.breaks) | set(other.breaks))
-        pieces = []
-        kept = []
-        for i, b in enumerate(cuts):
-            probe = b if i == len(cuts) - 1 else (b + cuts[i + 1]) / 2
-            pa = self._piece_at(probe)
-            pb = other._piece_at(probe)
-            pieces.append(_poly_trim(_poly_mul(pa, pb)))
-            kept.append(b)
-        return PiecewisePoly(tuple(kept), tuple(tuple(p) for p in pieces))
+        """Pointwise product: of two terms, the one with the smaller shift a
+        is rewritten around the larger b by
+        (t - a)^i = sum_l C(i, l) (b - a)^(i - l) (t - b)^l."""
+        def pairs():
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    (a, i, p), (b, j, q) = sorted((k1, k2))
+                    if p and a != b:
+                        raise InvariantViolation("exponential terms at different shifts")
+                    for l in range(i + 1) if a != b else (i,):
+                        yield (b, j + l, p + q), c1 * c2 * math.comb(i, l) * (b - a) ** (i - l)
 
-    def _piece_at(self, t: Fraction) -> tuple[Fraction, ...]:
-        if t < self.breaks[0]:
-            return (Fraction(0),)
-        return self.polys[bisect_right(self.breaks, t) - 1]
+        return PiecewisePoly(_collect(pairs()))
 
 
-def _poly_eval(p: Sequence[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(tuple(p)):
-        acc = acc * t + c
-    return acc
-
-
-def _poly_trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = list(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out) if out else (Fraction(0),)
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _poly_deriv(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return _poly_trim(tuple(c * i for i, c in enumerate(p) if i >= 1))
-
-
-def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    )
+def _collect(pairs) -> dict:
+    """The sums of the coefficients of (key, coefficient) pairs by key, the
+    zero sums dropped."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 def uniform_cdf_poly(scale: int) -> PiecewisePoly:
     a = Fraction(scale)
-    return PiecewisePoly(
-        breaks=(Fraction(0), a),
-        polys=((Fraction(0), 1 / a), (Fraction(1),)),
-    )
+    return PiecewisePoly({(0, 1, 0): 1 / a, (scale, 1, 0): -1 / a})
+
+
+_EXP_CDF = PiecewisePoly({(0, 0, 0): Fraction(1), (0, 0, 1): Fraction(-1)})
 
 
 def convolve_density_cdf(f: PiecewisePoly, G: PiecewisePoly) -> PiecewisePoly:
-    """CDF of a sum: integral of f(s) G(t - s) ds, exact rationals.
+    """Distribution function of a sum: the convolution of the density ``f``
+    with the distribution function ``G``, terms at shifts a and b giving
+    terms at a + b."""
+    return PiecewisePoly(_collect(((a + b, n, r), c1 * c2 * c)
+                                  for (a, i, p), c1 in f.terms.items()
+                                  for (b, j, q), c2 in G.terms.items()
+                                  for (n, r), c in _convolved(i, p, j, q)))
 
-    ``f`` is a density with bounded support; ``G`` any piecewise polynomial
-    that is 0 below its first break.
-    """
-    a = list(f.breaks)
-    c = list(G.breaks)
-    f.support_end()
-    cand = sorted({ai + cj for ai in a for cj in c})
-    pieces: list[tuple[Fraction, ...]] = []
-    for idx in range(len(cand)):
-        lo_t = cand[idx]
-        hi_t = cand[idx + 1] if idx + 1 < len(cand) else lo_t + 1
-        tm = (lo_t + hi_t) / 2
-        total: tuple[Fraction, ...] = (Fraction(0),)
-        for i in range(len(a) - 1):
-            fi = f.polys[i]
-            if _poly_trim(fi) == (Fraction(0),):
+
+# exp ladders up to 16 diamonds and uniform-mixed ones up to 6 need about 500
+# distinct (i, p, j, q)
+@lru_cache(maxsize=4096)
+def _convolved(i: int, p, j: int, q) -> tuple[tuple[tuple, Fraction], ...]:
+    """u_+^i e^(-p u) convolved with u_+^j e^(-q u), as ((power, rate),
+    coefficient) pairs: at T > 0, the integral over [0, T] of
+    u^i e^(-p u) (T - u)^j e^(-q (T - u)) du.  (T - u)^j is expanded
+    binomially, and with c = p - q the integral of u^n e^(-c u) over [0, T]
+    is T^(n+1)/(n+1) when c = 0, else
+    n!/c^(n+1) (1 - e^(-c T) sum_(k <= n) (c T)^k/k!)."""
+    c = Fraction(p - q)
+
+    def pairs():
+        for k in range(j + 1):
+            # T^(j-k) e^(-q T) times (-1)^k C(j, k) u^n, n = i + k
+            w = Fraction((-1) ** k * math.comb(j, k))
+            n = i + k
+            if not c:
+                yield (j - k + n + 1, q), w / (n + 1)
                 continue
-            for j in range(len(c)):
-                gj = G.polys[j]
-                if _poly_trim(gj) == (Fraction(0),):
-                    continue
-                # s range where both pieces apply: [a_i, a_{i+1}) and
-                # t - s in [c_j, c_{j+1})
-                s_lo_c = a[i]
-                s_hi_c = a[i + 1]
-                # bounds linear in t: s <= t - c_j, s > t - c_{j+1}
-                lin_hi = c[j]
-                lin_lo = c[j + 1] if j + 1 < len(c) else None
-                lo_is_lin = lin_lo is not None and (tm - lin_lo) > s_lo_c
-                hi_is_lin = (tm - lin_hi) < s_hi_c
-                lo_val = (tm - lin_lo) if lo_is_lin else s_lo_c
-                hi_val = (tm - lin_hi) if hi_is_lin else s_hi_c
-                if lo_val >= hi_val:
-                    continue
-                # integrand f_i(s) * g_j(t - s): polynomial in s whose
-                # coefficients are polynomials in t
-                integrand = _st_mul(
-                    [(k, (coeff,)) for k, coeff in enumerate(fi) if coeff != 0],
-                    _compose_t_minus_s(gj),
-                )
-                anti = _st_integ_s(integrand)
-                hi_poly = _st_eval_s(anti, (-lin_hi, Fraction(1)) if hi_is_lin else (hi_val,))
-                lo_poly = _st_eval_s(anti, (-lin_lo, Fraction(1)) if lo_is_lin else (lo_val,))
-                total = _poly_add(total, _poly_add(hi_poly, tuple(-q for q in lo_poly)))
-        pieces.append(_poly_trim(total))
-    return PiecewisePoly(tuple(cand), tuple(pieces))
+            w *= math.factorial(n) / c ** (n + 1)
+            yield (j - k, q), w
+            for m in range(n + 1):
+                yield (j - k + m, p), -w * c**m / math.factorial(m)
+
+    return tuple(_collect(pairs()).items())
 
 
-# polynomials in s with coefficients polynomial in t: list of (s-power, t-poly)
-STPoly = list[tuple[int, tuple[Fraction, ...]]]
+# interval sums start at _EXP_PREC bits and double up to _EXP_MAX_PREC
+_EXP_PREC = 128
+_EXP_MAX_PREC = 1 << 16
 
 
-def _compose_t_minus_s(g: Sequence[Fraction]) -> STPoly:
-    """g(t - s) expanded as a polynomial in s with t-polynomial coefficients."""
-    acc: dict[int, tuple[Fraction, ...]] = {}
-    # (t - s)^l via iterated multiplication
-    cur: dict[int, tuple[Fraction, ...]] = {0: (Fraction(1),)}
-    for l, coeff in enumerate(g):
-        if l > 0:
-            nxt: dict[int, tuple[Fraction, ...]] = {}
-            for sp, tp in cur.items():
-                # multiply by t
-                nxt[sp] = _poly_add(nxt.get(sp, (Fraction(0),)), (Fraction(0),) + tuple(tp))
-                # multiply by -s
-                nxt[sp + 1] = _poly_add(nxt.get(sp + 1, (Fraction(0),)), tuple(-q for q in tp))
-            cur = nxt
-        if coeff != 0:
-            for sp, tp in cur.items():
-                acc[sp] = _poly_add(acc.get(sp, (Fraction(0),)), tuple(coeff * q for q in tp))
-    return sorted(acc.items())
-
-
-def _st_mul(a: STPoly, b: STPoly) -> STPoly:
-    acc: dict[int, tuple[Fraction, ...]] = {}
-    for pa, ta in a:
-        for pb, tb in b:
-            acc[pa + pb] = _poly_add(acc.get(pa + pb, (Fraction(0),)), _poly_mul(ta, tb))
-    return sorted(acc.items())
-
-
-def _st_integ_s(a: STPoly) -> STPoly:
-    return [(p + 1, tuple(q / (p + 1) for q in tp)) for p, tp in a]
-
-
-def _st_eval_s(a: STPoly, bound: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Evaluate at s = bound (constant (c,) or linear (alpha, beta) in t)."""
-    total: tuple[Fraction, ...] = (Fraction(0),)
-    power: tuple[Fraction, ...] = (Fraction(1),)
-    by_power = dict(a)
-    top = max(by_power) if by_power else 0
-    for p in range(top + 1):
-        if p:
-            power = _poly_mul(power, bound)
-        if p in by_power:
-            total = _poly_add(total, _poly_mul(by_power[p], power))
-    return _poly_trim(total)
+def _rounded_exp_sum(groups: Mapping[Fraction, Fraction]) -> float:
+    """The sum of c e^(-g) over ``groups`` {g: c}, correctly rounded: the
+    groups can cancel almost completely, so the interval sum is repeated at
+    twice the precision until both of its ends round to the same float (0.0
+    when the value underflows)."""
+    iv = MPIntervalContext()
+    iv.prec = _EXP_PREC
+    while iv.prec <= _EXP_MAX_PREC:
+        total = iv.mpf(0)
+        for g, c in groups.items():
+            e = iv.exp(iv.mpf(-g.numerator) / g.denominator)
+            total += iv.mpf(c.numerator) / c.denominator * e
+        # float() of an interval end does not round to nearest; an mpf does
+        lo, hi = (float(mpmath.mpf(end)) for end in (total.a, total.b))
+        if lo == hi:
+            return lo or 0.0
+        iv.prec *= 2
+    raise BudgetExceeded(f"series-parallel value: the groups cancel beyond {_EXP_MAX_PREC} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -414,60 +355,16 @@ def _sp_reduce(g: Dag, series, parallel, leaf):
 
 def series_parallel_exact(g: Dag, x) -> Fraction | float:
     """Exact Pr[longest path length <= x] for two-terminal series-parallel
-    graphs with homogeneous uniform or exponential edges.
-
-    Uniform: exact rational (piecewise polynomial composition).
-    Exponential: float from the symbolic polynomial-exponential composition.
-    """
+    graphs with homogeneous uniform or exponential edges, by composing the
+    edges' truncated-power distribution functions: a ``Fraction`` for
+    uniform edges, the correctly rounded float for exponential ones."""
     finite_horizon(x)
     kinds = g.kinds()
-    if kinds <= {DistKind.UNIFORM}:
-        def leaf(d):
-            return uniform_cdf_poly(d.scale)
-
-        def series(F1, F2, _w):
-            return convolve_density_cdf(F1.derivative(), F2)
-
-        def parallel(F1, F2):
-            return F1.product(F2)
-
-        cdf = _sp_reduce(g, series, parallel, leaf)
-        return cdf(Fraction(x))
-    if kinds <= {DistKind.EXPONENTIAL}:
-        sources = sorted(g.sources)
-        terminals = sorted(g.terminals)
-
-        def leaf(d):
-            del d
-
-            def factory(a: int, b: int) -> sy.SymbolicSum:
-                return _exp_cdf_sum(a, b)
-
-            return factory
-
-        def series(F1, F2, w):
-            def factory(a: int, b: int) -> sy.SymbolicSum:
-                left = sy.differentiate(F1(a, w), a)
-                prod = sy.multiply(left, F2(w, b))
-                return sy.integrate_out(prod, w)
-
-            return factory
-
-        def parallel(F1, F2):
-            def factory(a: int, b: int) -> sy.SymbolicSum:
-                return sy.multiply(F1(a, b), F2(a, b))
-
-            return factory
-
-        factory = _sp_reduce(g, series, parallel, leaf)
-        cdf = factory(sources[0], terminals[0])
-        cdf = sy.substitute(cdf, sources[0], Fraction(x))
-        cdf = sy.substitute(cdf, terminals[0], Fraction(0))
-        return sy.evaluate(cdf)[0]
-    raise InputError("series-parallel oracle supports uniform or exponential edges")
-
-
-def _exp_cdf_sum(a: int, b: int) -> sy.SymbolicSum:
-    guard = sy.SymbolicSum.guard(sy.var_atom(b), sy.var_atom(a))
-    payload = sy.SymbolicSum.const(1) - sy.SymbolicSum.term(1, exps={a: -1, b: 1})
-    return sy.multiply(guard, payload)
+    uniform = kinds <= {DistKind.UNIFORM}
+    if not uniform and not kinds <= {DistKind.EXPONENTIAL}:
+        raise InputError("series-parallel oracle supports uniform or exponential edges")
+    cdf = _sp_reduce(g, lambda F1, F2, _w: convolve_density_cdf(F1.derivative(), F2),
+                     PiecewisePoly.product,
+                     lambda d: uniform_cdf_poly(d.scale) if uniform else _EXP_CDF)
+    value = cdf(Fraction(x))
+    return value if uniform else float(value)

@@ -155,12 +155,16 @@ def finite_difference(table: StaircaseTable) -> StaircaseTable:
     return table.to_difference()
 
 
+def _checked_epsilon(epsilon: float) -> float:
+    if not 0 < epsilon < math.inf:  # also rejects NaN
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
+    return epsilon
+
+
 def choose_M(k: int, n: int, m: int, epsilon: float) -> int:
     """Grid resolution from the approximation-ratio formula, with the ratio
     target clamped into (0, 1]."""
-    if not 0 < epsilon < math.inf:  # also rejects NaN
-        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
-    eps = min(float(epsilon), 1.0)
+    eps = min(float(_checked_epsilon(epsilon)), 1.0)
     M = math.ceil(Fraction((6 * k + 6) * m * n) / Fraction(eps))
     if M > 2**53:
         raise InputError(f"grid resolution M={M} exceeds the representable range")
@@ -515,6 +519,8 @@ def approx_dag(
     g.require_homogeneous(DistKind.UNIFORM)
     if epsilon is None and m_override is None:
         raise InputError("need either epsilon or an explicit grid resolution")
+    if epsilon is not None:
+        _checked_epsilon(epsilon)
     x = finite_horizon(x)
     t0 = time.perf_counter()
     budget = budget or Budget.default()

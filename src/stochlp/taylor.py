@@ -17,7 +17,7 @@ import numpy as np
 from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition,
                             by_shape, prepare_context, solve)
 from .density import BagDensity, build_bag_density, describe_sum, merge_bag, poly_edge_factor
-from .errors import Budget, InputError, finite_horizon
+from .errors import Budget, BudgetExceeded, InputError, finite_horizon
 from .graph import Dag, DistKind
 from .symbolic import SymbolicSum, evaluate, truncate_total_degree
 
@@ -210,6 +210,11 @@ def approx_taylor(
             raise InputError(
                 f"formula tau={tau} is infeasible (about {est} monomials); supply --tau"
             )
+    # one edge factor's expansion alone has (tau+1)(tau+2)/2 monomials
+    factor_terms = (tau + 1) * (tau + 2) // 2
+    if factor_terms > budget.max_terms:
+        raise BudgetExceeded(f"tau={tau} gives {factor_terms} monomials per edge factor "
+                             f"> {budget.max_terms} symbolic terms")
     for orc in oracles:
         check_oracle(orc, xf, tau)
 

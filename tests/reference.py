@@ -4,6 +4,7 @@ solvers, oracles and CLI never call.
 ``classify_subgraph_vertices`` is the role rule that
 ``stochlp.decomposition._roles`` restates from edge counts;
 ``enumerate_st_paths`` lists every source-terminal path of a small graph;
+``random_series_parallel`` draws a small two-terminal series-parallel DAG;
 ``bag_cell_count`` counts one bag's cells at a single shift vector, snapped
 onto the grid with ``snap``; ``approx_dag_unshared`` and
 ``exact_exp_unshared`` are the grid and exact-exponential sweeps that build
@@ -45,8 +46,8 @@ from stochlp.density import (BagDensity, FactorFn, Pending, _phi_union, describe
 from stochlp.errors import (Budget, DivergentIntegral, InputError, InvariantViolation,
                             StochLPError)
 from stochlp.exactexp import ExactExpReport, bag_density_exp
-from stochlp.graph import Dag, DistKind
-from stochlp.oracles import PiecewisePoly, _poly_eval, _poly_trim
+from stochlp.graph import Dag, DistKind, DistSpec
+from stochlp.oracles import PiecewisePoly
 from stochlp.staircase import (SRC, TERM, GridSpec, _bag_threshold_rows, accumulate,
                                bag_staircase, merge_subtree)
 from stochlp.symbolic import (
@@ -160,6 +161,32 @@ def enumerate_st_paths(g: Dag, limit: int = 10_000) -> list[tuple[int, ...]]:
     return paths
 
 
+def random_series_parallel(seed: int, n: int) -> Dag:
+    """A random two-terminal series-parallel DAG (a partial 2-tree) on n
+    vertices: each new vertex subdivides an edge or adds a two-edge path
+    beside it.  Uniform edges of scale 1-3, ids in topological order."""
+    rng = random.Random(seed)
+    edges = [(0, 1)]
+    for w in range(2, n):
+        u, v = edges[rng.randrange(len(edges))]
+        if rng.random() < 0.5:
+            edges.remove((u, v))
+        edges += [(u, w), (w, v)]
+    order, indeg = [], {v: sum(1 for _, b in edges if b == v) for v in range(n)}
+    ready = [v for v in range(n) if indeg[v] == 0]
+    while ready:
+        u = ready.pop()
+        order.append(u)
+        for a, b in edges:
+            if a == u:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    ready.append(b)
+    pos = {v: k for k, v in enumerate(order)}
+    return Dag(n=n, edges=tuple((pos[u], pos[v], DistSpec.uniform(rng.randint(1, 3)))
+                                for u, v in sorted(edges)))
+
+
 def snap(grid: GridSpec, vertex_role: str, z: float) -> int:
     """Grid rounding: ceil for source shifts, floor for terminal shifts,
     computed in exact rational arithmetic (no epsilon nudging)."""
@@ -257,15 +284,17 @@ def max_total_degree(s: SymbolicSum) -> int:
 
 
 def mass(p: PiecewisePoly) -> Fraction:
-    """Total integral of a density with bounded support."""
-    p.support_end()
-    if _poly_trim(p.polys[-1]) not in ((), (Fraction(0),)):
-        raise InputError("density must vanish beyond its last break")
-    total = Fraction(0)
-    for i in range(len(p.breaks) - 1):
-        anti = (Fraction(0),) + tuple(c / (j + 1) for j, c in enumerate(p.polys[i]))
-        total += _poly_eval(anti, p.breaks[i + 1]) - _poly_eval(anti, p.breaks[i])
-    return total
+    """Total integral of a polynomial density with bounded support: its
+    antiderivative at the last shift, once the density is checked to vanish
+    beyond it (at one more point than its degree)."""
+    if any(q for _, _, q in p.terms):
+        raise InputError("density must be piecewise polynomial")
+    end = max(a for a, _, _ in p.terms)
+    top = max(j for _, j, _ in p.terms)
+    if any(p(end + k) for k in range(1, top + 2)):
+        raise InputError("density must vanish beyond its last shift")
+    return sum((c * Fraction(end - a) ** (j + 1) / (j + 1)
+                for (a, j, _), c in p.terms.items()), Fraction(0))
 
 
 def _merge_pow(p1, p2):

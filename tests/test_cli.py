@@ -72,6 +72,26 @@ class TestDispatch:
         assert rc == 2
         assert json.loads(out)["kind"] == "budget"
 
+    def test_mc_samples_charged_before_sampling(self, chain_files, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr("stochlp.oracles._sampler_for", no_sampling)
+        g, _ = chain_files
+        rc, out, _ = run(["mc", "--graph", g, "--x", "1", "--samples", "100000000000"])
+        assert rc == 2 and json.loads(out)["kind"] == "budget"
+
+    @pytest.mark.parametrize("tau", ["100000", "100000000000"])
+    def test_explicit_tau_checked_before_expansion(self, tmp_path, monkeypatch, tau):
+        def no_bag(*args, **kwargs):
+            raise AssertionError("built a bag density")
+
+        monkeypatch.setattr("stochlp.taylor.bag_taylor", no_bag)
+        p = tmp_path / "o.txt"
+        p.write_text("2 1\n1 2 oracle expcdf\n")
+        rc, out, err = run(["taylor", "--graph", str(p), "--x", "1", "--tau", tau])
+        assert rc == 2 and json.loads(out)["kind"] == "budget" and f"tau={tau}" in err
+
     def test_missing_file(self):
         rc, _, err = run(["mc", "--graph", "/nonexistent", "--x", "1"])
         assert rc == 1 and "cannot read" in err
@@ -112,6 +132,11 @@ class TestDispatch:
         ["taylor", "--tau", "-1"],
         ["taylor", "--tau", "-2"],
         ["approx", "--epsilon", "inf"],
+        # an explicit grid skips the formula, but a given epsilon is still checked
+        ["approx", "--grid-m", "8", "--epsilon", "-1"],
+        ["approx", "--grid-m", "8", "--epsilon", "0"],
+        ["approx", "--grid-m", "8", "--epsilon", "nan"],
+        ["approx", "--grid-m", "8", "--epsilon", "inf"],
     ])
     def test_bad_solver_parameter_is_input_error(self, tmp_path, argv):
         command, *flags = argv

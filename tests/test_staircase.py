@@ -34,7 +34,7 @@ from stochlp.exactexp import exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw, generate
 from conftest import assert_shared_report, single_bag_context
 from reference import (approx_dag_unshared, bag_cell_count, bag_shape, exact_exp_unshared,
-                       unique_rows)
+                       random_series_parallel, unique_rows)
 
 
 def one_edge_ctx(scale: int = 1):
@@ -606,32 +606,6 @@ class TestInPlaceConversions:
         assert ratio <= 2.2, f"build plus difference peaked at {ratio:.2f}x the table"
 
 
-def _random_series_parallel(seed: int, n: int) -> Dag:
-    """A random two-terminal series-parallel DAG (a partial 2-tree) on n
-    vertices: each new vertex subdivides an edge or adds a two-edge path
-    beside it.  Uniform edges of scale 1-3, ids in topological order."""
-    rng = random.Random(seed)
-    edges = [(0, 1)]
-    for w in range(2, n):
-        u, v = edges[rng.randrange(len(edges))]
-        if rng.random() < 0.5:
-            edges.remove((u, v))
-        edges += [(u, w), (w, v)]
-    order, indeg = [], {v: sum(1 for _, b in edges if b == v) for v in range(n)}
-    ready = [v for v in range(n) if indeg[v] == 0]
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        for a, b in edges:
-            if a == u:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-    pos = {v: k for k, v in enumerate(order)}
-    return Dag(n=n, edges=tuple((pos[u], pos[v], DistSpec.uniform(rng.randint(1, 3)))
-                                for u, v in sorted(edges)))
-
-
 def _reversed(g: Dag) -> Dag:
     """Every edge turned around, vertex v renamed n-1-v (a topological order)."""
     return Dag(n=g.n, edges=tuple((g.n - 1 - v, g.n - 1 - u, d) for u, v, d in g.edges))
@@ -645,7 +619,7 @@ class TestReversedDag:
     def test_sandwich_on_reversed_series_parallel(self):
         checks = 0
         for seed in range(8):
-            g = _reversed(_random_series_parallel(seed, 4 + seed % 4))
+            g = _reversed(random_series_parallel(seed, 4 + seed % 4))
             amax = sum(d.scale for _, _, d in g.edges)
             for x in (amax * 0.17, amax * 0.29):
                 for M in (8, 16):
