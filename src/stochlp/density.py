@@ -2,9 +2,10 @@
 construction from the repeated-integral formula, and the subtree merge that
 contracts glue variables and freezes variables leaving scope.
 
-Zero-length edges contribute pure step factors whose differentiated point
-masses are carried as pending substitution pairs (a, b), meaning a delta
-factor delta(z_a - z_b).  Such pairs are consumed either when one of their
+Every edge factor comes from the solver's ``factor``, the step of a
+zero-length edge included; its differentiated point masses are carried as
+pending substitution pairs (a, b), meaning a delta factor delta(z_a - z_b).
+Such pairs are consumed either when one of their
 variables is eliminated inside its own bag or at that bag's merge; they never
 survive past it.
 """
@@ -60,8 +61,9 @@ def exp_edge_factor(u: int, v: int) -> SymbolicSum:
     return multiply(guard, payload)
 
 
-def poly_edge_factor(u: int, v: int, coeffs: Sequence[Fraction]) -> SymbolicSum:
-    """H(z_u - z_v) * P(z_u - z_v) with P given by coefficients of t^j,
+def poly_edge_factor(u: int, v: int, coeffs: Sequence[Fraction], x: Fraction) -> SymbolicSum:
+    """P(z_u - z_v) on the guard chain 0 < z_v < z_u < x, the only support
+    where P, given by coefficients of t^j, stands for the distribution;
     expanded binomially into the two variables."""
     terms: dict = {}
     for j, c in enumerate(coeffs):
@@ -79,8 +81,8 @@ def poly_edge_factor(u: int, v: int, coeffs: Sequence[Fraction]) -> SymbolicSum:
             old = terms.get(k)
             terms[k] = coeff if old is None else old + coeff
             binom = binom * (j - i) // (i + 1)
-    payload = SymbolicSum({(): terms})
-    return multiply(SymbolicSum.guard(var_atom(v), var_atom(u)), payload)
+    support = SymbolicSum.term(1, chain=(ZERO_ATOM, var_atom(v), var_atom(u), const_atom(x)))
+    return multiply(support, SymbolicSum({(): terms}))
 
 
 def build_bag_density(
@@ -116,7 +118,7 @@ def build_bag_density(
             group = multiply(group, factor(u, v), budget=budget)
         full = group
         for v in zero_targets:
-            full = multiply(full, SymbolicSum.guard(var_atom(v), var_atom(u)), budget=budget)
+            full = multiply(full, factor(u, v), budget=budget)
         ordinary = differentiate(full, u)
 
         new: dict[frozenset[Pending], SymbolicSum] = {}
@@ -179,23 +181,25 @@ def merge_bag(
 
     Each part eliminates before the product, on each factor holding the
     variable: pending pairs a -> b in sorted order (a frozen source a adds
-    the guard b < x, and 0 < b in Taylor mode), then frozen terminals at 0.
-    The product integrates out the glue (over [0, x], truncated to
-    ``taylor_tau`` after each, in Taylor mode), then the other frozen sources
-    up to x.  No value moves: substitution distributes over a product, a
-    guard commutes with it, and ``substitute`` breaks ties alike on both.
+    the guard b < x), then frozen terminals at 0.  The product integrates
+    out the glue, then the other frozen sources up to x, each integration
+    truncated to total degree ``taylor_tau`` in Taylor mode; the Taylor edge
+    factors carry their [0, x] support, so the merge adds no guard of its
+    own.  No value moves: substitution distributes over a product, a guard
+    commutes with it, and ``substitute`` breaks ties alike on both.
 
     Every ``cumulate`` integrates its dummy out before it returns, so all of
     them share the id ``ctx.dag.n + 1``, which sorts after every real one.
     """
-    taylor = taylor_tau is not None
     kept, frozen_src, frozen_term = ctx.kept[i], ctx.frozen_S[i], ctx.frozen_T[i]
     J = ctx.J[i]
     x_atom = const_atom(x)
-    lower = ZERO_ATOM if taylor else None
     dummy = ctx.dag.n + 1
 
-    phi_u = _phi_union(ctx, i, child_sums, taylor, budget)
+    def truncated(s: SymbolicSum) -> SymbolicSum:
+        return s if taylor_tau is None else truncate_total_degree(s, taylor_tau)
+
+    phi_u = _phi_union(ctx, i, child_sums, budget)
 
     # sources shared between the bag and the uncapped subtree: both operands
     # are densities in them, so switch to distribution functions first and
@@ -205,7 +209,7 @@ def merge_bag(
     if shared and phi_u is not None:
         for s in shared:
             if s in phi_u.free_vars():
-                phi_u = cumulate(phi_u, s, dummy, lower=lower, budget=budget)
+                phi_u = cumulate(phi_u, s, dummy, budget=budget)
 
     def maybe_shuffled(vals: list[int]) -> list[int]:
         if order_rng is not None:
@@ -216,7 +220,7 @@ def merge_bag(
     for pend, gsum in bag_density.parts:
         for s in shared:
             if s in gsum.free_vars():
-                gsum = cumulate(gsum, s, dummy, lower=lower, budget=budget)
+                gsum = cumulate(gsum, s, dummy, budget=budget)
         phi = phi_u
         consumed = {a for a, _ in pend}
         for a, b in sorted(pend):
@@ -226,8 +230,6 @@ def merge_bag(
             if a in frozen_src:
                 # point mass integrated cumulatively up to the horizon
                 gsum = multiply(gsum, SymbolicSum.guard(var_atom(b), x_atom), budget=budget)
-                if taylor:
-                    gsum = multiply(gsum, SymbolicSum.guard(ZERO_ATOM, var_atom(b)), budget=budget)
             elif a not in J:
                 raise InvariantViolation(f"bag {i}: point-mass tail {a} has no role at the merge")
         for t in maybe_shuffled(sorted(frozen_term)):
@@ -237,18 +239,9 @@ def merge_bag(
                 phi = substitute(phi, t, Fraction(0), budget=budget)
         cur = multiply(gsum, phi, budget=budget) if phi is not None else gsum
         for v in maybe_shuffled(sorted(J - consumed)):
-            if taylor:
-                cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(v)), budget=budget)
-                cur = multiply(cur, SymbolicSum.guard(var_atom(v), x_atom), budget=budget)
-            cur = integrate_out(cur, v, budget=budget)
-            if taylor:
-                cur = truncate_total_degree(cur, taylor_tau)
+            cur = truncated(integrate_out(cur, v, budget=budget))
         for s in maybe_shuffled(sorted((frozen_src - consumed) & cur.free_vars())):
-            if taylor:
-                cur = multiply(cur, SymbolicSum.guard(ZERO_ATOM, var_atom(s)), budget=budget)
-            cur = integrate_out(cur, s, upper=x_atom, budget=budget)
-            if taylor:
-                cur = truncate_total_degree(cur, taylor_tau)
+            cur = truncated(integrate_out(cur, s, upper=x_atom, budget=budget))
         result = result + cur
 
     for s in shared:
@@ -263,7 +256,6 @@ def _phi_union(
     ctx: DecompositionContext,
     i: int,
     child_sums: Sequence[SymbolicSum],
-    taylor: bool,
     budget: Budget,
 ) -> SymbolicSum | None:
     """Density of the uncapped subtree: product of child distribution
@@ -280,13 +272,12 @@ def _phi_union(
     free = [s.free_vars() for s in child_sums]
     if not (free[0] & free[1]):
         return multiply(child_sums[0], child_sums[1], budget=budget)
-    lower = ZERO_ATOM if taylor else None
     dummy = ctx.dag.n + 1  # as in merge_bag
     cdfs = []
     for j, phi in zip(kids, child_sums):
         out = phi
         for s_var in sorted(phi.free_vars() & ctx.S_D[j]):
-            out = cumulate(out, s_var, dummy, lower=lower, budget=budget)
+            out = cumulate(out, s_var, dummy, budget=budget)
         cdfs.append(out)
     prod = multiply(cdfs[0], cdfs[1], budget=budget)
     for s_var in sorted((free[0] | free[1]) & ctx.S_U[i]):

@@ -18,18 +18,23 @@ from .decomposition import (DecompositionContext, SolveReport, TreeDecomposition
 from .density import BagDensity, build_bag_density, describe_sum, exp_edge_factor, merge_bag
 from .errors import Budget, InputError, InvariantViolation, finite_horizon
 from .graph import Dag, DistKind
-from .symbolic import SymbolicSum, evaluate
+from .symbolic import SymbolicSum, evaluate, var_atom
 
 
 def bag_density_exp(ctx: DecompositionContext, i: int, budget: Budget | None = None) -> BagDensity:
     """Shifted density of bag i for exponential edges (zero edges from the
     separation contribute step factors)."""
     budget = budget or Budget.default()
-    for u, v in ctx.bag_edges[i]:
+
+    def factor(u: int, v: int) -> SymbolicSum:
         kind = ctx.dag.dist_of[(u, v)].kind
-        if kind not in (DistKind.EXPONENTIAL, DistKind.ZERO):
+        if kind is DistKind.ZERO:
+            return SymbolicSum.guard(var_atom(v), var_atom(u))
+        if kind is not DistKind.EXPONENTIAL:
             raise InputError(f"exact-exponential needs exp edges, bag {i} has {kind.value}")
-    return build_bag_density(ctx, i, exp_edge_factor, budget)
+        return exp_edge_factor(u, v)
+
+    return build_bag_density(ctx, i, factor, budget)
 
 
 def _check_exponent_bounds(ctx: DecompositionContext, i: int, s: SymbolicSum) -> None:

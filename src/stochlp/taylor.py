@@ -135,26 +135,28 @@ def total_error_bound(width: int, tau: int, x: float, bags: int) -> float:
 
 
 def bag_taylor(
-    ctx: DecompositionContext, i: int, oracle_of, tau: int, budget: Budget | None = None
+    ctx: DecompositionContext, i: int, oracle_of, tau: int, x: Fraction,
+    budget: Budget | None = None
 ) -> BagDensity:
-    """Truncated density of bag i: every distribution factor replaced by its
-    order-tau expansion at 0 (guards retained), internals integrated exactly,
-    then total degree cut back to tau."""
+    """Truncated density of bag i: each edge factor the order-tau expansion
+    at 0 of its distribution (1 on a zero-length edge) on 0 < z_v < z_u < x,
+    internals integrated exactly, then total degree cut back to tau."""
     budget = budget or Budget.default()
     polys: dict[str, list[Fraction]] = {}
 
     def factor(u: int, v: int) -> SymbolicSum:
         spec = ctx.dag.dist_of[(u, v)]
+        if spec.kind is DistKind.ZERO:
+            return poly_edge_factor(u, v, [Fraction(1)], x)
         if spec.kind is not DistKind.ORACLE:
             raise InputError(f"taylor solver needs oracle edges, found {spec.kind.value}")
         orc = oracle_of(spec.name)
         if orc.name not in polys:
             polys[orc.name] = orc.taylor_poly(tau)
-        return poly_edge_factor(u, v, polys[orc.name])
+        return poly_edge_factor(u, v, polys[orc.name], x)
 
     den = build_bag_density(ctx, i, factor, budget)
-    parts = tuple((pend, truncate_total_degree(s, tau)) for pend, s in den.parts)
-    return BagDensity(parts)
+    return BagDensity(tuple((pend, truncate_total_degree(s, tau)) for pend, s in den.parts))
 
 
 @dataclass(kw_only=True)
@@ -217,9 +219,12 @@ def approx_taylor(
                              f"> {budget.max_terms} symbolic terms")
     for orc in oracles:
         check_oracle(orc, xf, tau)
+    bound = total_error_bound(width, tau, xf, ctx.b)
+    if not math.isfinite(bound):
+        raise InputError(f"the additive bound at x={xf!r}, tau={tau} exceeds the float range")
 
     rng = random.Random(_shuffle_seed) if _shuffle_seed is not None else None
-    bag_density = by_shape(ctx, budget, lambda i: bag_taylor(ctx, i, oracle_of, tau, budget),
+    bag_density = by_shape(ctx, budget, lambda i: bag_taylor(ctx, i, oracle_of, tau, xq, budget),
                            BagDensity.renamed)
 
     def solve_bag(i: int, kids: list[SymbolicSum]) -> SymbolicSum:
@@ -227,8 +232,7 @@ def approx_taylor(
                          order_rng=rng)
 
     def finish(final: SymbolicSum) -> dict:
-        return {"value": evaluate(final)[0],
-                "theoretical_bound": total_error_bound(width, tau, xf, ctx.b)}
+        return {"value": evaluate(final)[0]}
 
     return solve(TaylorReport, ctx, t0, budget, xq, solve_bag, describe_sum, finish,
-                 tau=tau, theoretical_bound=0.0, eps_additive=eps_additive)
+                 tau=tau, theoretical_bound=bound, eps_additive=eps_additive)

@@ -22,9 +22,13 @@ pairs; ``fraction_q`` is the ``Fraction`` recurrence whose reduced pairs
 ``merge_bag_product_first`` is the subtree merge that forms the product of
 the bag factor and the subtree density before it substitutes the pending
 point masses and frozen terminals, which ``density.merge_bag`` must match
-bit for bit; ``build_bag_density_two_pass`` is the bag density that
-multiplies every tail's group before it eliminates any internal vertex,
-whose functions ``density.build_bag_density`` must match.  The rest are
+bit for bit; it still adds the Taylor support guards 0 < b, 0 < v < x and
+0 < s at the merge and floors its own ``cumulate`` calls at 0, which
+``density.merge_bag`` leaves to the support that each Taylor edge factor
+carries, so equal bits show those guards redundant;
+``build_bag_density_two_pass`` is the bag density that multiplies every
+tail's group before it eliminates any internal vertex, whose functions
+``density.build_bag_density`` must match.  The rest are
 small readings of a ``Dag``, a ``SymbolicSum`` or a ``PiecewisePoly`` that
 only the tests take.
 """
@@ -491,17 +495,18 @@ def merge_bag_product_first(
     order_rng: random.Random | None = None,
 ) -> SymbolicSum:
     """``density.merge_bag`` as it was with the product first, copied
-    unchanged: per part, only the frozen terminals that no pending pair
-    names are set to 0 on the bag factor; the pending pairs, their horizon
-    guards and the other frozen terminals are applied to the product with
-    the subtree density."""
+    unchanged but for the ``_phi_union`` call: per part, only the frozen
+    terminals that no pending pair names are set to 0 on the bag factor; the
+    pending pairs, their horizon guards and the other frozen terminals are
+    applied to the product with the subtree density.  In Taylor mode it adds
+    the support guards that ``density.merge_bag`` no longer adds."""
     taylor = taylor_tau is not None
     kept, frozen_src, frozen_term = ctx.kept[i], ctx.frozen_S[i], ctx.frozen_T[i]
     J = ctx.J[i]
     x_atom = const_atom(x)
     lower = ZERO_ATOM if taylor else None
     dummy = ctx.dag.n + 1
-    phi_u = _phi_union(ctx, i, child_sums, taylor, budget)
+    phi_u = _phi_union(ctx, i, child_sums, budget)
     shared = sorted(ctx.S[i] & ctx.S_U[i])
     if shared and phi_u is not None:
         for s in shared:
@@ -563,8 +568,10 @@ def build_bag_density_two_pass(
     ctx: DecompositionContext, i: int, factor: FactorFn, budget: Budget
 ) -> BagDensity:
     """``density.build_bag_density`` as it was in two passes, copied
-    unchanged: multiply every tail's group onto the branches first, then
-    eliminate the internal variables in decreasing id."""
+    unchanged but for the zero-length edges, whose factors come from
+    ``factor`` as they do there: multiply every tail's group onto the
+    branches first, then eliminate the internal variables in decreasing
+    id."""
     g = ctx.dag
     edges = sorted(ctx.bag_edges[i])
     out_of: dict[int, list[tuple[int, DistKind]]] = {}
@@ -586,7 +593,7 @@ def build_bag_density_two_pass(
             group = multiply(group, factor(u, v), budget=budget)
         full = group
         for v in zero_targets:
-            full = multiply(full, SymbolicSum.guard(var_atom(v), var_atom(u)), budget=budget)
+            full = multiply(full, factor(u, v), budget=budget)
         ordinary = differentiate(full, u)
 
         new: dict[frozenset[Pending], SymbolicSum] = {}

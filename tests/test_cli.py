@@ -3,6 +3,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from stochlp import (DivergentIntegral, InvariantViolation, approx_dag, approx_t
                      parse_graph, parse_td)
 from stochlp.cli import dispatch, render_json
 from stochlp.decomposition import TdReport
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -210,25 +213,32 @@ class TestDispatch:
         else:
             assert rc == 0 and doc["value"] == want
 
-    @pytest.mark.parametrize("x, key", [("1e100", "bound"), ("1e200", "value")])
-    def test_non_finite_floats_render_as_null(self, tmp_path, x, key):
-        g = tmp_path / "g.txt"
-        g.write_text("2 1\n1 2 oracle expcdf\n")
-        rc, out, _ = run(["taylor", "--graph", str(g), "--x", x, "--tau", "2"])
-        assert rc == 0
-        doc = json.loads(out)
-        assert (doc["guarantee"] if key == "bound" else doc)[key] is None
+    def test_non_finite_floats_render_as_null(self):
         assert render_json([1.5, float("inf"), -float("inf"), float("nan")]) == "[1.5, null, null, null]"
 
-    @pytest.mark.parametrize("x, shown", [("1e100", "-5e+199"), ("1e200", "-inf")])
+    @pytest.mark.parametrize("graph, x", [("diamond", "1e308"), ("diamond", "1e30"),
+                                          ("edge", "1e100"), ("edge", "1e200")])
+    def test_taylor_bound_outside_float_range(self, tmp_path, graph, x):
+        # the additive bound overflows a float before the value does, so a
+        # horizon whose bound is not finite is rejected before the sweep
+        g = GOLDEN / "diamond-oracle.txt"
+        if graph == "edge":
+            g = tmp_path / "g.txt"
+            g.write_text("2 1\n1 2 oracle expcdf\n")
+        rc, out, err = run(["taylor", "--graph", str(g), "--x", x, "--tau", "3"])
+        assert rc == 1 and out.count("\n") == 1
+        assert json.loads(out)["kind"] == "input" and "bound" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x, shown", [("1e20", "-5e+39")])
     def test_value_outside_unit_interval_warns(self, tmp_path, x, shown):
         g = tmp_path / "g.txt"
         g.write_text("2 1\n1 2 oracle expcdf\n")
         rc, out, err = run(["taylor", "--graph", str(g), "--x", x, "--tau", "2"])
         assert rc == 0
         assert err == f"stochlp: warning: value {shown} outside [0, 1]\n"
-        value = json.loads(out)["value"]
-        assert value is None if shown == "-inf" else value == -5e199
+        doc = json.loads(out)
+        assert doc["value"] == float(shown) and doc["guarantee"]["bound"] > 0
 
     def test_sp_exact_rational_field(self, chain_files):
         g, _ = chain_files

@@ -378,7 +378,7 @@ class TestSharedTaylorDensities:
             ctx = handed[0][0]
             assert [i for _, i, _ in handed] == list(ctx.post_order)
             for _, i, density in handed:
-                fresh = build(ctx, i, taylor.resolve_oracle, tau)
+                fresh = build(ctx, i, taylor.resolve_oracle, tau, x)
                 assert listed(density) == listed(fresh), (name, i)
             # the first bag of each shape is the one built
             shapes = [bag_shape(ctx, i)[:3] for i in ctx.post_order]
@@ -437,12 +437,19 @@ class TestMergeAgainstProductFirst:
                     assert new[2] <= old[2], (td, x, order)
 
     def test_taylor(self, monkeypatch):
-        inst = gen_diamond_ladder(2, dist="oracle:expcdf")
-        for td in (inst.td, None):
-            for x in (F(1, 2), F(1)):
-                new, old = self.both(monkeypatch, taylor.approx_taylor, taylor, inst.dag, td, x,
-                                     tau=4)
-                assert new[0] == old[0], (td, x)
+        # the product-first merge still adds the Taylor support guards at the
+        # merge; the edge factors carry that support, so no bit may move.
+        # The random partial 2-trees are test_exact_exp's, at order 3
+        cases = [("ladder-2", gen_diamond_ladder(2, dist="oracle:expcdf"), 4)]
+        cases += [(f"random-tw-{n}/seed={seed}",
+                   gen_random_tw(2, n, seed=seed, dist="oracle:expcdf", max_edges=9), 3)
+                  for n, seed in [(4, 0), (5, 1), (5, 3), (6, 3), (6, 5), (7, 2), (7, 4)]]
+        for name, inst, tau in cases:
+            for td in (inst.td, heuristic_td(inst.dag)):
+                for x in (F(1, 2), F(1)):
+                    new, old = self.both(monkeypatch, taylor.approx_taylor, taylor, inst.dag, td,
+                                         x, tau=tau)
+                    assert new[0] == old[0], (name, td, x)
 
 
 class TestBuildAgainstTwoPass:
@@ -497,7 +504,9 @@ class TestBuildAgainstTwoPass:
         rng = random.Random(0)
         for td in (inst.td, None):
             self.bags(monkeypatch, prepare_context(inst.dag, td),
-                      lambda ctx, i: taylor.bag_taylor(ctx, i, taylor.resolve_oracle, 4), rng)
+                      # the bags are compared at points up to 10, inside the support
+                      lambda ctx, i: taylor.bag_taylor(ctx, i, taylor.resolve_oracle, 4, F(11)),
+                      rng)
             for x in (F(1, 2), F(1)):
                 self.solve(monkeypatch, taylor.approx_taylor, inst.dag, td, x, tau=4)
 

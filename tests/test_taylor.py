@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from stochlp import Budget, Dag, DistSpec, InputError, TreeDecomposition, parse_graph
+from stochlp import (Budget, Dag, DistSpec, InputError, TreeDecomposition, heuristic_td,
+                     parse_graph)
 from stochlp.exactexp import exact_exp
+from stochlp.generate import gen_diamond_ladder, gen_random_tw
 from stochlp.taylor import (
     BUILTIN_ORACLES,
     DistributionOracle,
@@ -88,22 +90,24 @@ class TestBagTaylor:
         ctx = single_bag_context(g)
         from stochlp.taylor import resolve_oracle
 
-        den = bag_taylor(ctx, 0, resolve_oracle, tau=3)
+        den = bag_taylor(ctx, 0, resolve_oracle, tau=3, x=F(2))
         ((pend, s),) = den.parts
         assert pend == frozenset()
-        # density = 1 - t + t^2/2 on the guarded region, t = z0 - z1
+        # density = 1 - t + t^2/2, t = z0 - z1, on the chain 0 < z1 < z0 < 2
+        assert list(s.regions) == [(sy.ZERO_ATOM, sy.var_atom(1), sy.var_atom(0), sy.const_atom(2))]
         for zu in (F(1, 4), F(1), F(3, 2)):
-            val, _ = sy.evaluate(s, {0: zu, 1: F(0)})
+            val, _ = sy.evaluate(s, {0: zu + F(1, 8), 1: F(1, 8)})
             t = float(zu)
             assert val == pytest.approx(1 - t + t * t / 2, abs=1e-13)
+        assert sy.evaluate(s, {0: F(9, 4), 1: F(1, 8)})[0] == 0.0  # z0 beyond x
 
     def test_truncation_identity_for_polynomial_cdf(self):
         g = Dag(n=2, edges=((0, 1, DistSpec.oracle("unitslab")),))
         ctx = single_bag_context(g)
         from stochlp.taylor import resolve_oracle
 
-        d_small = bag_taylor(ctx, 0, resolve_oracle, tau=2)
-        d_large = bag_taylor(ctx, 0, resolve_oracle, tau=9)
+        d_small = bag_taylor(ctx, 0, resolve_oracle, tau=2, x=F(1))
+        d_large = bag_taylor(ctx, 0, resolve_oracle, tau=9, x=F(1))
         assert d_small.parts[0][1].canonical_text() == d_large.parts[0][1].canonical_text()
 
 
@@ -189,15 +193,14 @@ class TestApproxTaylor:
         assert rep.per_bag == []
 
     def test_budget_counters(self):
-        # terms_peak, regions_peak and work_used since the merge substitutes
-        # point masses and frozen terminals on each factor before the product
-        # (1440, 12, 10688 when it substituted them on the product; c5092d2
-        # read 3600, 40, 10688)
+        # terms_peak, regions_peak and work_used while every Taylor edge
+        # factor, the zero-length ones included, carries its [0, x] support
+        # and the merge adds no guards
         g = parse_graph("4 4\n1 2 oracle expcdf\n1 3 oracle expcdf\n"
                         "2 4 oracle expcdf\n3 4 oracle expcdf\n")
         b = Budget()
         _, rep = approx_taylor(g, None, 1, tau=4, budget=b)
-        assert (b.terms_peak, b.regions_peak, b.work_used) == (720, 8, 7815)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (690, 6, 2117)
         assert rep.terms_peak == b.terms_peak
 
     def test_rejects_exp_edges(self):
@@ -222,7 +225,7 @@ class TestPublicMergeOps:
         tau = 8
         sums = {}
         for i in ctx.post_order:
-            den = bag_taylor(ctx, i, resolve_oracle, tau)
+            den = bag_taylor(ctx, i, resolve_oracle, tau, F(1))
             kids = [sums.pop(c) for c in ctx.children[i]]
             sums[i] = merge_bag(ctx, i, den, kids, F(1), Budget.default(), taylor_tau=tau)
         val, _ = sy.evaluate(sums[ctx.td.root])
@@ -244,3 +247,53 @@ class TestTreewidthTwo:
             errs.append(abs(v - ve))
         assert errs[-1] <= 1e-4
         assert errs == sorted(errs, reverse=True)
+
+
+# approx_taylor(...)[0].hex() recorded at a920851, keyed by (family, seed,
+# decomposition, tau); each tuple runs over x in (0, 1/2, 1).  The random
+# partial 2-trees carry expcdf edges, the ladder unitslab ones; the
+# taylor-trunc benchmark workload covers none of these
+TAYLOR_BITS = {
+    ("random-tw-5", 0, "given", 3): (
+        "0x0.0p+0", "0x1.ed90a90a90a91p-10", "0x1.08022acd57802p-2"),
+    ("random-tw-5", 0, "given", 5): (
+        "0x0.0p+0", "0x1.3ab3b139d464ap-13", "0x1.39bd91d0147d3p-3"),
+    ("random-tw-5", 1, "heuristic", 5): (
+        "0x0.0p+0", "0x1.3718a38fb5532p-12", "0x1.ed2d92ea85131p-7"),
+    ("random-tw-5", 2, "given", 3): (
+        "0x0.0p+0", "0x1.f9b05b05b05b0p-10", "0x1.6888888888889p-2"),
+    ("random-tw-5", 2, "heuristic", 3): (
+        "0x0.0p+0", "0x1.4f746ebe635dbp-16", "0x1.bc0ef422755a9p-8"),
+    ("random-tw-6", 0, "given", 5): (
+        "0x0.0p+0", "-0x1.50f57b9602141p-14", "-0x1.be8d67f7d0bb0p-4"),
+    ("random-tw-6", 1, "given", 3): (
+        "0x0.0p+0", "0x1.f837c17accaf6p-12", "0x1.159e10d41f5bdp-2"),
+    ("random-tw-6", 3, "given", 3): (
+        "0x0.0p+0", "0x1.31181c2c6d718p-12", "0x1.4e9c9473f1e9dp-3"),
+    ("random-tw-6", 3, "heuristic", 3): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ("random-tw-7", 0, "given", 5): (
+        "0x0.0p+0", "0x1.d1cea16b94772p-16", "0x1.5e3937ccb89d5p-4"),
+    ("random-tw-7", 1, "heuristic", 3): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ("random-tw-7", 2, "given", 3): (
+        "0x0.0p+0", "0x1.8861861861862p-15", "0x1.4618618618618p-4"),
+    ("unitslab-ladder-2", 0, "given", 5): (
+        "0x0.0p+0", "0x1.ccccccccccccdp-13", "0x1.ccccccccccccdp-5"),
+    ("unitslab-ladder-2", 0, "heuristic", 3): (
+        "0x0.0p+0", "-0x1.7777777777777p-13", "-0x1.7777777777777p-5"),
+}
+
+
+class TestTaylorBits:
+    def test_recorded_bits(self):
+        for (family, seed, decomposition, tau), want in TAYLOR_BITS.items():
+            if family == "unitslab-ladder-2":
+                inst = gen_diamond_ladder(2, dist="oracle:unitslab")
+            else:
+                n = int(family.rsplit("-", 1)[1])
+                inst = gen_random_tw(2, n, seed=seed, dist="oracle:expcdf")
+            td = inst.td if decomposition == "given" else heuristic_td(inst.dag)
+            got = tuple(approx_taylor(inst.dag, td, x, tau=tau)[0].hex()
+                        for x in (F(0), F(1, 2), F(1)))
+            assert got == want, (family, seed, decomposition, tau)
