@@ -7,7 +7,8 @@ zero-length edge included; its differentiated point masses are carried as
 pending substitution pairs (a, b), meaning a delta factor delta(z_a - z_b).
 Such pairs are consumed either when one of their
 variables is eliminated inside its own bag or at that bag's merge; they never
-survive past it.
+survive past it.  A source shared by a bag and its subtree is cumulated on
+the child density that names it, before the children's product.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def merge_bag(
     truncated to total degree ``taylor_tau`` in Taylor mode; the Taylor edge
     factors carry their [0, x] support, so the merge adds no guard of its
     own.  No value moves: substitution distributes over a product, a guard
-    commutes with it, and ``substitute`` breaks ties alike on both.
+    commutes with it, and ``substitute`` breaks ties alike on both.  A
+    shared source is cumulated on each operand that names it (the children
+    in ``_phi_union``) and the sum differentiated in it once at the end.
 
     Every ``cumulate`` integrates its dummy out before it returns, so all of
     them share the id ``ctx.dag.n + 1``, which sorts after every real one.
@@ -199,17 +202,13 @@ def merge_bag(
     def truncated(s: SymbolicSum) -> SymbolicSum:
         return s if taylor_tau is None else truncate_total_degree(s, taylor_tau)
 
-    phi_u = _phi_union(ctx, i, child_sums, budget)
-
     # sources shared between the bag and the uncapped subtree: both operands
-    # are densities in them, so switch to distribution functions first and
-    # differentiate the product once at the end; the context verifier keeps
-    # them in the parent bag, so they are all kept
+    # are densities in them, so switch to distribution functions first
+    # (``_phi_union`` on the subtree side) and differentiate the product once
+    # at the end; the context verifier keeps them in the parent bag, so they
+    # are all kept
+    phi_u = _phi_union(ctx, i, child_sums, budget)
     shared = sorted(ctx.S[i] & ctx.S_U[i])
-    if shared and phi_u is not None:
-        for s in shared:
-            if s in phi_u.free_vars():
-                phi_u = cumulate(phi_u, s, dummy, budget=budget)
 
     def maybe_shuffled(vals: list[int]) -> list[int]:
         if order_rng is not None:
@@ -258,28 +257,35 @@ def _phi_union(
     child_sums: Sequence[SymbolicSum],
     budget: Budget,
 ) -> SymbolicSum | None:
-    """Density of the uncapped subtree: product of child distribution
-    functions, differentiated along its sources.
+    """The uncapped subtree's factor in bag i's merge: the product of the
+    child densities, cumulated in the sources shared with the bag
+    (``ctx.S[i] & ctx.S_U[i]``), a density in its other sources.
 
-    Children with disjoint variables multiply directly; otherwise each child
-    density is cumulated to its distribution function first.
+    Each shared source is cumulated on the child density that names it,
+    before the product: a factor that does not name the variable comes out
+    of the integral.  Children with disjoint variables multiply directly;
+    otherwise each child density is cumulated in all its sources first and
+    the product is differentiated back in the unshared ones only.
     """
     kids = ctx.children[i]
     if not kids:
         return None
-    if len(kids) == 1:
-        return child_sums[0]
+    shared = ctx.S[i] & ctx.S_U[i]
     free = [s.free_vars() for s in child_sums]
-    if not (free[0] & free[1]):
-        return multiply(child_sums[0], child_sums[1], budget=budget)
+    overlap = len(kids) == 2 and bool(free[0] & free[1])
     dummy = ctx.dag.n + 1  # as in merge_bag
     cdfs = []
-    for j, phi in zip(kids, child_sums):
-        out = phi
-        for s_var in sorted(phi.free_vars() & ctx.S_D[j]):
-            out = cumulate(out, s_var, dummy, budget=budget)
-        cdfs.append(out)
+    for j, phi, names in zip(kids, child_sums, free):
+        for s_var in sorted(names & (ctx.S_D[j] if overlap else shared)):
+            phi = cumulate(phi, s_var, dummy, budget=budget)
+        cdfs.append(phi)
+    if len(cdfs) == 1:
+        return cdfs[0]
     prod = multiply(cdfs[0], cdfs[1], budget=budget)
-    for s_var in sorted((free[0] | free[1]) & ctx.S_U[i]):
-        prod = differentiate(prod, s_var)
+    if overlap:
+        # the product of distribution functions is continuous in a shared
+        # source and 0 at its -inf, so differentiating it there would only
+        # be undone by the cumulate it stands for
+        for s_var in sorted((free[0] | free[1]) & (ctx.S_U[i] - shared)):
+            prod = differentiate(prod, s_var)
     return prod

@@ -659,8 +659,8 @@ def cumulate(s: SymbolicSum, v: int, fresh: int, lower: Atom | None = None,
     """Cumulative integral: result(v) = integral of s over the dummy up to v.
 
     The integration variable is renamed to ``fresh``; ``lower`` optionally
-    clamps the integral to start at an atom (used for nonnegative-support
-    polynomial distributions).
+    clamps the integral to start at an atom.  No solver passes it: a Taylor
+    edge factor carries its own [0, x] support.
     """
     renamed = substitute(s, v, var_atom(fresh), budget=budget)
     guard = SymbolicSum.guard(var_atom(fresh), var_atom(v))

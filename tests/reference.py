@@ -25,7 +25,11 @@ point masses and frozen terminals, which ``density.merge_bag`` must match
 bit for bit; it still adds the Taylor support guards 0 < b, 0 < v < x and
 0 < s at the merge and floors its own ``cumulate`` calls at 0, which
 ``density.merge_bag`` leaves to the support that each Taylor edge factor
-carries, so equal bits show those guards redundant;
+carries, so equal bits show those guards redundant; its subtree density
+comes from ``phi_union_product_first``, which multiplies the child densities
+(or their distribution functions, differentiated back in every subtree
+source) before the merge cumulates the product in each shared source, where
+``density._phi_union`` cumulates a shared source on the child that names it;
 ``build_bag_density_two_pass`` is the bag density that multiplies every
 tail's group before it eliminates any internal vertex, whose functions
 ``density.build_bag_density`` must match.  The rest are
@@ -45,8 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from stochlp.decomposition import DecompositionContext, TreeDecomposition, prepare_context, solve
-from stochlp.density import (BagDensity, FactorFn, Pending, _phi_union, describe_sum,
-                             merge_bag)
+from stochlp.density import BagDensity, FactorFn, Pending, describe_sum, merge_bag
 from stochlp.errors import (Budget, DivergentIntegral, InputError, InvariantViolation,
                             StochLPError)
 from stochlp.exactexp import ExactExpReport, bag_density_exp
@@ -494,8 +497,9 @@ def merge_bag_product_first(
     taylor_tau: int | None = None,
     order_rng: random.Random | None = None,
 ) -> SymbolicSum:
-    """``density.merge_bag`` as it was with the product first, copied
-    unchanged but for the ``_phi_union`` call: per part, only the frozen
+    """``density.merge_bag`` as it was with the product first, with the
+    subtree density of ``phi_union_product_first``, which it cumulates in
+    each shared source: per part, only the frozen
     terminals that no pending pair names are set to 0 on the bag factor; the
     pending pairs, their horizon guards and the other frozen terminals are
     applied to the product with the subtree density.  In Taylor mode it adds
@@ -506,7 +510,7 @@ def merge_bag_product_first(
     x_atom = const_atom(x)
     lower = ZERO_ATOM if taylor else None
     dummy = ctx.dag.n + 1
-    phi_u = _phi_union(ctx, i, child_sums, budget)
+    phi_u = phi_union_product_first(ctx, i, child_sums, budget)
     shared = sorted(ctx.S[i] & ctx.S_U[i])
     if shared and phi_u is not None:
         for s in shared:
@@ -562,6 +566,38 @@ def merge_bag_product_first(
     if stray:
         raise InvariantViolation(f"bag {i}: variables {sorted(stray)} survived the merge")
     return result
+
+
+def phi_union_product_first(
+    ctx: DecompositionContext,
+    i: int,
+    child_sums: Sequence[SymbolicSum],
+    budget: Budget,
+) -> SymbolicSum | None:
+    """``density._phi_union`` as it was before it cumulated the shared
+    sources, copied unchanged: the density of the uncapped subtree, the
+    product of child distribution functions differentiated along its
+    sources.  Children with disjoint variables multiply directly; otherwise
+    each child density is cumulated to its distribution function first."""
+    kids = ctx.children[i]
+    if not kids:
+        return None
+    if len(kids) == 1:
+        return child_sums[0]
+    free = [s.free_vars() for s in child_sums]
+    if not (free[0] & free[1]):
+        return multiply(child_sums[0], child_sums[1], budget=budget)
+    dummy = ctx.dag.n + 1  # as in merge_bag
+    cdfs = []
+    for j, phi in zip(kids, child_sums):
+        out = phi
+        for s_var in sorted(phi.free_vars() & ctx.S_D[j]):
+            out = cumulate(out, s_var, dummy, budget=budget)
+        cdfs.append(out)
+    prod = multiply(cdfs[0], cdfs[1], budget=budget)
+    for s_var in sorted((free[0] | free[1]) & ctx.S_U[i]):
+        prod = differentiate(prod, s_var)
+    return prod
 
 
 def build_bag_density_two_pass(

@@ -17,7 +17,7 @@ from stochlp import (
     parse_graph,
     series_parallel_exact,
 )
-from stochlp import exactexp, taylor
+from stochlp import density, exactexp, taylor
 from stochlp.decomposition import prepare_context
 from stochlp.exactexp import bag_density_exp, exact_exp
 from stochlp.generate import gen_chain, gen_diamond_ladder, gen_random_tw
@@ -133,13 +133,16 @@ class TestExactExp:
 
     @pytest.mark.parametrize("x", [4, 10])
     def test_budget_counters_four_diamonds(self, x):
-        # recorded as above (168, 80, 1916 with the internals integrated
-        # after every group; 1652, 80, 6785 with the merge product first;
-        # c5092d2 read 8400, 80, 9416): the horizon moves no counter
+        # recorded as above, and since a shared source is cumulated on the
+        # child density that names it, before the children's product (1444
+        # work when the product was cumulated; 168, 80, 1916 with the
+        # internals integrated after every group; 1652, 80, 6785 with the
+        # merge product first; c5092d2 read 8400, 80, 9416): the horizon
+        # moves no counter
         inst = gen_diamond_ladder(4, dist="exp")
         b = Budget()
         exact_exp(inst.dag, inst.td, x, budget=b)
-        assert (b.terms_peak, b.regions_peak, b.work_used) == (168, 8, 1444)
+        assert (b.terms_peak, b.regions_peak, b.work_used) == (168, 8, 1334)
 
     def test_symbolic_text_mixed_e_const(self):
         # integral and fractional constant exponents in one sum; its terms
@@ -409,8 +412,9 @@ class TestSharedTaylorDensities:
 
 class TestMergeAgainstProductFirst:
     """The merge substitutes point masses and frozen terminals on each factor
-    before their product; the product-first merge of tests/reference.py must
-    give the same bits and the same symbolic text, from a peak no lower."""
+    before their product, and cumulates a shared source on the child density
+    that names it; the product-first merge of tests/reference.py must give
+    the same bits and the same symbolic text, from a peak no lower."""
 
     @staticmethod
     def both(monkeypatch, solver, merge_owner, *args, **kwargs):
@@ -425,16 +429,73 @@ class TestMergeAgainstProductFirst:
             old = run()
         return new, old
 
-    @pytest.mark.parametrize("n, seed", [(4, 0), (5, 1), (5, 3), (6, 3), (6, 5), (7, 2), (7, 4)])
-    def test_exact_exp(self, monkeypatch, n, seed):
-        inst = gen_random_tw(2, n, seed=seed, dist="exp", max_edges=9)
-        for td in (inst.td, heuristic_td(inst.dag)):
-            for x in (F(1), F(5, 2)):
+    def same_exact_exp(self, monkeypatch, g, tds, xs):
+        for td in tds:
+            for x in xs:
                 for order in (None, 1):
-                    new, old = self.both(monkeypatch, exact_exp, exactexp, inst.dag, td, x,
+                    new, old = self.both(monkeypatch, exact_exp, exactexp, g, td, x,
                                          emit_symbolic=True, _shuffle_seed=order)
                     assert new[:2] == old[:2], (td, x, order)
                     assert new[2] <= old[2], (td, x, order)
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (5, 1), (5, 3), (6, 3), (6, 5), (7, 2), (7, 4)])
+    def test_exact_exp(self, monkeypatch, n, seed):
+        inst = gen_random_tw(2, n, seed=seed, dist="exp", max_edges=9)
+        self.same_exact_exp(monkeypatch, inst.dag, (inst.td, heuristic_td(inst.dag)),
+                            (F(1), F(5, 2)))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_exact_exp_ladder(self, monkeypatch, d):
+        # from three diamonds on, the given decomposition has a merge whose
+        # two children have disjoint variables and a source shared with the
+        # bag, which only one child names
+        inst = gen_diamond_ladder(d, dist="exp")
+        self.same_exact_exp(monkeypatch, inst.dag, (inst.td,),
+                            (F(0), F(d, 2), F(d), F(5 * d, 2)))
+
+    def test_exact_exp_overlapping_children_share_a_source(self, monkeypatch):
+        # random-tw-6/seed=0 on its heuristic decomposition: one merge whose
+        # two children share a variable has a source shared with the bag,
+        # which the children's product is no longer differentiated in
+        inst = gen_random_tw(2, 6, seed=0, dist="exp", max_edges=9)
+        td = heuristic_td(inst.dag)
+        seen = []
+        phi_union = density._phi_union
+
+        def spy(ctx, i, child_sums, budget):
+            if len(child_sums) == 2 and child_sums[0].free_vars() & child_sums[1].free_vars():
+                seen.append(bool(ctx.S[i] & ctx.S_U[i]))
+            return phi_union(ctx, i, child_sums, budget)
+
+        with monkeypatch.context() as m:
+            m.setattr(density, "_phi_union", spy)
+            exact_exp(inst.dag, td, F(1))
+        assert True in seen
+        self.same_exact_exp(monkeypatch, inst.dag, (td,), (F(1), F(5, 2)))
+
+    def test_cumulates_take_no_product(self, monkeypatch):
+        # a shared source is cumulated on one operand of the merge, before
+        # any product: at bag i no cumulate takes a sum with more terms than
+        # the largest child sum or bag density part of bag i.  Cumulating the
+        # children's product instead took 348 terms at the last merge below
+        # the root, against 29 in the largest child sum and 6 in the bag
+        inst = gen_diamond_ladder(8, dist="exp")
+        bound, seen = [0], []
+        merge, cumulate = exactexp.merge_bag, density.cumulate
+
+        def spy_merge(ctx, i, bag_density, child_sums, *args, **kwargs):
+            bound[0] = max(s.term_count() for s in [*child_sums, *(p for _, p in bag_density.parts)])
+            return merge(ctx, i, bag_density, child_sums, *args, **kwargs)
+
+        def spy_cumulate(s, *args, **kwargs):
+            seen.append((s.term_count(), bound[0]))
+            return cumulate(s, *args, **kwargs)
+
+        monkeypatch.setattr(exactexp, "merge_bag", spy_merge)
+        monkeypatch.setattr(density, "cumulate", spy_cumulate)
+        exact_exp(inst.dag, inst.td, F(8))
+        assert len(seen) == 14
+        assert all(terms <= most for terms, most in seen), seen
 
     def test_taylor(self, monkeypatch):
         # the product-first merge still adds the Taylor support guards at the

@@ -326,6 +326,39 @@ class TestAlgebraicProperties:
                 got, _ = sy.evaluate(back, {9: probe})
                 assert got == pytest.approx(want, abs=1e-12)
 
+    def test_cumulate_before_the_product(self):
+        # the merge cumulates a shared source s = z1 on the factor that names
+        # it, before the product: b, which does not name s, comes out of the
+        # integral, and d/ds undone by the cumulate it stands for is the
+        # identity on a product of distribution functions in s.  The chains
+        # interleave (a holds 1/2 < z1 < 4 and z1 < z2, b 1 < z2 < 3), and
+        # the points lie on both sides of every chain constant
+        c = sy.const_atom
+        a = sy.multiply(sy.multiply(H(c(F(1, 2)), v(1)), H(v(1), c(4))), H(v(1), v(2)))
+        a = sy.multiply(a, sy.SymbolicSum.term(2, powers={1: 1}, exps={1: -1})
+                        + sy.SymbolicSum.term(F(1, 3), powers={2: 1}))
+        b = sy.multiply(sy.multiply(H(c(1), v(2)), H(v(2), c(3))),
+                        sy.SymbolicSum.term(1, powers={2: 2}) + sy.SymbolicSum.term(1, exps={2: -1}))
+        assert 1 in a.free_vars() and 1 not in b.free_vars()
+        inside = sy.cumulate(sy.multiply(a, b), 1, fresh=99)
+        outside = sy.multiply(sy.cumulate(a, 1, fresh=99), b)
+        points = [{1: z1, 2: z2} for z1 in (F(1, 4), F(3, 4), F(5, 2), F(9, 2))
+                  for z2 in (F(1, 3), F(7, 8), F(2), F(7, 2), F(5))]
+        for p in points:
+            assert sy.evaluate(inside, p)[0] == sy.evaluate(outside, p)[0], p
+        assert any(sy.evaluate(outside, p)[0] for p in points)
+
+        d1 = sy.multiply(H(v(2), v(1)), sy.SymbolicSum.term(1, exps={1: -1, 2: 1}))
+        d2 = sy.multiply(sy.multiply(H(c(F(1, 2)), v(1)), H(v(1), c(2))),
+                         sy.SymbolicSum.term(F(8, 15), powers={1: 1}))
+        P = sy.multiply(sy.cumulate(d1, 1, fresh=99), sy.cumulate(d2, 1, fresh=99))
+        back = sy.cumulate(sy.differentiate(P, 1), 1, fresh=99)
+        points = [{1: z1, 2: z2} for z1 in (F(-1), F(1, 4), F(1), F(3, 2), F(5, 2), F(4))
+                  for z2 in (F(-1, 3), F(3, 4), F(3))]
+        for p in points:
+            assert sy.evaluate(back, p)[0] == sy.evaluate(P, p)[0], p
+        assert any(sy.evaluate(P, p)[0] for p in points)
+
     def test_mass_never_exceeds_one(self):
         # integrating a density factor against probability-bounded factors
         rng = random.Random(5)
