@@ -3,29 +3,39 @@
     python3 .github/check_metrics.py nonzero RUN_FILE METRIC...
     python3 .github/check_metrics.py pin RUN_FILE METRIC=VALUE...
     python3 .github/check_metrics.py max RUN_FILE METRIC=VALUE...
+    python3 .github/check_metrics.py correct RUN_FILE
 
 A metric is read from the ``metrics`` of the report's last line, which is
 JSON, or else from its ``name value unit`` text lines, which print 6
 significant digits.  ``nonzero`` fails for each metric that is missing or
 not above 0; ``pin`` fails for each metric that does not read exactly VALUE;
-``max`` fails for each metric that is missing or above VALUE.  On a failure
-it prints one line per metric and then the whole report, and exits 1.
+``max`` fails for each metric that is missing or above VALUE; ``correct``
+fails unless the last line's ``correct`` is true, which it is not when the
+report has no last line or that line is not JSON.  On a failure it prints
+one line per failed check and then the whole report, and exits 1.
 """
 
 import json
 import sys
 
 
+def last_line(text: str) -> dict:
+    """The report's last line as JSON; empty when there is none or it is not JSON."""
+    try:
+        return json.loads(text.splitlines()[-1])
+    except (IndexError, ValueError):
+        return {}
+
+
 def read_metrics(text: str) -> dict[str, float]:
-    lines = text.splitlines()
     metrics = {}
-    for line in lines[:-1]:
+    for line in text.splitlines()[:-1]:
         parts = line.split()
         try:
             metrics[parts[0]] = float(parts[1])
         except (IndexError, ValueError):
             pass
-    metrics.update((k, v["value"]) for k, v in json.loads(lines[-1])["metrics"].items())
+    metrics.update((k, v["value"]) for k, v in last_line(text).get("metrics", {}).items())
     return metrics
 
 
@@ -35,6 +45,10 @@ def main(argv: list[str]) -> int:
         text = f.read()
     metrics = read_metrics(text)
     bad = []
+    if mode == "correct":
+        got = last_line(text).get("correct")
+        if got is not True:
+            bad.append(f"correct reads {got}, not true")
     for spec in specs:
         if mode == "nonzero":
             if not metrics.get(spec, 0) > 0:

@@ -1,24 +1,26 @@
 """Unified command-line front end.
 
-JSON goes to stdout, a one-line failure message to stderr, and a one-line
-warning to stderr when a solver's ``value`` is not a probability (non-finite
-or outside [0, 1]; the JSON and exit code stay as they are).  Exit codes: 0 on
-success, 1 on input errors, 2 on budget aborts, 3 on internal errors (a
-failed invariant check or a divergent integral, i.e. a bug).  Output is
-byte-identical across runs for fixed inputs; wall-clock timings only appear
-under ``--timings``.
+Every command writes one JSON record to stdout: the command, its inputs, its
+fields and the version.  A solver's fields are its value, its guarantee, its
+own keys, then every field its report shares with the other solvers.  A
+failure, or a solver ``value`` that is not a probability (non-finite or
+outside [0, 1]; the JSON and exit code stay as they are), also writes one line
+to stderr.  Exit codes: 0 on success, 1 on input errors, 2 on budget aborts, 3
+on internal errors (a failed invariant check or a divergent integral, i.e. a
+bug).  Output is byte-identical for fixed inputs; timings only under ``--timings``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .decomposition import parse_td, validate_td
+from .decomposition import SolveReport, parse_td, validate_td
 from .errors import (Budget, BudgetExceeded, DivergentIntegral, InputError,
                      InvariantViolation, StochLPError)
 from .exactexp import exact_exp
@@ -89,8 +91,15 @@ def _rational_field(q: Fraction) -> dict | None:
 def _read(path: str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {what} file {path}: {e}")
+
+
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot write {what} file {path}: {e}")
 
 
 def _parse_x(raw: str) -> Fraction:
@@ -181,83 +190,66 @@ _NOT_INPUTS = {"command", "threads", "timings", "max_cells", "emit_symbolic"}
 
 
 def _record(args, **fields) -> dict:
-    """JSON of every command but ``gen``: the command, its inputs (its own
-    flags in declaration order, less ``_NOT_INPUTS``), ``fields`` and the
-    version."""
+    """JSON of every command: the command, its inputs (its own flags in
+    declaration order, less ``_NOT_INPUTS``), ``fields`` and the version."""
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
     return {"command": args.command, "inputs": inputs, **fields, "version": __version__}
 
 
+_SHARED = ["per_bag" if f.name == "bag_fields" else f.name for f in dataclasses.fields(SolveReport)
+           if f.name not in ("value", "bag_columns")]
+
+
+def _solved(args, rep: SolveReport, **own) -> dict:
+    """A solver's record: its value and guarantee, ``own`` (the solver's own
+    keys), then each ``SolveReport`` field after ``value`` in declaration
+    order, with the bag columns shown as the ``per_bag`` records."""
+    return _record(args, value=rep.value, guarantee=rep.guarantee, **own,
+                   **{name: getattr(rep, name) for name in _SHARED})
+
+
 def _run(args) -> dict:
-    if args.command != "gen":
-        g = parse_graph(_read(args.graph, "graph"))
-        td_path = getattr(args, "td", None)
-        td = None
-        if td_path is not None:
-            labels = {label: i for i, label in enumerate(g.labels)}
-            td = parse_td(_read(td_path, "decomposition")).relabel(labels)
+    if args.command == "gen":
+        inst = generate(args.shape, args.n, seed=args.seed, dist=args.dist,
+                        k=args.k, max_edges=args.max_edges)
+        _write(args.out_graph, graph_text(inst.dag), "graph")
+        _write(args.out_td, td_text(inst.dag, inst.td), "decomposition")
+        return _record(args, n=inst.dag.n, m=inst.dag.m, width=inst.td.width)
+    g = parse_graph(_read(args.graph, "graph"))
+    td = None
+    if getattr(args, "td", None) is not None:
+        labels = {label: i for i, label in enumerate(g.labels)}
+        td = parse_td(_read(args.td, "decomposition")).relabel(labels)
     if args.command == "approx":
-        x = _float_x(args.x)
-        value, rep = approx_dag(g, td, x, epsilon=args.epsilon, m_override=args.grid_m,
-                                budget=Budget.default(max_cells=args.max_cells))
-        return _record(args, value=value, guarantee=rep.guarantee, M=rep.m_res,
-                       separated_width=rep.separated_width, separated_n=rep.separated_n,
-                       bag_count=rep.bag_count, cells_used=rep.cells_used,
-                       per_bag=rep.per_bag, elapsed_ms=rep.elapsed_ms)
+        _, rep = approx_dag(g, td, _float_x(args.x), epsilon=args.epsilon, m_override=args.grid_m,
+                            budget=Budget.default(max_cells=args.max_cells))
+        return _solved(args, rep, M=rep.m_res)
     if args.command == "exact-exp":
-        x = _parse_x(args.x)
-        value, rep = exact_exp(g, td, x, emit_symbolic=args.emit_symbolic)
-        symbolic = {"symbolic": rep.symbolic} if args.emit_symbolic else {}
-        return _record(args, value=value, guarantee=rep.guarantee,
-                       separated_width=rep.separated_width, separated_n=rep.separated_n,
-                       bag_count=rep.bag_count, regions_peak=rep.regions_peak,
-                       terms_peak=rep.terms_peak, elapsed_ms=rep.elapsed_ms) | symbolic
+        _, rep = exact_exp(g, td, _parse_x(args.x), emit_symbolic=args.emit_symbolic)
+        return _solved(args, rep, **({"symbolic": rep.symbolic} if args.emit_symbolic else {}))
     if args.command == "taylor":
-        x = _parse_x(args.x)
-        value, rep = approx_taylor(g, td, x, eps_additive=args.epsilon_additive,
-                                   tau=args.tau, oracle=args.oracle)
-        return _record(args, value=value, guarantee=rep.guarantee, tau=rep.tau,
-                       theoretical_bound=rep.theoretical_bound, monomials_peak=rep.terms_peak,
-                       separated_width=rep.separated_width, bag_count=rep.bag_count,
-                       elapsed_ms=rep.elapsed_ms)
+        _, rep = approx_taylor(g, td, _parse_x(args.x), eps_additive=args.epsilon_additive,
+                               tau=args.tau, oracle=args.oracle)
+        return _solved(args, rep, tau=rep.tau, theoretical_bound=rep.theoretical_bound)
     if args.command == "mc":
-        x = _float_x(args.x)
-        est, stderr = monte_carlo(g, x, args.samples, args.seed, Budget.default())
+        est, stderr = monte_carlo(g, _float_x(args.x), args.samples, args.seed, Budget.default())
         return _record(args, estimate=est, stderr=stderr,
                        guarantee={"kind": "statistical", "stderr": stderr})
     if args.command == "bracket":
-        x = _float_x(args.x)
-        budget = Budget.default(max_cells=args.max_cells)
-        br = riemann_bracket(g, x, args.resolution, budget)
+        br = riemann_bracket(g, _float_x(args.x), args.resolution,
+                             Budget.default(max_cells=args.max_cells))
         return _record(args, lower=br.lower_float, upper=br.upper_float,
                        lower_exact=_rational_field(br.lower),
                        upper_exact=_rational_field(br.upper), guarantee={"kind": "bracket"})
     if args.command == "sp-exact":
-        x = _parse_x(args.x)
-        value = series_parallel_exact(g, x)
+        value = series_parallel_exact(g, _parse_x(args.x))
         exact = {"exact": _rational_field(value)} if isinstance(value, Fraction) else {}
-        return _record(args, value=float(value), guarantee={"kind": "exact"}) | exact
+        return _record(args, value=float(value), guarantee={"kind": "exact"}, **exact)
     if args.command == "validate-td":
         report = validate_td(g, td)
         return _record(args, valid=report.valid, condition=report.condition,
                        witness=repr(report.witness) if report.witness is not None else None,
                        message=report.message)
-    if args.command == "gen":
-        inst = generate(args.shape, args.n, seed=args.seed, dist=args.dist,
-                        k=args.k, max_edges=args.max_edges)
-        Path(args.out_graph).write_text(graph_text(inst.dag), encoding="utf-8")
-        Path(args.out_td).write_text(td_text(inst.dag, inst.td), encoding="utf-8")
-        return {
-            "command": "gen",
-            "shape": args.shape,
-            "n": inst.dag.n,
-            "m": inst.dag.m,
-            "width": inst.td.width,
-            "seed": args.seed,
-            "graph_file": args.out_graph,
-            "td_file": args.out_td,
-            "version": __version__,
-        }
     raise InputError(f"unknown command {args.command!r}")
 
 

@@ -654,19 +654,15 @@ def integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
     return SymbolicSum._own(out, budget=budget)
 
 
-def cumulate(s: SymbolicSum, v: int, fresh: int, lower: Atom | None = None,
-             budget: Budget | None = None) -> SymbolicSum:
+def cumulate(s: SymbolicSum, v: int, fresh: int, budget: Budget | None = None) -> SymbolicSum:
     """Cumulative integral: result(v) = integral of s over the dummy up to v.
 
-    The integration variable is renamed to ``fresh``; ``lower`` optionally
-    clamps the integral to start at an atom.  No solver passes it: a Taylor
-    edge factor carries its own [0, x] support.
+    The integration variable is renamed to ``fresh``.  The integral has no
+    floor of its own: where it starts is the support that ``s`` carries, as
+    a Taylor edge factor carries its [0, x] support.
     """
     renamed = substitute(s, v, var_atom(fresh), budget=budget)
-    guard = SymbolicSum.guard(var_atom(fresh), var_atom(v))
-    if lower is not None:
-        guard = multiply(guard, SymbolicSum.guard(lower, var_atom(fresh)))
-    renamed = multiply(renamed, guard, budget=budget)
+    renamed = multiply(renamed, SymbolicSum.guard(var_atom(fresh), var_atom(v)), budget=budget)
     return integrate_out(renamed, fresh, budget=budget)
 
 

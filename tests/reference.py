@@ -23,7 +23,8 @@ pairs; ``fraction_q`` is the ``Fraction`` recurrence whose reduced pairs
 the bag factor and the subtree density before it substitutes the pending
 point masses and frozen terminals, which ``density.merge_bag`` must match
 bit for bit; it still adds the Taylor support guards 0 < b, 0 < v < x and
-0 < s at the merge and floors its own ``cumulate`` calls at 0, which
+0 < s at the merge and floors its cumulative integrals at 0 with
+``cumulate_floored``, the ``cumulate`` that took a floor, which
 ``density.merge_bag`` leaves to the support that each Taylor edge factor
 carries, so equal bits show those guards redundant; its subtree density
 comes from ``phi_union_product_first``, which multiplies the child densities
@@ -487,6 +488,19 @@ def fraction_integrate_out(s: SymbolicSum, v: int, upper: Atom | None = None,
     return _fraction_own(out, budget=budget)
 
 
+def cumulate_floored(s: SymbolicSum, v: int, fresh: int, lower: Atom | None,
+                     budget: Budget | None = None) -> SymbolicSum:
+    """``symbolic.cumulate`` as it was when it took a floor: the cumulative
+    integral of ``s`` in ``v``, started at the atom ``lower`` when one is
+    given."""
+    renamed = substitute(s, v, var_atom(fresh), budget=budget)
+    guard = SymbolicSum.guard(var_atom(fresh), var_atom(v))
+    if lower is not None:
+        guard = multiply(guard, SymbolicSum.guard(lower, var_atom(fresh)))
+    renamed = multiply(renamed, guard, budget=budget)
+    return integrate_out(renamed, fresh, budget=budget)
+
+
 def merge_bag_product_first(
     ctx: DecompositionContext,
     i: int,
@@ -515,7 +529,7 @@ def merge_bag_product_first(
     if shared and phi_u is not None:
         for s in shared:
             if s in phi_u.free_vars():
-                phi_u = cumulate(phi_u, s, dummy, lower=lower, budget=budget)
+                phi_u = cumulate_floored(phi_u, s, dummy, lower, budget=budget)
 
     def maybe_shuffled(vals: list[int]) -> list[int]:
         if order_rng is not None:
@@ -526,7 +540,7 @@ def merge_bag_product_first(
     for pend, gsum in bag_density.parts:
         for s in shared:
             if s in gsum.free_vars():
-                gsum = cumulate(gsum, s, dummy, lower=lower, budget=budget)
+                gsum = cumulate_floored(gsum, s, dummy, lower, budget=budget)
         paired = {v for pair in pend for v in pair}
         for t in maybe_shuffled(sorted((frozen_term & gsum.free_vars()) - paired)):
             gsum = substitute(gsum, t, Fraction(0), budget=budget)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import json
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from stochlp import (DivergentIntegral, InvariantViolation, approx_dag, approx_taylor, exact_exp,
-                     parse_graph, parse_td)
+from stochlp import (DivergentIntegral, InvariantViolation, SolveReport, approx_dag, approx_taylor,
+                     exact_exp, parse_graph, parse_td)
 from stochlp.cli import dispatch, render_json
 from stochlp.decomposition import TdReport
 
@@ -98,6 +99,24 @@ class TestDispatch:
     def test_missing_file(self):
         rc, _, err = run(["mc", "--graph", "/nonexistent", "--x", "1"])
         assert rc == 1 and "cannot read" in err
+
+    @pytest.mark.parametrize("bad", ["graph", "decomposition"])
+    def test_file_not_utf8(self, chain_files, tmp_path, bad):
+        g, t = chain_files
+        p = tmp_path / "bad"
+        p.write_bytes(b"\xff" + Path(g if bad == "graph" else t).read_bytes())
+        argv = ["validate-td", "--graph", g, "--td", t]
+        argv[argv.index(g if bad == "graph" else t)] = str(p)
+        rc, out, err = run(argv)
+        assert rc == 1 and f"cannot read {bad} file {p}" in err
+        assert json.loads(out)["kind"] == "input"
+
+    def test_gen_unwritable_output(self, tmp_path):
+        missing = tmp_path / "missing"
+        rc, out, err = run(["gen", "--shape", "chain", "--n", "3",
+                            "--out-graph", str(missing / "g.txt"), "--out-td", str(missing / "t.td")])
+        assert rc == 1 and f"cannot write graph file {missing / 'g.txt'}" in err
+        assert out.count("\n") == 1 and json.loads(out)["kind"] == "input"
 
     def test_error_line_with_control_characters_is_json(self, tmp_path):
         path = str(tmp_path / "a\tb\x01.txt")
@@ -250,8 +269,9 @@ class TestDispatch:
 
 
 class TestRecord:
-    """What the goldens do not cover: the oracle commands' inputs and the
-    solver guarantees the CLI copies from the reports."""
+    """What the goldens do not cover: the oracle commands' inputs, the
+    solver guarantees the CLI copies from the reports, the one layout of the
+    solver records with and without timings, and the ``gen`` record."""
 
     @pytest.mark.parametrize("argv, keys", [
         (["mc", "--x", "1", "--samples", "100", "--threads", "2"], ["graph", "x", "samples", "seed"]),
@@ -268,6 +288,54 @@ class TestRecord:
         doc = json.loads(out)
         assert list(doc)[:2] == ["command", "inputs"] and doc["command"] == command
         assert list(doc["inputs"]) == keys and doc["inputs"]["graph"] == g
+
+    @pytest.mark.parametrize("timings", [False, True], ids=["default", "timings"])
+    @pytest.mark.parametrize("dist, argv, own, solver, kwargs", [
+        ("uniform", ["approx", "--grid-m", "8"], ["M"], approx_dag, {"m_override": 8}),
+        ("exp", ["exact-exp", "--emit-symbolic"], ["symbolic"], exact_exp, {"emit_symbolic": True}),
+        ("oracle:expcdf", ["taylor", "--tau", "3"], ["tau", "theoretical_bound"], approx_taylor,
+         {"tau": 3}),
+    ], ids=["approx", "exact-exp", "taylor"])
+    def test_solver_record_is_one_rule(self, tmp_path, dist, argv, own, solver, kwargs, timings):
+        # value, guarantee, the solver's own keys, then every shared
+        # SolveReport field in declaration order, the bag columns as per_bag
+        g, t = tmp_path / "g.txt", tmp_path / "t.td"
+        rc, _, _ = run(["gen", "--shape", "diamond-ladder", "--n", "2", "--dist", dist,
+                        "--out-graph", str(g), "--out-td", str(t)])
+        assert rc == 0
+        command, *flags = argv
+        rc, out, _ = run([command, "--graph", str(g), "--td", str(t), "--x", "0.75", *flags,
+                          *(["--timings"] if timings else [])])
+        assert rc == 0
+        doc = json.loads(out)
+        shared = [f.name for f in dataclasses.fields(SolveReport)
+                  if f.name not in ("value", "bag_columns")]
+        shared[shared.index("bag_fields")] = "per_bag"
+        if not timings:
+            shared.remove("elapsed_ms")
+        assert list(doc) == ["command", "inputs", "value", "guarantee", *own, *shared, "version"]
+        graph = parse_graph(g.read_text())
+        td = parse_td(t.read_text()).relabel({label: i for i, label in enumerate(graph.labels)})
+        _, rep = solver(graph, td, 0.75, **kwargs)
+        for name in own + shared:
+            if name == "per_bag":
+                assert doc[name] and all(("elapsed_ms" in r) == timings for r in doc[name])
+                assert [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in doc[name]] == \
+                    [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in rep.per_bag]
+            elif name != "elapsed_ms":
+                assert doc[name] == (rep.m_res if name == "M" else getattr(rep, name)), name
+
+    def test_gen_record(self, tmp_path):
+        g, t = str(tmp_path / "g.txt"), str(tmp_path / "t.td")
+        rc, out, _ = run(["gen", "--shape", "diamond-ladder", "--n", "2", "--seed", "4",
+                          "--out-graph", g, "--out-td", t])
+        assert rc == 0
+        doc = json.loads(out)
+        assert list(doc) == ["command", "inputs", "n", "m", "width", "version"]
+        assert {k: doc["inputs"][k] for k in ("shape", "n", "seed", "out_graph", "out_td")} == \
+            {"shape": "diamond-ladder", "n": 2, "seed": 4, "out_graph": g, "out_td": t}
+        dag = parse_graph(Path(g).read_text())
+        assert (doc["n"], doc["m"]) == (dag.n, dag.m)
 
     def test_grid_m_wins_over_epsilon(self, chain_files):
         g, t = chain_files
